@@ -1,39 +1,25 @@
-"""Batched activity kernel: throughput vs. the pre-batching engine.
+"""Batched activity kernel: microbenchmark against scalar resolution.
 
-PR 6 turned per-request switching-activity extraction into a batched
-kernel (``repro.power.activity.batch_activities``) and restructured
-candidate pricing so every activity-key miss across a KL round's
-candidate set is resolved through one kernel call
-(``EvaluationContext.evaluate_batch``).  This bench measures what that
-buys and pins that it changed nothing else:
+Candidate pricing resolves every activity-key miss across a KL round's
+candidate set through one call of the batched kernel
+(``repro.power.activity.batch_activities``, driven by
+``EvaluationContext.evaluate_batch``).  This bench resolves one
+realistic request set through the batched kernel and through one scalar
+call per request, cold caches on both sides, and asserts bit-identical
+floats.  It isolates the NumPy dispatch overhead the batch amortizes;
+end-to-end pricing time is measured by the harness in
+``benchmarks/harness``.
 
-* **kernel microbenchmark** — resolve one realistic request set through
-  the batched kernel vs. one scalar call per request, cold caches both
-  sides, asserting bit-identical floats.  This isolates the NumPy
-  dispatch overhead the batch amortizes.
-* **pricing race** — check the pre-batching parent revision out into a
-  scratch git worktree and run the identical improvement workload
-  (``benchmarks/_pricing_runner.py``) against both trees, interleaved,
-  best-of-``_ROUNDS``.  Both engines walk the bit-identical search
-  trajectory (asserted via final area/power and the dispositioned
-  count), so the pricing-time ratio is the throughput ratio.  The gate
-  requires ≥ ``_SPEEDUP_TARGET``x on every raced circuit.
+Writes ``benchmarks/results/activity_batch.txt``.  Run with::
 
-Writes ``benchmarks/results/BENCH_6.json``; the CI perf-smoke job
-uploads it as an artifact.
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_activity_batch.py
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.power import (
     batch_activities,
@@ -41,49 +27,13 @@ from repro.power import (
     reset_activity_caches,
 )
 
-from conftest import RESULTS_DIR, save_result
-
-CIRCUITS = ("paulin", "test1")
-_N_TRACES = 256  # stream length: enough that pricing dominates setup
-_ROUNDS = 6  # best-of timing rounds per revision
-_SPEEDUP_TARGET = 3.0  # required on every raced circuit
+from conftest import save_result
 
 #: Kernel microbenchmark shape: a KL round's worth of activity misses.
 _KERNEL_REQUESTS = 192
 _KERNEL_STREAMS = 48
 _KERNEL_SAMPLES = 256
 _KERNEL_REPEATS = 5
-
-#: The commit this PR stacks on: the last revision that resolved every
-#: activity request with a scalar kernel call.  Pinned (not ``HEAD~1``)
-#: so the baseline stays meaningful when later PRs stack on top.
-_SEED_COMMIT = "56761849f197881f118f9c36c30a254a21190183"
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_RUNNER = Path(__file__).parent / "_pricing_runner.py"
-_WORKTREE = _REPO_ROOT / ".bench_prebatch_worktree"
-
-
-def _git(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        ["git", *argv], cwd=_REPO_ROOT, capture_output=True, text=True
-    )
-
-
-def _make_seed_worktree() -> Path:
-    if _WORKTREE.exists():
-        _git("worktree", "remove", "--force", str(_WORKTREE))
-    proc = _git("worktree", "add", "--detach", str(_WORKTREE), _SEED_COMMIT)
-    if proc.returncode != 0:
-        pytest.skip(
-            f"cannot create pre-batching worktree at {_SEED_COMMIT[:12]}: "
-            + proc.stderr.strip()
-        )
-    return _WORKTREE
-
-
-def _drop_seed_worktree() -> None:
-    _git("worktree", "remove", "--force", str(_WORKTREE))
 
 
 def _kernel_micro() -> dict:
@@ -124,94 +74,15 @@ def _kernel_micro() -> dict:
     }
 
 
-def _run_pricing(tree: Path, circuit: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(_RUNNER), circuit, str(_N_TRACES)],
-        capture_output=True,
-        text=True,
-        cwd=_REPO_ROOT,
-        env={**os.environ, "PYTHONPATH": str(tree / "src")},
-    )
-    assert proc.returncode == 0, (
-        f"pricing runner failed against {tree}:\n{proc.stderr}"
-    )
-    return json.loads(proc.stdout)
-
-
-def _race(circuit: str, seed_tree: Path) -> dict:
-    """Best-of-``_ROUNDS`` interleaved pricing race on one circuit."""
-    current, seed = [], []
-    for _ in range(_ROUNDS):
-        new = _run_pricing(_REPO_ROOT, circuit)
-        old = _run_pricing(seed_tree, circuit)
-        # Bit-identical trajectory or the timing comparison is void.
-        assert (new["area"], new["power"], new["dispositioned"]) == (
-            old["area"], old["power"], old["dispositioned"]
-        ), f"engines diverged on {circuit}: {new} vs {old}"
-        current.append(new)
-        seed.append(old)
-    new_s = min(r["pricing_s"] for r in current)
-    old_s = min(r["pricing_s"] for r in seed)
-    n = current[0]["dispositioned"]
-    return {
-        "dispositioned": n,
-        "evals": current[0]["evals"],
-        "pruned": current[0]["pruned"],
-        "prebatch_s": old_s,
-        "prebatch_per_s": n / old_s,
-        "batched_s": new_s,
-        "batched_per_s": n / new_s,
-        "speedup": old_s / new_s,
-    }
-
-
-def test_batched_activity_throughput():
+def test_batched_activity_kernel():
     kernel = _kernel_micro()
-    seed_tree = _make_seed_worktree()
-    try:
-        races = {circuit: _race(circuit, seed_tree) for circuit in CIRCUITS}
-    finally:
-        _drop_seed_worktree()
-
-    snapshot = {
-        "bench": "activity_batch",
-        "pr": 6,
-        "seed_commit": _SEED_COMMIT,
-        "n_traces": _N_TRACES,
-        "rounds": _ROUNDS,
-        "kernel": kernel,
-        "pricing": races,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_6.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-    )
-
-    lines = [
-        "Batched activity kernel vs pre-batching engine",
-        f"(baseline = {_SEED_COMMIT[:12]}, {_N_TRACES} trace samples, "
-        f"best of {_ROUNDS})",
-        "=================================================================",
+    save_result("activity_batch", "\n".join([
+        "Batched activity kernel vs scalar resolution",
+        f"(best of {_KERNEL_REPEATS}, cold caches)",
+        "============================================",
         f"kernel:  {kernel['requests']} requests x "
         f"{kernel['samples']} samples: "
         f"{kernel['scalar_s'] * 1e3:.1f} ms scalar -> "
         f"{kernel['batched_s'] * 1e3:.1f} ms batched "
         f"({kernel['speedup']:.1f}x), results bit-identical",
-    ]
-    for circuit, m in races.items():
-        lines.append(
-            f"{circuit:8s} {m['dispositioned']:4d} candidates "
-            f"({m['pruned']} pruned): "
-            f"{m['prebatch_per_s']:.0f}/s pre-batching -> "
-            f"{m['batched_per_s']:.0f}/s batched "
-            f"({m['speedup']:.2f}x)"
-        )
-    save_result("activity_batch", "\n".join(lines))
-
-    slow = {c: m["speedup"] for c, m in races.items()
-            if m["speedup"] < _SPEEDUP_TARGET}
-    assert not slow, (
-        f"expected >= {_SPEEDUP_TARGET}x pricing throughput on every "
-        "circuit, got "
-        + ", ".join(f"{c}: {m['speedup']:.2f}x" for c, m in races.items())
-    )
+    ]))

@@ -6,8 +6,8 @@ candidate set with the relational engine
 in-memory SQLite tables once per round and the A/C/D candidate families
 come back from batched joins as *lazy descriptors* — ``Solution.clone``
 only runs for candidates that survive pruning.  The legacy loops remain
-behind ``--no-relational`` and are bit-identical by construction, which
-makes an in-process race meaningful:
+as its test reference (``relational=False``) and are bit-identical by
+construction, which makes an in-process race meaningful:
 
 * both engines generate from the *same* solution object, so schedule
   and lifetime memos are shared and the timed region isolates discovery

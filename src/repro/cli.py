@@ -89,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the paper's fixed scheme; see "
                             "docs/SEARCH.md; choices: "
                             f"{', '.join(available_policies())})")
-    synth.add_argument("--portfolio", type=int, default=None, metavar="N",
-                       help="run N differently-biased search policies as a "
-                            "cross-pollinating portfolio and keep the best "
-                            "result (never worse than the single search; "
-                            "incompatible with --flatten)")
     synth.add_argument("--priors", action="store_true",
                        help="search with trace-mined move priors and, after "
                             "the run, mine this run's trace back into the "
@@ -112,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--workers", type=int, default=1,
                        help="processes for the (Vdd, clock) operating-point "
                             "sweep (1 = serial; results are identical)")
-    synth.add_argument("--score-workers", type=int, default=1,
-                       help="threads for candidate scoring inside each "
-                            "improvement step (1 = serial; results, telemetry "
-                            "and traces are identical)")
-    synth.add_argument("--no-incremental", action="store_true",
-                       help="price every candidate from scratch instead of "
-                            "by delta against the current solution "
-                            "(results are bit-identical either way)")
     synth.add_argument("--validate-incremental", action="store_true",
                        help="cross-check every delta-priced candidate against "
                             "a from-scratch evaluation and fail on any "
@@ -127,15 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--no-prune", action="store_true",
                        help="disable dominance/feasibility pruning of "
                             "candidates before pricing")
-    synth.add_argument("--no-batch-activity", action="store_true",
-                       help="price candidate activities one stream set at a "
-                            "time instead of through the batched kernel "
-                            "(results are bit-identical either way)")
-    synth.add_argument("--no-relational", action="store_true",
-                       help="discover candidate moves with the legacy "
-                            "per-pair Python loops instead of the relational "
-                            "engine's batched joins + lazy materialization "
-                            "(results are bit-identical either way)")
     synth.add_argument("--saturate", action="store_true",
                        help="before synthesis, saturate each non-top "
                             "behavior with bit-true algebraic rewrites "
@@ -300,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="NAME",
                         help="search policy biasing the improvement driver "
                              "(see docs/SEARCH.md)")
-    submit.add_argument("--portfolio", type=int, default=None, metavar="N",
-                        help="run N differently-biased policies as a "
-                             "cross-pollinating portfolio on the server")
     submit.add_argument("--priors", action="store_true",
                         help="search with the server's trace-mined move "
                              "priors and mine this run back into them")
@@ -373,23 +348,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         design = _load_design(args.design)
 
-    if args.portfolio is not None:
-        if args.flatten:
-            print("error: --portfolio is incompatible with --flatten",
-                  file=sys.stderr)
-            return 2
-        if args.portfolio < 1:
-            print("error: --portfolio needs N >= 1", file=sys.stderr)
-            return 2
-
     config = quick_config() if args.effort == "quick" else SynthesisConfig()
     config.n_workers = args.workers
-    config.score_workers = args.score_workers
-    config.incremental = not args.no_incremental
     config.validate_incremental = args.validate_incremental
     config.prune = not args.no_prune
-    config.batch_activity = not args.no_batch_activity
-    config.relational = not args.no_relational
     config.verify_moves = args.verify
     # Set before the library build so module pre-characterization also
     # warm-starts from (and feeds) the persistent store.
@@ -450,34 +412,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    portfolio = None
-    if args.portfolio is not None:
-        from .search import portfolio_synthesize
-
-        portfolio = portfolio_synthesize(
-            design,
-            library,
-            sampling_ns=args.sampling_ns,
-            laxity_factor=args.laxity,
-            objective=args.objective,
-            traces=traces,
-            config=config,
-            n_samples=args.samples,
-            n_members=args.portfolio,
-        )
-        result = portfolio.result
-    else:
-        run = synthesize_flat if args.flatten else synthesize
-        result = run(
-            design,
-            library,
-            sampling_ns=args.sampling_ns,
-            laxity_factor=args.laxity,
-            objective=args.objective,
-            traces=traces,
-            config=config,
-            n_samples=args.samples,
-        )
+    run = synthesize_flat if args.flatten else synthesize
+    result = run(
+        design,
+        library,
+        sampling_ns=args.sampling_ns,
+        laxity_factor=args.laxity,
+        objective=args.objective,
+        traces=traces,
+        config=config,
+        n_samples=args.samples,
+    )
     if args.voltage_scale:
         result = voltage_scale(result, continuous=True)
     if profiler is not None:
@@ -495,12 +440,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
           f"(budget {result.solution.deadline_cycles})")
     print(f"sampling:       {result.sampling_ns:.1f} ns")
     print(f"synthesis time: {result.elapsed_s:.2f} s")
-    if portfolio is not None and portfolio.winner is not None:
-        winner = portfolio.winner
-        print(f"portfolio:      {args.portfolio} member(s) × "
-              f"{portfolio.generations} generation(s), winner "
-              f"{winner.policy!r} (generation {winner.generation}, "
-              f"member {winner.member}) in {portfolio.elapsed_s:.2f} s")
     if args.verify:
         check = result.verify()
         if not check.ok:
@@ -530,13 +469,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.stats:
         print()
         print(render_stats(result.telemetry, history=result.history))
-        if portfolio is not None:
-            print()
-            print("portfolio members:")
-            for m in portfolio.members:
-                print(f"  generation {m.generation} member {m.member} "
-                      f"({m.policy}): cost {m.cost:.4g}, "
-                      f"{m.evaluations} evaluations, {m.elapsed_s:.2f} s")
     if args.trace:
         from .trace import write_trace
 
@@ -714,7 +646,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         verify=args.verify,
         trace=args.trace,
         policy=args.policy,
-        portfolio=args.portfolio,
         priors=args.priors,
     )
     client = ServiceClient(args.url)

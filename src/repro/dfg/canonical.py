@@ -334,8 +334,8 @@ def library_signature(library) -> str:
 _EXECUTION_ONLY_FIELDS = frozenset(
     {
         "n_workers",
-        "score_workers",
         "validate_incremental",
+        "batch_activity",
         "relational",
         "trace",
         "trace_timings",
@@ -350,8 +350,8 @@ _EXECUTION_ONLY_FIELDS = frozenset(
         # search reaches, but every *stored* sub-result is policy-
         # independent: nested move-B resynthesis always runs the
         # default scheme, and schedules/metrics are pure evaluation.
-        # Excluding these lets differently-biased portfolio members
-        # share one cache.
+        # Excluding these lets runs under different policies share one
+        # cache.
         "search_policy",
         "policy_params",
     }

@@ -9,17 +9,16 @@ improve_solution`):
   (order also breaks exact cost ties: the earlier family wins);
 * **within-step ranking** — reordering or truncating a family's
   candidate list before pricing;
-* **restart scheduling** — seeding a pass sequence from a previously
-  published solution (cross-pollination in a portfolio run);
-* **early termination** — cutting a step, a pass sequence, or the
-  whole point short.
+* **seeding** — inspecting (or replacing) each operating point's
+  starting solution before the first pass;
+* **early termination** — cutting a pass short before a step's chosen
+  move is applied.
 
 :class:`DefaultPolicy` implements every hook as the identity, which
 makes the driver reproduce the paper's fixed scheme **byte-identically**
 (same traces, same telemetry) — the refactor seam is covered by golden
 trace tests.  The biased policies below trade that fidelity for
-different exploration profiles; the portfolio driver
-(:mod:`repro.search.portfolio`) runs several of them side by side.
+different exploration profiles.
 
 Policies are resolved by name through :func:`make_policy` (the
 ``SynthesisConfig.search_policy`` knob); third parties register their
@@ -30,13 +29,12 @@ this one while initializing.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..synthesis.context import SynthesisEnv
     from ..synthesis.costs import EvaluationContext
-    from ..synthesis.improve import PassRecord, ScoredMove
+    from ..synthesis.improve import ScoredMove
     from ..synthesis.moves import Candidate
     from ..synthesis.solution import Solution
 
@@ -95,21 +93,10 @@ class SearchPolicy:
     no-ops — a driver running them is byte-identical to the
     pre-policy monolith — so subclasses override only the decisions
     they want to bias.
-
-    Cross-pollination is built into the base class: when ``params``
-    carries a ``pollinate`` token (set by the portfolio driver), every
-    policy seeds each point from the best solution any portfolio member
-    has published for that operating point (:meth:`seed_solution`), and
-    publishes its own final solution back (:meth:`publish`), both
-    through the shared store's ``portfolio`` namespace.
     """
 
     #: Registry name (set by :func:`register_policy`).
     name = "base"
-    #: True when :meth:`observe_pass` needs a
-    #: :class:`~repro.synthesis.improve.PassRecord` per pass even if the
-    #: caller did not request history.
-    observes = False
 
     def __init__(self, params: dict[str, Any] | None = None):
         self.params: dict[str, Any] = dict(params or {})
@@ -134,69 +121,17 @@ class SearchPolicy:
         """
         return ("ab", "share")
 
-    # -- restart scheduling -------------------------------------------
+    # -- seeding --------------------------------------------------------
     def seed_solution(
         self, ctx: "EvaluationContext", solution: "Solution", cost: float
     ) -> tuple["Solution", float]:
         """Optionally replace the point's starting solution.
 
-        The default adopts a cross-pollinated incumbent when a
-        ``pollinate`` token is configured and the incumbent prices
-        strictly better; otherwise the input passes through untouched
-        (no evaluations).
+        Called once per operating point with the priced starting
+        solution; returns the ``(solution, cost)`` pair the first pass
+        starts from.  The default passes the input through untouched.
         """
-        token = self.params.get("pollinate")
-        if not token or self.env is None:
-            return solution, cost
-        incumbent = self._load_incumbent(token, solution)
-        if incumbent is None:
-            return solution, cost
-        adopted_cost = ctx.cost(incumbent)
-        if adopted_cost < cost:
-            return incumbent, adopted_cost
         return solution, cost
-
-    def publish(self, solution: "Solution", cost: float) -> None:
-        """Offer the point's final solution to the rest of the portfolio."""
-        token = self.params.get("pollinate")
-        if not token or self.env is None or not math.isfinite(cost):
-            return
-        from ..synthesis.store import MISSING
-
-        content = self._pollination_key(token, solution)
-        held = self.env.store.load("portfolio", content)
-        if held is MISSING or cost < held[0]:
-            self.env.store.replace("portfolio", content, (cost, solution))
-
-    def _pollination_key(self, token: str, solution: "Solution") -> tuple:
-        """Content key of one operating point's shared incumbent slot."""
-        return (
-            "portfolio", str(token), solution.vdd, solution.clk_ns,
-            solution.sampling_ns,
-        )
-
-    def _load_incumbent(
-        self, token: str, solution: "Solution"
-    ) -> "Solution | None":
-        """Best published solution for *solution*'s operating point."""
-        from ..dfg.canonical import design_fingerprint
-        from ..synthesis.store import MISSING
-
-        held = self.env.store.load(
-            "portfolio", self._pollination_key(token, solution)
-        )
-        if held is MISSING:
-            return None
-        _cost, incumbent = held
-        # A published solution may arrive from another process (its DFG
-        # is an unpickled copy): adopt only when it is structurally the
-        # same graph this env is synthesizing.
-        design = self.env.design
-        if design_fingerprint(design, incumbent.dfg) != design_fingerprint(
-            design, solution.dfg
-        ):
-            return None
-        return incumbent
 
     # -- within-step decisions ----------------------------------------
     def rank_candidates(
@@ -231,14 +166,6 @@ class SearchPolicy:
     ) -> bool:
         """Cut the pass short *before* applying the chosen move."""
         return False
-
-    def stop_pass(self, pass_idx: int, current_cost: float) -> bool:
-        """Skip remaining passes of this point."""
-        return False
-
-    # -- observation ---------------------------------------------------
-    def observe_pass(self, record: "PassRecord", current_cost: float) -> None:
-        """Receive the finished pass's record (statistics collection)."""
 
 
 @register_policy("default")

@@ -305,8 +305,7 @@ class PriorsPolicy(SearchPolicy):
       touching unexplored kinds.
 
     ``params``: ``table`` (a :meth:`PriorsTable.as_dict` payload,
-    overrides the store), ``min_support`` (default 5), plus the base
-    class's ``pollinate`` token.
+    overrides the store) and ``min_support`` (default 5).
     """
 
     def __init__(self, params: dict[str, Any] | None = None):
@@ -330,13 +329,13 @@ class PriorsPolicy(SearchPolicy):
         return self
 
     def seed_solution(self, ctx, solution, cost):
-        """Classify the point's slack regime, then seed as the base does."""
+        """Classify the point's slack regime; the start is kept as is."""
         # The starting solution's schedule is already computed (the
         # sweep's feasibility gate priced it), so this costs nothing.
         self._regime = slack_regime(
             solution.deadline_cycles, solution.schedule().length
         )
-        return super().seed_solution(ctx, solution, cost)
+        return solution, cost
 
     def family_order(self) -> tuple[str, ...]:
         """Order families by mined committed-gain, in this slack regime."""

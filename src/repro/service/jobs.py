@@ -75,9 +75,6 @@ class JobRequest:
     #: Search policy biasing the improvement driver (``None`` = the
     #: paper's default scheme; see :mod:`repro.search.policy`).
     policy: str | None = None
-    #: Run N differently-biased policies as a cross-pollinating
-    #: portfolio and keep the best result (``None`` = single search).
-    portfolio: int | None = None
     #: Search with trace-mined move priors and mine this run's trace
     #: back into the server's priors store after it finishes.
     priors: bool = False
@@ -112,13 +109,6 @@ class JobRequest:
                     f"unknown search policy {self.policy!r}; available: "
                     f"{', '.join(available_policies())}"
                 )
-        if self.portfolio is not None:
-            if self.portfolio < 1:
-                raise ServiceError(
-                    f"portfolio must be >= 1, got {self.portfolio}"
-                )
-            if self.flatten:
-                raise ServiceError("portfolio is incompatible with flatten")
 
     def to_dict(self) -> dict[str, Any]:
         """Wire form (JSON object body of ``POST /jobs``)."""
@@ -197,7 +187,6 @@ def request_fingerprint(
             request.verify,
             request.trace,
             request.policy,
-            request.portfolio,
             request.priors,
         )
     )

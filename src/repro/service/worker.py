@@ -143,41 +143,17 @@ def run_job(payload: dict[str, Any]) -> dict[str, Any]:
         traces = _TRACE_GENERATORS[request.traces](
             design.top, n=request.samples, seed=request.seed
         )
-        portfolio = None
-        if request.portfolio:
-            from ..search import portfolio_synthesize
-
-            portfolio = portfolio_synthesize(
-                design,
-                library,
-                sampling_ns=request.sampling_ns,
-                laxity_factor=request.laxity_factor,
-                objective=request.objective,
-                traces=traces,
-                config=config,
-                n_samples=request.samples,
-                n_members=request.portfolio,
-            )
-            result = portfolio.result
-            if portfolio.winner is not None:
-                progress.emit(
-                    "portfolio",
-                    members=len(portfolio.members),
-                    generations=portfolio.generations,
-                    winner_policy=portfolio.winner.policy,
-                )
-        else:
-            run = synthesize_flat if request.flatten else synthesize
-            result = run(
-                design,
-                library,
-                sampling_ns=request.sampling_ns,
-                laxity_factor=request.laxity_factor,
-                objective=request.objective,  # type: ignore[arg-type]
-                traces=traces,
-                config=config,
-                n_samples=request.samples,
-            )
+        run = synthesize_flat if request.flatten else synthesize
+        result = run(
+            design,
+            library,
+            sampling_ns=request.sampling_ns,
+            laxity_factor=request.laxity_factor,
+            objective=request.objective,  # type: ignore[arg-type]
+            traces=traces,
+            config=config,
+            n_samples=request.samples,
+        )
         progress.emit(
             "synthesized",
             area=result.area,
@@ -192,22 +168,6 @@ def run_job(payload: dict[str, Any]) -> dict[str, Any]:
         payload_out["design"] = design.name
         payload_out["netlist"] = emit_netlist(result.netlist())
         payload_out["controller_states"] = result.controller().n_states
-        if portfolio is not None and portfolio.winner is not None:
-            payload_out["portfolio"] = {
-                "members": [
-                    {
-                        "generation": m.generation,
-                        "member": m.member,
-                        "policy": m.policy,
-                        "cost": m.cost,
-                        "evaluations": m.evaluations,
-                    }
-                    for m in portfolio.members
-                ],
-                "generations": portfolio.generations,
-                "winner_policy": portfolio.winner.policy,
-                "winner_generation": portfolio.winner.generation,
-            }
 
         if request.priors and result.trace_events is not None:
             from ..dfg.canonical import design_fingerprint

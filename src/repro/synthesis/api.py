@@ -170,8 +170,8 @@ def synthesize(
     (multiple of the minimum achievable period, as in Table 3) must be
     given.  *store* optionally supplies an externally owned
     :class:`~repro.synthesis.store.SynthesisStore` shared across several
-    runs (the portfolio driver pollinates members through one); the
-    caller keeps responsibility for closing it.
+    runs (e.g. a priors run reusing a cold run's memos); the caller
+    keeps responsibility for closing it.
     """
     return _synthesize(
         design,
@@ -405,7 +405,7 @@ def _synthesize(
         # open.  Post-processing (voltage scaling, corner sweeps) simply
         # repopulates the memos from the result's own sim.  An
         # externally supplied store outlives the run by contract — its
-        # owner (the portfolio driver) closes it after the last member.
+        # owner closes it after the last run.
         reset_activity_caches()
         _reset_energy_memos()
         if store is None:
@@ -541,20 +541,18 @@ def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
     """Search-shaping knobs recorded in a trace's ``run_start`` event.
 
     Execution-only fields are excluded: ``n_workers``,
-    ``score_workers``, ``validate_incremental``, ``batch_activity``,
-    ``relational``,
-    the ``trace_*`` family and the store knobs (``cache_dir``,
+    ``validate_incremental``, ``batch_activity``, ``relational``, the
+    ``trace_*`` family and the store knobs (``cache_dir``,
     ``persistent_cache``, ``run_cache_size``) do not change what the
-    search does (or what its
-    trace records), and keeping them out is what lets a 1-worker and a
-    4-worker run — or a cold and a warm-cache run — produce
-    byte-identical traces.  ``incremental`` and
+    search does (or what its trace records), and keeping them out is
+    what lets a 1-worker and a 4-worker run — or a cold and a
+    warm-cache run — produce byte-identical traces.  ``incremental`` and
     ``prune`` *are* recorded: both leave the search outcome intact, but
     they shape per-step eval/pruned counts in the trace, so a replay
     must run them the same way.  ``trace_meta`` rides separately as the
     provenance field.
     """
-    skip = {"n_workers", "score_workers", "validate_incremental",
+    skip = {"n_workers", "validate_incremental",
             "batch_activity", "relational",
             "trace", "trace_timings", "trace_evals",
             "trace_max_events", "trace_meta",

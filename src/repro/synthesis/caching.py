@@ -76,8 +76,8 @@ class LRUCache(Generic[K, V]):
 
     def peek(self, key: K, default: V | None = None) -> V | None:
         """Look up ``key`` without touching recency or the hit/miss
-        counters (used by speculative work that must not perturb the
-        cache statistics of the serial accounting pass)."""
+        counters (used by batch pricing, which must not perturb the
+        cache statistics of the accounting pass)."""
         return self._data.get(key, default)
 
     def put(self, key: K, value: V) -> None:

@@ -105,14 +105,9 @@ class SynthesisConfig:
     #: emitting lazy candidate descriptors, with ``Solution.clone()``
     #: deferred past pruning.  Execution knob only — the candidate
     #: multiset, final solutions, goldens and traces are bit-identical
-    #: to the legacy per-pair loops (``--no-relational``).
+    #: to the legacy per-pair loops (``relational=False``), which stay
+    #: as the engine's test reference.
     relational: bool = True
-    #: Threads for candidate scoring inside one improvement step.
-    #: 1 = serial; >1 prices uncached candidates speculatively on a
-    #: thread pool while all accounting stays serial, so results,
-    #: telemetry and traces are identical at any setting.  Composes
-    #: with ``n_workers`` (each sweep worker scores with its own pool).
-    score_workers: int = 1
     #: Record the search as structured trace events (run → point → pass
     #: → move, with gain attribution); surfaced on
     #: ``SynthesisResult.trace_events`` and the CLI's ``--trace`` flag.
@@ -153,11 +148,10 @@ class SynthesisConfig:
     #: decisions (family order, candidate ranking, restarts, early
     #: termination).  ``"default"`` reproduces the paper's fixed scheme
     #: byte-identically; see :mod:`repro.search.policy` for the biased
-    #: alternatives (``repro synth --policy``, ``--portfolio``).
+    #: alternatives (``repro synth --policy``).
     search_policy: str = "default"
     #: Keyword parameters of the selected policy (e.g. a mined priors
-    #: table, the portfolio cross-pollination token).  Plain JSON-able
-    #: values only.
+    #: table).  Plain JSON-able values only.
     policy_params: dict | None = None
 
 

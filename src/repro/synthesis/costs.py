@@ -158,15 +158,15 @@ class EvaluationContext:
         #: the cost cache; the improvement loop fetches the current
         #: solution's breakdown to delta-price its candidates against.
         self._breakdowns: LRUCache[HashedKey, Breakdown] = LRUCache(cache_size)
-        #: Results computed speculatively on scoring threads
-        #: (:meth:`prime`), consumed by the serial accounting pass.
-        self._primed: dict[
+        #: Results priced ahead by :meth:`evaluate_batch`, consumed by
+        #: the accounting pass in :meth:`evaluate`.
+        self._batched: dict[
             HashedKey, tuple[Metrics, Breakdown, int, int]
         ] = {}
         #: Canonical metrics content keys, memoized per fingerprint.
         #: One candidate's content is needed up to three times (the
-        #: speculative ``contains`` filter, then ``fetch`` and ``put``
-        #: in the serial pass); building the pricing signature each time
+        #: batch-pricing ``contains`` filter, then ``fetch`` and ``put``
+        #: in :meth:`evaluate`); building the pricing signature each time
         #: was measurable, and returning the *same* tuple object lets
         #: the store's digest memo answer repeat hashings for free.
         self._content_memo: LRUCache[HashedKey, tuple] = LRUCache(cache_size)
@@ -307,13 +307,13 @@ class EvaluationContext:
             return cached
         self.telemetry.cache_misses += 1
         t0 = self.recorder.clock() if self.recorder is not None else None
-        primed = self._primed.pop(key, None)
+        batched = self._batched.pop(key, None)
         content = (
             self._metrics_content(solution, key)
             if self._share_metrics
             else None
         )
-        if primed is None and content is not None:
+        if batched is None and content is not None:
             shared = self.store.fetch("metrics", key, content)
             if shared is not MISSING:
                 # Untraced context (see ``_share_metrics``): skipping
@@ -323,10 +323,15 @@ class EvaluationContext:
                 # search trajectory are unchanged.
                 self._cost_cache.put(key, shared)
                 return shared
-        if primed is not None:
-            metrics, breakdown, reused, _terms = primed
+        if batched is not None:
+            metrics, breakdown, reused, _terms = batched
         else:
-            metrics, breakdown, reused, _terms = self._compute(solution, base)
+            metrics, breakdown, reused, _terms = evaluate_solution(
+                self, solution, base
+            )
+            if base is not None and self.validate_incremental:
+                reference = evaluate_solution(self, solution, None)[0]
+                _check_identical(metrics, reference)
         if base is None:
             self.telemetry.full_evals += 1
             mode = None
@@ -372,26 +377,6 @@ class EvaluationContext:
             self._content_memo.put(key, content)
         return content
 
-    def _compute(
-        self, solution: Solution, base: Breakdown | None
-    ) -> tuple[Metrics, Breakdown, int, int]:
-        """Run the evaluator (delta or full), optionally cross-checked.
-
-        Pure with respect to context state: no telemetry, cache or
-        recorder side effects, so scoring threads can call it
-        speculatively (:meth:`prime`) without perturbing the serial
-        accounting.
-        """
-        result = evaluate_solution(self, solution, base)
-        if base is not None and self.validate_incremental:
-            reference = evaluate_solution(self, solution, None)[0]
-            _check_identical(result[0], reference)
-        return result
-
-    def _evaluate_uncached(self, solution: Solution) -> Metrics:
-        """Full evaluation: netlist rebuild + trace-driven estimation."""
-        return evaluate_solution(self, solution, None)[0]
-
     def breakdown_of(self, solution: Solution) -> Breakdown | None:
         """The stored per-term breakdown of an already-evaluated solution.
 
@@ -402,54 +387,8 @@ class EvaluationContext:
         return self._breakdowns.peek(solution.fingerprint_key())
 
     # ------------------------------------------------------------------
-    def prime(
-        self,
-        work: list[tuple[Solution, Breakdown | None]],
-        workers: int,
-    ) -> None:
-        """Speculatively evaluate uncached solutions on a thread pool.
-
-        ``work`` pairs each candidate solution with the base breakdown
-        it would be priced against.  Solutions already in the cost cache
-        (or already primed) are skipped; the rest are computed
-        concurrently and stashed for :meth:`evaluate` to consume.  All
-        accounting — telemetry, cache recency and eviction, trace
-        events — still happens in the caller's serial pass, so results,
-        counters and traces are identical at any worker count.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        jobs: list[tuple[HashedKey, Solution, Breakdown | None]] = []
-        seen: set[HashedKey] = set()
-        for solution, base in work:
-            key = solution.fingerprint_key()
-            if (
-                key in seen
-                or key in self._primed
-                or self._cost_cache.peek(key) is not None
-            ):
-                continue
-            if self._share_metrics and self.store.contains(
-                "metrics", self._metrics_content(solution, key)
-            ):
-                # The serial accounting pass will answer this candidate
-                # from the store; computing it here would waste a slot.
-                continue
-            seen.add(key)
-            jobs.append((key, solution, base))
-        if len(jobs) < 2 or workers < 2:
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda job: self._compute(job[1], job[2]), jobs)
-            )
-        for (key, _solution, _base), result in zip(jobs, results):
-            self._primed[key] = result
-
     def evaluate_batch(
-        self,
-        work: list[tuple[Solution, Breakdown | None]],
-        workers: int = 1,
+        self, work: list[tuple[Solution, Breakdown | None]]
     ) -> None:
         """Price a whole candidate set through one batched activity call.
 
@@ -458,13 +397,10 @@ class EvaluationContext:
         base); the activity requests of all plans are then resolved with
         a single :func:`~repro.power.activity.batch_activities` kernel
         call, and each plan's per-term float arithmetic is replayed
-        unchanged.  Results land in the same speculative stash
-        :meth:`prime` uses, so the caller's serial :meth:`evaluate` pass
-        keeps all telemetry/cache/trace accounting — and therefore
-        counters, traces and metrics — identical to unbatched pricing.
-
-        With ``workers > 1`` the planning phase runs on a thread pool
-        (the kernel call and the arithmetic replay stay serial).
+        unchanged.  Results are stashed for the caller's :meth:`evaluate`
+        pass, which keeps all telemetry/cache/trace accounting — and
+        therefore counters, traces and metrics — identical to unbatched
+        pricing.
         """
         jobs: list[tuple[HashedKey, Solution, Breakdown | None]] = []
         seen: set[HashedKey] = set()
@@ -472,7 +408,7 @@ class EvaluationContext:
             key = solution.fingerprint_key()
             if (
                 key in seen
-                or key in self._primed
+                or key in self._batched
                 or self._cost_cache.peek(key) is not None
             ):
                 continue
@@ -486,21 +422,10 @@ class EvaluationContext:
             jobs.append((key, solution, base))
         if not jobs:
             return
-        if workers > 1 and len(jobs) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                plans = list(
-                    pool.map(
-                        lambda job: plan_evaluation(self, job[1], job[2]),
-                        jobs,
-                    )
-                )
-        else:
-            plans = [
-                plan_evaluation(self, solution, base)
-                for _key, solution, base in jobs
-            ]
+        plans = [
+            plan_evaluation(self, solution, base)
+            for _key, solution, base in jobs
+        ]
         requests: list = []
         offsets: list[int] = []
         for plan in plans:
@@ -514,16 +439,16 @@ class EvaluationContext:
             if self.validate_incremental:
                 reference = evaluate_solution(self, solution, None)[0]
                 _check_identical(result[0], reference)
-            self._primed[key] = result
+            self._batched[key] = result
 
-    def discard_primed(self) -> None:
-        """Drop unconsumed speculative results.
+    def discard_batched(self) -> None:
+        """Drop unconsumed batch-priced results.
 
-        Called at the end of each pricing round: a stale primed entry
-        would later be consumed with reuse counts from the wrong base,
-        skewing the delta-hit telemetry away from the serial baseline.
+        Called at the end of each pricing round: a stale entry would
+        later be consumed with reuse counts from the wrong base,
+        skewing the delta-hit telemetry away from unbatched pricing.
         """
-        self._primed.clear()
+        self._batched.clear()
 
     def cost(self, solution: Solution, base: Breakdown | None = None) -> float:
         """Objective value of a solution (~1e9 when infeasible)."""

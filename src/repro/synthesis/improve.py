@@ -11,8 +11,8 @@ classic Kernighan–Lin / variable-depth scheme the paper cites ([11]),
 and it is what lets the algorithm climb out of local minima.
 
 Every discretionary decision in that loop — the family plan, candidate
-ranking, the splitting fallback, pass/step termination, and seeding —
-is delegated to the env's :class:`~repro.search.policy.SearchPolicy`.
+ranking, the splitting fallback, step termination, and seeding — is
+delegated to the env's :class:`~repro.search.policy.SearchPolicy`.
 The default policy's hooks are exact no-ops, which keeps this driver
 byte-identical to the pre-policy monolith (golden-trace tested);
 nested move-B resynthesis always runs the default scheme regardless of
@@ -96,7 +96,6 @@ def _best(
     ctx: EvaluationContext,
     candidates: list[Candidate],
     base: Breakdown | None = None,
-    workers: int = 1,
 ) -> ScoredMove | None:
     """Price all candidates, return the cheapest feasible-or-not one.
 
@@ -106,12 +105,8 @@ def _best(
 
     Equal-cost candidates resolve by the deterministic
     :func:`~repro.synthesis.moves.candidate_order_key`, never by
-    generation order — this pins the winner regardless of evaluation
-    order, which is what allows ``workers > 1`` to speculatively price
-    uncached candidates on a thread pool (via
-    :meth:`~repro.synthesis.costs.EvaluationContext.prime`) while the
-    loop below keeps all cache/telemetry/trace accounting exactly
-    serial.
+    generation order, so the winner does not depend on how discovery
+    happened to order the list.
     """
 
     def candidate_base(candidate: Candidate) -> Breakdown | None:
@@ -119,14 +114,10 @@ def _best(
 
     if ctx.batch_pricing and len(candidates) > 1:
         # Collect every activity-key miss across the whole candidate set
-        # and price them through one batched kernel call; the serial
-        # loop below then consumes the stashed results.
+        # and price them through one batched kernel call; the loop below
+        # then consumes the stashed results.
         ctx.evaluate_batch(
-            [(c.solution, candidate_base(c)) for c in candidates], workers
-        )
-    elif workers > 1 and len(candidates) > 1:
-        ctx.prime(
-            [(c.solution, candidate_base(c)) for c in candidates], workers
+            [(c.solution, candidate_base(c)) for c in candidates]
         )
     best: ScoredMove | None = None
     best_key: tuple | None = None
@@ -139,7 +130,7 @@ def _best(
         if best_key is None or key < best_key:
             best = ScoredMove(candidate, cost)
             best_key = key
-    ctx.discard_primed()
+    ctx.discard_batched()
     return best
 
 
@@ -215,8 +206,6 @@ def improve_solution(
     current, current_cost = policy.seed_solution(ctx, current, current_cost)
 
     for _pass in range(max_passes):
-        if policy.stop_pass(_pass, current_cost):
-            break
         locked: frozenset[str] = frozenset()
         work = current
         sequence: list[tuple[Candidate, float]] = []
@@ -240,7 +229,6 @@ def improve_solution(
             # pass seed), so its breakdown is normally resident; a None
             # (evicted) simply means candidates price from scratch.
             base = ctx.breakdown_of(work) if config.incremental else None
-            workers = config.score_workers
             discovered: dict[str, int] = {}
             view = (
                 RelationalView(env, work, locked) if config.relational else None
@@ -253,9 +241,7 @@ def improve_solution(
                     discovered, _pass, _step,
                 )
             for family in plan:
-                scored[family] = _best(
-                    ctx, groups[family], base=base, workers=workers
-                )
+                scored[family] = _best(ctx, groups[family], base=base)
             work_cost = sequence[-1][1] if sequence else current_cost
             if "split" not in plan and policy.try_split(
                 scored.get("share"), work_cost
@@ -264,7 +250,7 @@ def improve_solution(
                     env, ctx, policy, "split", work, sim, locked, view,
                     discovered, _pass, _step,
                 )
-                m4 = _best(ctx, groups["split"], base=base, workers=workers)
+                m4 = _best(ctx, groups["split"], base=base)
                 # The split winner competes in the sharing slot — the
                 # paper's rule: splitting substitutes for a failed
                 # sharing move, it does not outrank type A/B on ties.
@@ -319,19 +305,15 @@ def improve_solution(
             rec.emit("pass_end", point=rec.point, **{"pass": _pass},
                      steps=len(sequence), committed=committed,
                      cost=current_cost, dur_ns=rec.elapsed_ns(t_pass))
-        if history is not None or policy.observes:
-            record = PassRecord(
+        if history is not None:
+            history.append(PassRecord(
                 moves=[c.description for c, _ in sequence],
                 costs=[cost for _, cost in sequence],
                 committed_prefix=committed,
-            )
-            if history is not None:
-                history.append(record)
-            policy.observe_pass(record, current_cost)
+            ))
         if committed == 0:
             break
 
-    policy.publish(current, current_cost)
     return current
 
 

@@ -36,7 +36,8 @@ reproduces the corresponding cap.  Since both pruning and
 :func:`~repro.synthesis.improve._best` are order-independent given the
 deterministic :func:`~repro.synthesis.moves.candidate_order_key`
 tie-break, equal multisets imply byte-identical search trajectories —
-which is what lets ``--no-relational`` serve as a bit-exact fallback.
+which is what lets the legacy loops (``relational=False``) serve as a
+bit-exact test reference.
 The remaining families (module replacement/sharing/embedding, move B,
 chain formation/dissolution) are bounded by the library or the DFG
 rather than the solution size and stay on the shared Python helpers in

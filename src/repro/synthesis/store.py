@@ -34,14 +34,12 @@ and persistent tiers.  :data:`MISSING` distinguishes "absent" from a
 stored ``None`` (the resynthesis memo stores ``None`` for infeasible
 budgets).
 
-Two namespaces hold **mutable aggregates** rather than immutable
+One namespace holds **mutable aggregates** rather than immutable
 results: ``priors`` (trace-mined move statistics, see
-:mod:`repro.search.priors`) and ``portfolio`` (cross-pollinated
-best-so-far solutions, see :mod:`repro.search.portfolio`).  They use
-the content-only :meth:`load`/:meth:`replace` pair — replace-semantics
-writes, no point tier — and are only ever read by the search policies
-that opt into them, so populating them cannot perturb a default run's
-lookup sequence.
+:mod:`repro.search.priors`).  It uses the content-only
+:meth:`load`/:meth:`replace` pair — replace-semantics writes, no point
+tier — and is only ever read by the search policy that opts into it,
+so populating it cannot perturb a default run's lookup sequence.
 
 Per-tier hit/miss/eviction counters are written into the bound
 :class:`~repro.telemetry.Telemetry` (``store_hits``/``store_misses``/
@@ -284,18 +282,18 @@ class SynthesisStore:
         #: ships them from worker outcomes back into the parent's run
         #: tier (see ``api._sweep_points``).
         self._fresh: list[tuple[str, str, bytes]] = []
-        #: Guards the run tier, the counters and the SQLite connection:
-        #: speculative candidate scoring calls :meth:`get`/:meth:`put`
-        #: from threads (``score_workers > 1``).
+        #: Guards the run tier, the counters and the SQLite connection,
+        #: so one store object stays consistent if several threads use
+        #: it at once.
         self._lock = threading.Lock()
         #: id(content) → (content, digest).  One content tuple flows
         #: through up to three digesting calls per candidate
-        #: (``contains`` during speculative filtering, then ``fetch``
-        #: and ``put`` in the serial pass); re-hashing the multi-KB repr
-        #: each time was a measurable fraction of pricing.  The content
-        #: tuple is kept in the value so its id cannot be recycled while
-        #: the entry lives; the identity check on lookup makes a stale
-        #: entry merely a recompute, never a wrong digest.
+        #: (``contains`` while batch pricing filters candidates, then
+        #: ``fetch`` and ``put`` in the accounting pass); re-hashing the
+        #: multi-KB repr each time was a measurable fraction of pricing.
+        #: The content tuple is kept in the value so its id cannot be
+        #: recycled while the entry lives; the identity check on lookup
+        #: makes a stale entry merely a recompute, never a wrong digest.
         self._digest_memo: dict[int, tuple[tuple, str]] = {}
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.persistent = self.cache_dir is not None and persistent
@@ -454,10 +452,10 @@ class SynthesisStore:
     def contains(self, ns: str, content: tuple) -> bool:
         """Whether the run or persistent tier holds *content*.
 
-        A pure probe — no counters, no point-tier install: speculative
-        scoring (:meth:`~repro.synthesis.costs.EvaluationContext.prime`)
-        uses it to skip candidates the serial accounting pass will
-        answer from the store anyway.
+        A pure probe — no counters, no point-tier install: batch pricing
+        (:meth:`~repro.synthesis.costs.EvaluationContext.evaluate_batch`)
+        uses it to skip candidates the accounting pass will answer from
+        the store anyway.
         """
         blob_key = (ns, self._digest(content))
         with self._lock:
@@ -488,10 +486,10 @@ class SynthesisStore:
         """Content-only probe of the run and persistent tiers.
 
         For namespaces addressed purely by content (no per-point live
-        key): ``priors`` tables and ``portfolio`` incumbents.  Returns a
-        fresh unpickled copy, or :data:`MISSING` — without installing
-        anything into a point tier, so these reads can never perturb the
-        point-keyed namespaces' hit sequences.
+        key), such as ``priors`` tables.  Returns a fresh unpickled
+        copy, or :data:`MISSING` — without installing anything into a
+        point tier, so these reads can never perturb the point-keyed
+        namespaces' hit sequences.
         """
         blob_key = (ns, self._digest(content))
         with self._lock:
@@ -512,11 +510,11 @@ class SynthesisStore:
 
         The mutable-aggregate counterpart of :meth:`put`: most
         namespaces hold immutable content-addressed results (``INSERT
-        OR IGNORE``), but priors tables and portfolio incumbents are
-        *updated in place* under a stable address, so this path writes
-        ``INSERT OR REPLACE`` and overwrites the run-tier blob.
-        Last-writer-wins under concurrency — acceptable for advisory
-        aggregates, never used for priced results.
+        OR IGNORE``), but priors tables are *updated in place* under a
+        stable address, so this path writes ``INSERT OR REPLACE`` and
+        overwrites the run-tier blob.  Last-writer-wins under
+        concurrency — acceptable for advisory aggregates, never used
+        for priced results.
         """
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob_key = (ns, self._digest(content))

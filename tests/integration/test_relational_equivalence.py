@@ -1,7 +1,7 @@
 """Relational engine ≡ legacy loops, from generated corpus to traces.
 
-Two layers of evidence that ``--no-relational`` is a bit-exact
-fallback:
+Two layers of evidence that the legacy loops (``relational=False``)
+are a bit-exact reference for the relational engine:
 
 * a property test over the :mod:`repro.gen` corpus asserting the two
   engines discover identical candidate multisets (ordered by
@@ -117,7 +117,7 @@ class TestEndToEndBitIdentity:
         assert default.trace_events, "tracing enabled but no events recorded"
         assert dumps_trace(default.trace_events) == dumps_trace(
             fallback.trace_events
-        ), f"--no-relational trace diverges from default on {circuit}"
+        ), f"legacy-engine trace diverges from default on {circuit}"
         assert default.metrics == fallback.metrics
         assert default.vdd == fallback.vdd
         assert default.clk_ns == fallback.clk_ns

@@ -253,26 +253,7 @@ class TestValidateMode:
                 ctx.evaluate(cand.solution, base=base)
 
 
-class TestParallelScoring:
-    def test_workers_match_serial_exactly(self, setup, flat_sim):
-        env, sol, sim = setup
-        candidates = _all_candidates(env, sol, sim)
-        assert len(candidates) > 2
-
-        def score(workers):
-            ctx = EvaluationContext(flat_sim, (), "power")
-            ctx.evaluate(sol)
-            base = ctx.breakdown_of(sol)
-            best = _best(ctx, candidates, base=base, workers=workers)
-            return best, ctx.telemetry
-
-        serial, tel1 = score(1)
-        parallel, tel4 = score(4)
-        assert serial is not None and parallel is not None
-        assert serial.candidate.description == parallel.candidate.description
-        assert serial.cost_after == parallel.cost_after
-        assert tel1.as_dict() == tel4.as_dict()
-
+class TestTiebreak:
     def test_order_independent_tiebreak(self, setup, flat_sim):
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)

@@ -4,8 +4,7 @@ The default policy must be an exact no-op at every hook (the golden
 trace suite proves the byte-level consequence; these tests pin the
 hook-level contract), the registry must resolve and reject names
 predictably, and the built-in biased policies must implement exactly
-the bias their docstring claims.  Cross-pollination — built into the
-base class — is tested against a real store with fake environments.
+the bias their docstring claims.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.dfg import Design, GraphBuilder
 from repro.search import (
     DefaultPolicy,
     SearchPolicy,
@@ -23,26 +21,6 @@ from repro.search import (
     register_policy,
 )
 from repro.search.policy import _REGISTRY
-from repro.synthesis.store import MISSING, SynthesisStore
-
-
-def _mac_design(name: str = "mac") -> Design:
-    b = GraphBuilder(name)
-    x, y, z = b.inputs("x", "y", "z")
-    b.output("o", b.add(b.mult(x, y), z))
-    design = Design(name)
-    design.add_dfg(b.build(), top=True)
-    return design
-
-
-def _fake_solution(design: Design, vdd=5.0, clk_ns=10.0, sampling_ns=400.0):
-    return SimpleNamespace(
-        vdd=vdd, clk_ns=clk_ns, sampling_ns=sampling_ns, dfg=design.top
-    )
-
-
-def _fake_env(store: SynthesisStore, design: Design):
-    return SimpleNamespace(store=store, design=design)
 
 
 class TestRegistry:
@@ -53,9 +31,9 @@ class TestRegistry:
             assert expected in names
 
     def test_make_policy_resolves_and_passes_params(self):
-        policy = make_policy("default", {"pollinate": "tok"})
+        policy = make_policy("default", {"min_support": 3})
         assert isinstance(policy, DefaultPolicy)
-        assert policy.params == {"pollinate": "tok"}
+        assert policy.params == {"min_support": 3}
 
     def test_make_policy_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="default"):
@@ -97,14 +75,13 @@ class TestDefaultPolicyIsIdentity:
     def test_never_terminates_early(self):
         policy = DefaultPolicy()
         assert not policy.stop_step(SimpleNamespace(cost_after=99.0), 1.0, 0)
-        assert not policy.stop_pass(0, 1.0)
 
-    def test_seed_solution_passthrough_without_token(self):
-        design = _mac_design()
-        solution = _fake_solution(design)
-        policy = DefaultPolicy().bind(_fake_env(None, design))
+    def test_seed_solution_passthrough(self):
+        solution = SimpleNamespace(vdd=5.0, clk_ns=10.0)
         ctx = SimpleNamespace(cost=lambda s: pytest.fail("must not price"))
-        assert policy.seed_solution(ctx, solution, 1.0) == (solution, 1.0)
+        assert DefaultPolicy().seed_solution(ctx, solution, 1.0) == (
+            solution, 1.0
+        )
 
 
 class TestBiasedPolicies:
@@ -131,80 +108,3 @@ class TestBiasedPolicies:
         assert policy.stop_step(SimpleNamespace(cost_after=10.1), 10.0, 0)
         assert not policy.stop_step(SimpleNamespace(cost_after=9.9), 10.0, 0)
 
-
-class TestCrossPollination:
-    def _bound(self, store, design, token="tok"):
-        return SearchPolicy({"pollinate": token}).bind(
-            _fake_env(store, design)
-        )
-
-    def test_publish_then_seed_adopts_better_incumbent(self):
-        store = SynthesisStore()
-        design = _mac_design()
-        policy = self._bound(store, design)
-        published = _fake_solution(design)
-        policy.publish(published, 5.0)
-
-        fresh = _fake_solution(design)
-        ctx = SimpleNamespace(cost=lambda s: 5.0)
-        adopted, cost = policy.seed_solution(ctx, fresh, 9.0)
-        # The store round-trips values through pickle, so the adopted
-        # incumbent is an equal copy, not the published object.
-        assert adopted is not fresh
-        assert cost == 5.0
-
-    def test_seed_keeps_own_solution_when_incumbent_not_better(self):
-        store = SynthesisStore()
-        design = _mac_design()
-        policy = self._bound(store, design)
-        policy.publish(_fake_solution(design), 5.0)
-        fresh = _fake_solution(design)
-        ctx = SimpleNamespace(cost=lambda s: 5.0)
-        assert policy.seed_solution(ctx, fresh, 4.0) == (fresh, 4.0)
-
-    def test_publish_keeps_the_cheaper_incumbent(self):
-        store = SynthesisStore()
-        design = _mac_design()
-        policy = self._bound(store, design)
-        best = _fake_solution(design)
-        policy.publish(best, 3.0)
-        policy.publish(_fake_solution(design), 4.0)  # worse: ignored
-        key = policy._pollination_key("tok", best)
-        held = store.load("portfolio", key)
-        assert held is not MISSING
-        assert held[0] == 3.0
-
-    def test_publish_rejects_infeasible_cost(self):
-        store = SynthesisStore()
-        design = _mac_design()
-        policy = self._bound(store, design)
-        solution = _fake_solution(design)
-        policy.publish(solution, float("inf"))
-        key = policy._pollination_key("tok", solution)
-        assert store.load("portfolio", key) is MISSING
-
-    def test_incumbent_for_different_design_is_ignored(self):
-        store = SynthesisStore()
-        published_design = _mac_design("one")
-        policy = self._bound(store, published_design)
-        policy.publish(_fake_solution(published_design), 1.0)
-
-        other = GraphBuilder("other")
-        x, y = other.inputs("x", "y")
-        other.output("o", other.mult(x, y))
-        other_design = Design("other")
-        other_design.add_dfg(other.build(), top=True)
-        reader = self._bound(store, other_design)
-        fresh = _fake_solution(other_design)
-        ctx = SimpleNamespace(cost=lambda s: pytest.fail("must not price"))
-        assert reader.seed_solution(ctx, fresh, 9.0) == (fresh, 9.0)
-
-    def test_points_do_not_alias_across_operating_points(self):
-        store = SynthesisStore()
-        design = _mac_design()
-        policy = self._bound(store, design)
-        policy.publish(_fake_solution(design, vdd=5.0), 1.0)
-        other_point = _fake_solution(design, vdd=3.3)
-        assert store.load(
-            "portfolio", policy._pollination_key("tok", other_point)
-        ) is MISSING
