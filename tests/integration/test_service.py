@@ -281,6 +281,42 @@ class TestWorkerTeardown:
         )
 
 
+class TestPriorsJob:
+    def test_priors_job_mines_into_shared_store(self, tmp_path):
+        """A priors job records its trace, mines it and saves the table
+        where the next job's priors policy will look for it."""
+        from repro.dfg.canonical import design_fingerprint
+        from repro.search.priors import load_priors
+        from repro.service import resolve_job_design
+        from repro.service.worker import job_config
+        from repro.synthesis.store import SynthesisStore
+
+        payload = {
+            "job_id": "p1",
+            "request": _request(design_text=_design_text(extra_adds=4),
+                                priors=True),
+            "fingerprint": "fp-priors",
+            "cache_dir": str(tmp_path / "cache"),
+            "store_shards": 1,
+            "persistent_cache": True,
+            "jobs_dir": str(tmp_path / "jobs"),
+        }
+        assert run_job(payload)["power"] > 0
+        progress = (tmp_path / "jobs" / "p1.progress.jsonl").read_text()
+        assert [json.loads(line)["k"] for line in progress.splitlines()] == [
+            "job_start", "design_resolved", "synthesized", "priors_mined",
+            "job_end",
+        ]
+        request = JobRequest.from_dict(payload["request"])
+        design = resolve_job_design(request)
+        store = SynthesisStore.from_config(job_config(request, payload))
+        try:
+            table = load_priors(store, design_fingerprint(design, design.top))
+        finally:
+            store.close()
+        assert table is not None and table.stats
+
+
 class TestBitIdentity:
     def test_served_result_matches_direct_library_run(self, harness, tmp_path):
         """A traced service job is byte-identical to the engine run direct."""

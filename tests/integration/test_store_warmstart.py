@@ -19,7 +19,7 @@ SAMPLES = 24
 LAXITY = 2.2
 
 
-def _config(cache_dir, n_workers=1, trace=True):
+def _config(cache_dir, n_workers=1, trace=True, **overrides):
     return SynthesisConfig(
         max_moves=6,
         max_passes=2,
@@ -33,10 +33,12 @@ def _config(cache_dir, n_workers=1, trace=True):
         cache_dir=str(cache_dir) if cache_dir else None,
         trace=trace,
         trace_timings=False,
+        **overrides,
     )
 
 
-def _run(circuit, cache_dir, n_workers=1, objective="power", trace=True):
+def _run(circuit, cache_dir, n_workers=1, objective="power", trace=True,
+         **overrides):
     design = get_benchmark(circuit)
     traces = speech_traces(design.top, n=SAMPLES, seed=SEED)
     return synthesize(
@@ -44,7 +46,7 @@ def _run(circuit, cache_dir, n_workers=1, objective="power", trace=True):
         laxity_factor=LAXITY,
         objective=objective,
         traces=traces,
-        config=_config(cache_dir, n_workers, trace),
+        config=_config(cache_dir, n_workers, trace, **overrides),
         n_samples=SAMPLES,
     )
 
@@ -96,6 +98,22 @@ class TestColdVsWarm:
         warm = _run("test1", tmp_path)
         check = warm.verify()
         assert check.ok
+
+
+class TestExecutionKnobSharing:
+    @pytest.mark.parametrize("knob", ["batch_activity", "relational"])
+    def test_knob_off_run_warms_from_default_run(self, tmp_path, knob):
+        """Execution knobs leave the store signature alone, so a run with
+        the knob off reuses what a default run stored, bit for bit."""
+        cold = _run("test1", tmp_path)
+        warm = _run("test1", tmp_path, **{knob: False})
+        assert _identity(warm) == _identity(cold)
+        assert warm.trace_events == cold.trace_events
+        # Module and resynthesis entries are keyed by the config
+        # signature (schedules are not), so hits there prove it matched.
+        hits = warm.telemetry.store_hits
+        assert hits.get("persistent.module", 0) > 0
+        assert hits.get("persistent.resynth", 0) > 0
 
 
 class TestRunTierSharing:

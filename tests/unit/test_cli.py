@@ -35,6 +35,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["synth", "--benchmark", "paulin"])
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--portfolio=3", "--score-workers=2", "--no-batch-activity",
+         "--no-incremental", "--no-relational"],
+    )
+    def test_removed_synth_flags_are_rejected(self, flag, capsys):
+        """Search extras and bit-identity knobs are gone from ``synth``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["synth", "--benchmark", "paulin", "--laxity", "2.2", flag]
+            )
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["synth", "--help"])
+        assert flag.split("=")[0] not in capsys.readouterr().out
+
 
 class TestInfo:
     def test_prints_statistics(self, design_file, capsys):
@@ -321,6 +337,17 @@ class TestServiceParsers:
         )
         assert args.gen_seed == 5 and args.objective == "area"
         assert args.trace is True and args.wait and args.timeout == 30.0
+
+    def test_submit_has_no_portfolio_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["submit", "--benchmark", "lat", "--laxity", "2.0",
+                 "--portfolio=3"]
+            )
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "--help"])
+        assert "--portfolio" not in capsys.readouterr().out
 
     def test_status_job_id_is_optional(self):
         args = build_parser().parse_args(["status"])

@@ -205,6 +205,21 @@ class TestPriorsPolicy:
         cands = [SimpleNamespace(kind="A-cell")] * 3
         assert policy.rank_candidates("ab", cands, 0, 0) is cands
 
+    def test_seed_solution_sets_regime_and_keeps_start(self):
+        table = PriorsTable()
+        for _ in range(6):
+            table.record("loose", "C-share-fu", 2.0, committed=True)
+        policy = _policy_with(table)
+        ctx = SimpleNamespace(cost=lambda s: pytest.fail("must not price"))
+        for deadline, order in ((10, ("ab", "share")), (20, ("share", "ab"))):
+            start = SimpleNamespace(
+                deadline_cycles=deadline,
+                schedule=lambda: SimpleNamespace(length=10),
+            )
+            assert policy.seed_solution(ctx, start, 3.0) == (start, 3.0)
+            assert policy._regime == slack_regime(deadline, 10)
+            assert policy.family_order() == order
+
     def test_family_order_prefers_mined_winner(self):
         table = PriorsTable()
         for _ in range(6):
