@@ -29,12 +29,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import DFGError
 from .graph import DFG, NodeKind, Signal
 from .hierarchy import Design
+
+# networkx is imported inside the functions that use it: it is slow to
+# import, and nothing but hierarchy recovery needs it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["hierarchize", "convex_clusters", "clusters_isomorphic"]
 
@@ -45,6 +49,8 @@ __all__ = ["hierarchize", "convex_clusters", "clusters_isomorphic"]
 
 def _op_graph(dfg: DFG) -> nx.DiGraph:
     """Directed graph over operation nodes only."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node in dfg.operation_nodes():
         graph.add_node(node.node_id)
@@ -61,6 +67,8 @@ def _is_convex(graph: nx.DiGraph, cluster: set[str]) -> bool:
     cluster node to a cluster node, i.e. descendants(cluster) ∩
     ancestors(cluster) ⊆ cluster.
     """
+    import networkx as nx
+
     outside_between: set[str] = set()
     descendants: set[str] = set()
     for node in cluster:
@@ -84,6 +92,8 @@ def _quotient_acyclic(
     hierarchical nodes.  ``trial`` overrides assignments for the nodes
     being (re)placed.
     """
+    import networkx as nx
+
     quotient = nx.DiGraph()
     assignment = dict(cluster_of)
     assignment.update(trial)
@@ -165,6 +175,8 @@ def _repair_quotient_cycles(
     reduces total cluster mass, so this terminates — in the worst case
     at the original flat graph, which is a DAG.
     """
+    import networkx as nx
+
     while True:
         quotient = nx.DiGraph()
         quotient.add_nodes_from(members)
@@ -254,6 +266,8 @@ def _extract_cluster(dfg: DFG, nodes: list[str], name: str) -> _Cluster:
 
 
 def _body_graph(body: DFG) -> nx.DiGraph:
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node in body.nodes():
         label = node.kind.value
@@ -279,6 +293,8 @@ def clusters_isomorphic(body_a: DFG, body_b: DFG) -> bool:
     isomorphic bodies are interchangeable implementations of one
     behavior.
     """
+    import networkx as nx
+
     ga, gb = _body_graph(body_a), _body_graph(body_b)
     with warnings.catch_warnings():
         # networkx >= 3.5 warns that directed WL hashes changed; we only

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..errors import EmbeddingError
 from .components import Component, ComponentKind, Connection, DatapathNetlist
@@ -121,6 +120,10 @@ def _match_class(
     """Maximum-weight bipartite matching B→A for one compatibility class."""
     if not comps_a or not comps_b:
         return {}
+    # Imported here: scipy takes about half a second to import, and only
+    # module merges (RTL embedding) need it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-score)
     mapping: dict[str, str] = {}
     for r, c in zip(rows, cols):

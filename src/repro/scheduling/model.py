@@ -70,9 +70,12 @@ class TaskSpec:
         return self.duration
 
     def offset_of(self, node: str, port: int) -> int:
+        """Expected-arrival offset of input *port* of *node* (default 0)."""
         return self.input_offsets.get((node, port), 0)
 
     def latency_of(self, signal: Signal) -> int:
+        """Cycles from task start until *signal* is available (default
+        ``duration``)."""
         return self.output_latency.get(signal, self.duration)
 
     def external_in_edges(self, dfg: DFG):
@@ -117,7 +120,10 @@ class ScheduleResult:
     exec_groups_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def start_of_node(self, node_id: str) -> int:
+        """Start cycle of the task that executes *node_id*."""
         return self.start[self.task_of_node[node_id]]
 
     def finish_of_node(self, node_id: str) -> int:
+        """Finish cycle (start + duration) of the task that executes
+        *node_id*."""
         return self.finish[self.task_of_node[node_id]]

@@ -3,10 +3,14 @@
 The paper derives an execution ordering for operations sharing a
 resource and then computes start times as longest paths (Section 4,
 "Scheduling of DFGs is a well-studied problem [12]").  We implement the
-equivalent classic formulation: time-stepped **list scheduling** with
-ALAP-based priorities.  The ordering it induces per instance *is* the
+equivalent classic formulation: **list scheduling** with ALAP-based
+priorities.  The ordering it induces per instance *is* the
 serialization ordering of the paper; start times equal the longest-path
 times under that ordering.
+
+The list scheduler is event-driven: a cycle in which no task can issue
+changes nothing, so it jumps from one issue cycle to the next instead
+of stepping through the idle cycles in between.
 
 Hierarchical tasks use profile semantics (Example 1): a task may start
 *before* all its inputs have arrived if the module expects late inputs
@@ -63,10 +67,6 @@ def _alap_priorities(
     Higher value = more critical = scheduled first on contention.
     """
     by_id = {t.task_id: t for t in tasks}
-    producer: dict[str, str] = {}
-    for task in tasks:
-        for node in task.nodes:
-            producer[node] = task.task_id
 
     # Reverse-topological order via depth-first search on the task DAG.
     succs: dict[str, set[str]] = {t.task_id: set() for t in tasks}
@@ -118,11 +118,22 @@ def schedule_tasks(
 ) -> ScheduleResult:
     """List-schedule *tasks* over *dfg*; returns start times and makespan.
 
+    At each issue cycle, every instance that is free takes its most
+    critical ready task whose operands have arrived (task id breaks
+    ties), repeatedly until no more can issue in that cycle.  A task's
+    data-ready cycle is fixed once, when its last producer issues, so
+    the next issue cycle is the earliest cycle at which some ready task
+    has both its data and a free instance; the cycles skipped in
+    between are exactly those in which nothing could issue.
+
     Raises :class:`~repro.errors.ScheduleError` on structural problems
-    (uncovered operations, dependence cycles).  Deadline violations are
-    *not* an error here: the caller compares ``result.length`` against
-    its cycle budget, because the iterative-improvement engine needs the
-    actual makespan to compute gains of infeasible candidates.
+    (uncovered operations, dependence cycles) and when a task would
+    issue after cycle *max_cycles* (default: the sum of the task
+    durations, plus one cycle per task, plus 64).  Deadline violations
+    are *not* an error here: the caller compares ``result.length``
+    against its cycle budget, because the iterative-improvement engine
+    needs the actual makespan to compute gains of infeasible
+    candidates.
     """
     _check_coverage(dfg, tasks)
     deps = task_dependencies(dfg, tasks)
@@ -139,53 +150,59 @@ def schedule_tasks(
         if node.kind in (NodeKind.INPUT, NodeKind.CONST):
             avail[(node.node_id, 0)] = 0
 
-    unscheduled = {t.task_id for t in tasks}
     n_deps_left = {tid: len(dep_ids) for tid, dep_ids in deps.items()}
-    succs: dict[str, set[str]] = {t.task_id: set() for t in tasks}
+    succs: dict[str, list[str]] = {t.task_id: [] for t in tasks}
     for tid, dep_ids in deps.items():
         for dep in dep_ids:
-            succs[dep].add(tid)
+            succs[dep].append(tid)
 
-    ready = {tid for tid in unscheduled if n_deps_left[tid] == 0}
+    def data_ready(task: TaskSpec) -> int:
+        """Earliest start the task's operands allow (all are produced)."""
+        earliest = 0
+        for edge in task.external_in_edges(dfg):
+            at = avail.get(edge.signal)
+            if at is None:
+                raise ScheduleError(
+                    f"task {task.task_id!r} became ready before signal "
+                    f"{edge.signal!r} was produced"
+                )
+            at -= task.offset_of(edge.dst, edge.dst_port)
+            if at > earliest:
+                earliest = at
+        return earliest
+
+    # Ready task id → its data-ready cycle.
+    ready = {
+        t.task_id: data_ready(t) for t in tasks if n_deps_left[t.task_id] == 0
+    }
     instance_free: dict[str, int] = {}
     instance_order: dict[str, list[str]] = {}
     start: dict[str, int] = {}
     finish: dict[str, int] = {}
 
-    def data_start(task: TaskSpec) -> int:
-        earliest = 0
-        for edge in task.external_in_edges(dfg):
-            signal = edge.signal
-            if signal not in avail:
-                raise ScheduleError(
-                    f"task {task.task_id!r} became ready before signal "
-                    f"{signal!r} was produced"
-                )
-            earliest = max(earliest, avail[signal] - task.offset_of(edge.dst, edge.dst_port))
-        return earliest
-
     horizon = max_cycles
     if horizon is None:
         horizon = sum(t.duration for t in tasks) + len(tasks) + 64
 
+    left = len(tasks)
     t = 0
-    while unscheduled:
+    while left:
         if t > horizon:
             raise ScheduleError(
                 f"scheduler exceeded horizon of {horizon} cycles "
-                f"({len(unscheduled)} tasks left)"
+                f"({left} tasks left)"
             )
-        progressed = True
-        while progressed:
-            progressed = False
-            # Candidates whose data is available now, grouped by instance.
+        while True:
+            # Tasks that can issue now, grouped by instance.
             candidates: dict[str, list[str]] = {}
-            for tid in ready:
-                task = by_id[tid]
-                if instance_free.get(task.instance, 0) > t:
+            for tid, at in ready.items():
+                if at > t:
                     continue
-                if data_start(task) <= t:
-                    candidates.setdefault(task.instance, []).append(tid)
+                instance = by_id[tid].instance
+                if instance_free.get(instance, 0) <= t:
+                    candidates.setdefault(instance, []).append(tid)
+            if not candidates:
+                break
             for instance, tids in candidates.items():
                 # Most critical first; task id breaks ties deterministically.
                 tid = min(tids, key=lambda x: (-criticality[x], x))
@@ -200,26 +217,32 @@ def schedule_tasks(
                     for port in range(dfg.node(node).n_outputs):
                         signal = (node, port)
                         avail[signal] = t + task.latency_of(signal)
-                ready.discard(tid)
-                unscheduled.discard(tid)
+                del ready[tid]
+                left -= 1
                 for succ_id in succs[tid]:
                     n_deps_left[succ_id] -= 1
-                    if n_deps_left[succ_id] == 0 and succ_id in unscheduled:
-                        ready.add(succ_id)
-                progressed = True
-        t += 1
+                    if n_deps_left[succ_id] == 0:
+                        ready[succ_id] = data_ready(by_id[succ_id])
+        # Nothing more issues at t: every ready task waits for its data
+        # or its instance, and neither changes until something issues.
+        t = min(
+            (
+                max(at, instance_free.get(by_id[tid].instance, 0))
+                for tid, at in ready.items()
+            ),
+            default=horizon + 1,
+        )
 
     length = 0
     for out_id in dfg.outputs:
         (edge,) = dfg.in_edges(out_id)
         length = max(length, avail[edge.signal])
 
-    task_of_node = dict(producer_task)
     return ScheduleResult(
         start=start,
         finish=finish,
         avail=avail,
         length=length,
         instance_order=instance_order,
-        task_of_node=task_of_node,
+        task_of_node=producer_task,
     )

@@ -239,51 +239,18 @@ def candidate_order_key(candidate: Candidate) -> tuple:
     return (candidate.kind, tuple(sorted(candidate.touched)), candidate.description)
 
 
-#: fingerprint key → schedule-length lower bound.  The bound is a pure
-#: function of the solution fingerprint (tasks derive from the DFG,
-#: bindings and operating point, all of which the fingerprint covers),
-#: and KL rounds regenerate largely the same candidate structures — so
-#: the memo turns rule 3 into a dict probe for repeat candidates.
-_MIN_LEN_MEMO: dict = {}
-
-
 def _min_schedule_length(solution: Solution) -> int:
     """A cheap lower bound on the schedule length, without scheduling.
 
     Tasks bound to one instance serialize: any order starts successive
     tasks at least one initiation interval apart, so ``(n - 1) ·
     min(ii) + min(duration)`` cycles elapse on that instance no matter
-    how the scheduler arranges them.
+    how the scheduler arranges them.  Each :class:`~repro.synthesis.
+    solution.TaskBlock` caches its instance's term, and a candidate
+    shares the blocks of every instance its move left alone, so only
+    the changed instances are counted again.
     """
-    fp = solution.fingerprint_key()
-    cached = _MIN_LEN_MEMO.get(fp)
-    if cached is not None:
-        return cached
-    # Single pass, no per-instance task lists: (count, min ii, min
-    # duration) is all the bound needs, and this runs once per candidate
-    # per pricing round.
-    stats: dict[str, list[int]] = {}
-    for task in solution.tasks():
-        duration = task.duration
-        ii = task.initiation_interval or duration
-        entry = stats.get(task.instance)
-        if entry is None:
-            stats[task.instance] = [1, ii, duration]
-        else:
-            entry[0] += 1
-            if ii < entry[1]:
-                entry[1] = ii
-            if duration < entry[2]:
-                entry[2] = duration
-    bound = 0
-    for n, min_ii, min_duration in stats.values():
-        per = (n - 1) * min_ii + min_duration
-        if per > bound:
-            bound = per
-    if len(_MIN_LEN_MEMO) >= 100_000:
-        _MIN_LEN_MEMO.clear()
-    _MIN_LEN_MEMO[fp] = bound
-    return bound
+    return max((block.min_length for block in solution.task_blocks()), default=0)
 
 
 def prune_candidates(
@@ -315,11 +282,14 @@ def prune_candidates(
     Pruned candidates are counted per family in telemetry
     (``moves_pruned``); the surviving list preserves generation order.
 
-    All three rules work on :meth:`Candidate.fingerprint_key` and
+    Rules 1 and 2 work on :meth:`Candidate.fingerprint_key` and
     :attr:`Candidate.replacement_cell`, so lazy (relational-engine)
-    candidates are pruned without ever cloning a solution — the clones
-    the legacy eager path wasted on pruned candidates simply never
-    happen.
+    candidates they drop are never cloned.  Rule 3 reads the task
+    blocks of the candidates left, which materializes them, and a clone
+    shares every block its move did not touch.  Under the default
+    policy pricing materializes every survivor anyway; a policy whose
+    :meth:`~repro.search.policy.SearchPolicy.rank_candidates` drops
+    some (``deep``, ``priors``) has those cloned for rule 3 alone.
     """
     if len(candidates) < 2:
         return candidates
@@ -391,17 +361,10 @@ def prune_candidates(
 
     # Rule 3: schedule length provably hopeless.  Every move preserves
     # the operating point, so the base solution's deadline applies to
-    # all candidates; the memo is probed by the candidate's (possibly
-    # precomputed) fingerprint first, so repeat structures never
-    # materialize a lazy candidate just to re-derive a known bound.
+    # all candidates.
     deadline = 2 * solution.deadline_cycles
     for idx, cand in enumerate(candidates):
-        if idx in drop:
-            continue
-        bound = _MIN_LEN_MEMO.get(cand.fingerprint_key())
-        if bound is None:
-            bound = _min_schedule_length(cand.solution)
-        if bound > deadline:
+        if idx not in drop and _min_schedule_length(cand.solution) > deadline:
             drop.add(idx)
 
     if not drop:

@@ -14,9 +14,11 @@ mutates:
 
 Scheduling is derived (and cached): executions become
 :class:`~repro.scheduling.model.TaskSpec` tasks and go through the list
-scheduler.  All mutation goes through the ``rebind_*``/``merge_*``/
-``split_*`` methods so caches are invalidated consistently; moves clone
-the solution first, mutate the clone and compare costs.
+scheduler.  Tasks are derived per instance, in :class:`TaskBlock` s that
+clones share, so a move re-derives only the instances it changed.  All
+mutation goes through the ``rebind_*``/``merge_*``/``split_*`` methods
+so caches are invalidated consistently; moves clone the solution first,
+mutate the clone and compare costs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..scheduling.model import ScheduleResult, TaskSpec
 from ..scheduling.scheduler import schedule_tasks
 from .caching import HashedKey
 
-__all__ = ["Instance", "Solution"]
+__all__ = ["Instance", "Solution", "TaskBlock"]
 
 
 @dataclass
@@ -61,6 +63,90 @@ class Instance:
         return self.module.name if self.module is not None else self.cell.name
 
 
+class TaskBlock:
+    """The scheduler tasks of one instance at one operating point.
+
+    A block is keyed by the :class:`Instance` object, a copy of that
+    instance's execution list and ``(clk_ns, vdd)``: its tasks are a
+    pure function of those (and the DFG, which a solution never
+    swaps).  Clones share their parent's blocks, and
+    :meth:`Solution.task_blocks` re-derives only the blocks whose key
+    no longer matches.  Moves replace an :class:`Instance` rather than
+    edit it, so a cell swap, a share or a split misses on one or two
+    blocks, and a clone whose operating point is reassigned after
+    :meth:`Solution.clone` misses on all of them.  A block's key and
+    tasks never change once built; only its caches fill in.
+    """
+
+    __slots__ = ("instance", "executions", "clk_ns", "vdd", "tasks",
+                 "_rows", "_min_length")
+
+    def __init__(
+        self,
+        instance: Instance,
+        executions: list[tuple[str, ...]],
+        clk_ns: float,
+        vdd: float,
+        tasks: list[TaskSpec],
+    ):
+        self.instance = instance
+        self.executions = executions
+        self.clk_ns = clk_ns
+        self.vdd = vdd
+        self.tasks = tasks
+        self._rows: tuple | None = None
+        self._min_length: int | None = None
+
+    def fits(
+        self,
+        instance: Instance,
+        executions: list[tuple[str, ...]],
+        clk_ns: float,
+        vdd: float,
+    ) -> bool:
+        """True when this block is the derivation of the given key."""
+        return (
+            self.instance is instance
+            and self.clk_ns == clk_ns
+            and self.vdd == vdd
+            and self.executions == executions
+        )
+
+    def signature_rows(self) -> tuple:
+        """This block's rows of :meth:`Solution.task_signature` (cached)."""
+        if self._rows is None:
+            self._rows = tuple(
+                [
+                    (
+                        t.task_id,
+                        t.nodes,
+                        t.instance,
+                        t.duration,
+                        t.initiation_interval,
+                        tuple(sorted(t.input_offsets.items())),
+                        tuple(sorted(t.output_latency.items())),
+                    )
+                    for t in self.tasks
+                ]
+            )
+        return self._rows
+
+    @property
+    def min_length(self) -> int:
+        """``(n - 1) · min(ii) + min(duration)`` over the block's *n*
+        tasks, 0 for an idle instance (cached): this instance's term of
+        the pruning bound in :func:`repro.synthesis.moves.
+        _min_schedule_length`."""
+        if self._min_length is None:
+            bound = 0
+            if self.tasks:
+                min_ii = min(t.initiation_interval or t.duration for t in self.tasks)
+                min_duration = min(t.duration for t in self.tasks)
+                bound = (len(self.tasks) - 1) * min_ii + min_duration
+            self._min_length = bound
+        return self._min_length
+
+
 class Solution:
     """A bound (and schedulable) RTL architecture for one DFG."""
 
@@ -85,7 +171,12 @@ class Solution:
         self._counter = 0
         self._schedule: ScheduleResult | None = None
         self._tasks: list[TaskSpec] | None = None
-        self._task_index: dict[str, TaskSpec] = {}
+        self._task_index: dict[str, TaskSpec] | None = None
+        #: instance id → the last :class:`TaskBlock` derived for it.
+        #: Possibly stale (it survives :meth:`invalidate` and is shared
+        #: with clones); :meth:`task_blocks` checks each block's key
+        #: before reusing it and replaces, never edits, the dict.
+        self._blocks: dict[str, TaskBlock] = {}
         self._task_signature: tuple | None = None
         self._sched_key: HashedKey | None = None
         self._reg_of: dict[Signal, str] | None = None
@@ -242,10 +333,37 @@ class Solution:
         self._fingerprint_key = None
         self._epoch += 1
 
+    def __getstate__(self) -> dict:
+        """Pickled state, without the task caches.
+
+        Task blocks may describe instances the solution no longer has
+        (they survive :meth:`invalidate`), and the task list and index
+        are cheap to re-derive, so none of the three is stored.
+        """
+        state = self.__dict__.copy()
+        for name in ("_tasks", "_task_index", "_blocks"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled solution with empty task caches.
+
+        Persistent stores outlive releases: a solution pickled before
+        task blocks existed carries a task list but no blocks, and
+        possibly a task index an older :meth:`invalidate` left stale.
+        Dropping all three keeps :meth:`task_blocks` from taking a
+        present task list to mean its blocks match it.
+        """
+        self.__dict__.update(state)
+        self._tasks = None
+        self._task_index = None
+        self._blocks = {}
+
     def invalidate(self) -> None:
         """Drop cached schedule/tasks/fingerprint after any mutation."""
         self._schedule = None
         self._tasks = None
+        self._task_index = None
         self._task_signature = None
         self._sched_key = None
         self._reg_of = None
@@ -397,62 +515,93 @@ class Solution:
     # ------------------------------------------------------------------
     # Tasks and schedule
     # ------------------------------------------------------------------
-    def tasks(self) -> list[TaskSpec]:
-        """Derive scheduler tasks from the current binding (cached)."""
-        if self._tasks is not None:
-            return self._tasks
+    def task_blocks(self) -> list[TaskBlock]:
+        """Per-instance task blocks, in instance order (cached).
+
+        Each block is reused from the last derivation (this solution's
+        or, through :meth:`clone`, its parent's) when its key still
+        matches, and derived afresh otherwise.
+        """
+        if self._tasks is None:
+            prior = self._blocks
+            blocks: dict[str, TaskBlock] = {}
+            tasks: list[TaskSpec] = []
+            clk_ns, vdd = self.clk_ns, self.vdd
+            for inst_id, execs in self.executions.items():
+                inst = self.instances[inst_id]
+                block = prior.get(inst_id)
+                if block is None or not block.fits(inst, execs, clk_ns, vdd):
+                    block = self._derive_block(inst_id, inst, execs)
+                blocks[inst_id] = block
+                tasks.extend(block.tasks)
+            self._blocks = blocks
+            self._tasks = tasks
+        return list(self._blocks.values())
+
+    def _derive_block(
+        self, inst_id: str, inst: Instance, execs: list[tuple[str, ...]]
+    ) -> TaskBlock:
+        """Derive the tasks of one instance from scratch."""
+        clk_ns, vdd = self.clk_ns, self.vdd
         tasks: list[TaskSpec] = []
-        for inst_id, execs in self.executions.items():
-            inst = self.instances[inst_id]
+        if inst.is_module:
+            assert inst.module is not None
             for k, group in enumerate(execs):
-                task_id = f"{inst_id}#{k}"
-                if inst.is_module:
-                    assert inst.module is not None
-                    (node_id,) = group
-                    node = self.dfg.node(node_id)
-                    assert node.behavior is not None
-                    cprof = inst.module.profile(node.behavior).at(self.clk_ns, self.vdd)
-                    offsets = {
-                        (node_id, port): off
-                        for port, off in enumerate(cprof.input_offsets)
-                    }
-                    latencies = {
-                        (node_id, port): lat
-                        for port, lat in enumerate(cprof.output_latencies)
-                    }
-                    tasks.append(
-                        TaskSpec(
-                            task_id,
-                            (node_id,),
-                            inst_id,
-                            duration=cprof.busy_cycles,
-                            input_offsets=offsets,
-                            output_latency=latencies,
-                        )
+                (node_id,) = group
+                node = self.dfg.node(node_id)
+                assert node.behavior is not None
+                cprof = inst.module.profile(node.behavior).at(clk_ns, vdd)
+                offsets = {
+                    (node_id, port): off
+                    for port, off in enumerate(cprof.input_offsets)
+                }
+                latencies = {
+                    (node_id, port): lat
+                    for port, lat in enumerate(cprof.output_latencies)
+                }
+                tasks.append(
+                    TaskSpec(
+                        f"{inst_id}#{k}",
+                        (node_id,),
+                        inst_id,
+                        duration=cprof.busy_cycles,
+                        input_offsets=offsets,
+                        output_latency=latencies,
                     )
-                else:
-                    assert inst.cell is not None
-                    duration = inst.cell.delay_cycles(self.clk_ns, self.vdd)
-                    latencies = {(node, 0): duration for node in group}
-                    tasks.append(
-                        TaskSpec(
-                            task_id,
-                            tuple(group),
-                            inst_id,
-                            duration=duration,
-                            output_latency=latencies,
-                            initiation_interval=inst.cell.initiation_interval(
-                                self.clk_ns, self.vdd
-                            ),
-                        )
+                )
+        elif execs:
+            assert inst.cell is not None
+            # One timing lookup per instance: every task on a cell has
+            # the cell's delay and initiation interval at this point.
+            duration = inst.cell.delay_cycles(clk_ns, vdd)
+            ii = inst.cell.initiation_interval(clk_ns, vdd)
+            for k, group in enumerate(execs):
+                tasks.append(
+                    TaskSpec(
+                        f"{inst_id}#{k}",
+                        tuple(group),
+                        inst_id,
+                        duration=duration,
+                        output_latency={(node, 0): duration for node in group},
+                        initiation_interval=ii,
                     )
-        self._tasks = tasks
-        self._task_index = {t.task_id: t for t in tasks}
-        return tasks
+                )
+        return TaskBlock(inst, list(execs), clk_ns, vdd, tasks)
+
+    def tasks(self) -> list[TaskSpec]:
+        """Derive scheduler tasks from the current binding (cached).
+
+        The concatenation of the :meth:`task_blocks`' tasks: instances
+        in insertion order, each instance's executions in binding order.
+        """
+        if self._tasks is None:
+            self.task_blocks()
+        return self._tasks
 
     def task(self, task_id: str) -> TaskSpec:
         """Look up a task by id (tasks are derived lazily)."""
-        self.tasks()
+        if self._task_index is None:
+            self._task_index = {t.task_id: t for t in self.tasks()}
         return self._task_index[task_id]
 
     def schedule(self) -> ScheduleResult:
@@ -473,20 +622,11 @@ class Solution:
         which is what lets the evaluation context share one schedule
         across them (cached; dropped by :meth:`invalidate`).
         """
-        if self._task_signature is not None:
-            return self._task_signature
-        self._task_signature = tuple(
-            (
-                t.task_id,
-                t.nodes,
-                t.instance,
-                t.duration,
-                t.initiation_interval,
-                tuple(sorted(t.input_offsets.items())),
-                tuple(sorted(t.output_latency.items())),
-            )
-            for t in self.tasks()
-        )
+        if self._task_signature is None:
+            rows: list[tuple] = []
+            for block in self.task_blocks():
+                rows.extend(block.signature_rows())
+            self._task_signature = tuple(rows)
         return self._task_signature
 
     def schedule_key(self) -> HashedKey:
@@ -635,13 +775,15 @@ class Solution:
     def clone(self, carry_timing: bool = False) -> "Solution":
         """Cheap structural copy (instances/modules are shared, bindings copied).
 
-        ``carry_timing=True`` additionally shares the cached tasks,
-        task signature and schedule with the clone.  Only sound when
-        the caller will touch nothing but the register binding (whose
+        The clone shares this solution's task blocks: its first
+        :meth:`task_blocks` call reuses every block whose key still
+        matches and re-derives the rest, so the established idiom of
+        cloning and then assigning a new operating point directly stays
+        correct.  ``carry_timing=True`` additionally shares the cached
+        task list, task signature and schedule.  Only sound when the
+        caller will touch nothing but the register binding (whose
         mutators preserve those caches — see
-        :meth:`_invalidate_binding`): a default clone starts cold so
-        that the established idiom of cloning and then assigning a new
-        operating point directly stays correct.
+        :meth:`_invalidate_binding`).
         """
         other = Solution(
             self.dfg, self.library, self.clk_ns, self.vdd, self.sampling_ns
@@ -650,6 +792,7 @@ class Solution:
         other.executions = {k: list(v) for k, v in self.executions.items()}
         other.reg_signals = {k: list(v) for k, v in self.reg_signals.items()}
         other._counter = self._counter
+        other._blocks = self._blocks
         if carry_timing:
             other._tasks = self._tasks
             other._task_index = self._task_index

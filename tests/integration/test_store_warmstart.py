@@ -7,12 +7,19 @@ names, same netlist text, same trace.  The cache changes wall-clock
 only, never results.
 """
 
+import copyreg
+import io
+import pickle
+import sqlite3
+import weakref
+from pathlib import Path
+
 import pytest
 
 from repro.bench_suite import get_benchmark
 from repro.power import speech_traces
 from repro.rtl import emit_netlist
-from repro.synthesis import SynthesisConfig, synthesize
+from repro.synthesis import Solution, SynthesisConfig, synthesize
 
 SEED = 11
 SAMPLES = 24
@@ -125,6 +132,74 @@ class TestRunTierSharing:
             if key.startswith("run.")
         )
         assert run_hits > 0
+
+
+def _downgrade_store(cache_dir):
+    """Rewrite the stored modules the way releases before task blocks
+    pickled solutions (the whole ``__dict__``: a task list and index, no
+    ``_blocks``) and drop every resynthesis result, so that module loads
+    hit and resynthesis misses."""
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is not Solution:
+                return NotImplemented
+            state = {k: v for k, v in obj.__dict__.items() if k != "_blocks"}
+            state["_tasks"] = obj.tasks()
+            state["_task_index"] = {t.task_id: t for t in obj.tasks()}
+            return copyreg.__newobj__, (Solution,), state
+
+    (path,) = Path(cache_dir).glob("*.sqlite")
+    db = sqlite3.connect(path)
+    try:
+        rows = db.execute(
+            "SELECT key, value FROM store WHERE ns = 'module'"
+        ).fetchall()
+        for key, blob in rows:
+            buf = io.BytesIO()
+            LegacyPickler(buf, pickle.HIGHEST_PROTOCOL).dump(pickle.loads(blob))
+            db.execute(
+                "UPDATE store SET value = ? WHERE ns = 'module' AND key = ?",
+                (buf.getvalue(), key),
+            )
+        db.execute("DELETE FROM store WHERE ns = 'resynth'")
+        db.commit()
+    finally:
+        db.close()
+    return len(rows)
+
+
+class TestOlderStoreFormat:
+    def test_modules_pickled_before_task_blocks(self, tmp_path, monkeypatch):
+        """Modules from a store written before solutions carried task
+        blocks still serve a warm run, whose resynthesis misses clone
+        their solutions, bit-identically to the cold run."""
+        cold = _run("test1", tmp_path)
+        assert _downgrade_store(tmp_path) > 0
+
+        legacy = weakref.WeakSet()
+        cloned = []
+        setstate, clone = Solution.__setstate__, Solution.clone
+
+        def tracking_setstate(self, state):
+            setstate(self, state)
+            if "_tasks" in state:  # only the legacy form carries tasks
+                legacy.add(self)
+
+        def tracking_clone(self, *args, **kwargs):
+            if self in legacy:
+                cloned.append(self)
+            return clone(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solution, "__setstate__", tracking_setstate)
+        monkeypatch.setattr(Solution, "clone", tracking_clone)
+        warm = _run("test1", tmp_path)
+
+        assert _identity(warm) == _identity(cold)
+        assert warm.trace_events == cold.trace_events
+        assert warm.telemetry.store_hits.get("persistent.module", 0) > 0
+        assert warm.telemetry.store_hits.get("persistent.resynth", 0) == 0
+        assert cloned
 
 
 class TestMetricsSharing:

@@ -1,0 +1,129 @@
+"""Cycle-stepped list scheduler: the test oracle for ``schedule_tasks``.
+
+This is the scheduler loop as it was before :func:`repro.scheduling.
+schedule_tasks` became event-driven.  It advances one cycle at a time
+and, at every cycle, re-derives each ready task's data-ready cycle from
+its in-edges.  Slow, but obviously a list scheduler; the property tests
+require the event-driven scheduler to return exactly what this one
+returns.
+"""
+
+from __future__ import annotations
+
+from repro.dfg.graph import DFG, NodeKind, Signal
+from repro.errors import ScheduleError
+from repro.scheduling.model import ScheduleResult, TaskSpec
+from repro.scheduling.scheduler import (
+    _alap_priorities,
+    _check_coverage,
+    task_dependencies,
+)
+
+
+def stepped_schedule_tasks(
+    dfg: DFG,
+    tasks: list[TaskSpec],
+    max_cycles: int | None = None,
+) -> ScheduleResult:
+    """List-schedule *tasks* cycle by cycle (same contract as the engine's)."""
+    _check_coverage(dfg, tasks)
+    deps = task_dependencies(dfg, tasks)
+    criticality = _alap_priorities(dfg, tasks, deps)
+    by_id = {t.task_id: t for t in tasks}
+    producer_task: dict[str, str] = {}
+    for task in tasks:
+        for node in task.nodes:
+            producer_task[node] = task.task_id
+
+    # Signals from inputs/constants are available at time zero.
+    avail: dict[Signal, int] = {}
+    for node in dfg.nodes():
+        if node.kind in (NodeKind.INPUT, NodeKind.CONST):
+            avail[(node.node_id, 0)] = 0
+
+    unscheduled = {t.task_id for t in tasks}
+    n_deps_left = {tid: len(dep_ids) for tid, dep_ids in deps.items()}
+    succs: dict[str, set[str]] = {t.task_id: set() for t in tasks}
+    for tid, dep_ids in deps.items():
+        for dep in dep_ids:
+            succs[dep].add(tid)
+
+    ready = {tid for tid in unscheduled if n_deps_left[tid] == 0}
+    instance_free: dict[str, int] = {}
+    instance_order: dict[str, list[str]] = {}
+    start: dict[str, int] = {}
+    finish: dict[str, int] = {}
+
+    def data_start(task: TaskSpec) -> int:
+        earliest = 0
+        for edge in task.external_in_edges(dfg):
+            signal = edge.signal
+            if signal not in avail:
+                raise ScheduleError(
+                    f"task {task.task_id!r} became ready before signal "
+                    f"{signal!r} was produced"
+                )
+            earliest = max(
+                earliest, avail[signal] - task.offset_of(edge.dst, edge.dst_port)
+            )
+        return earliest
+
+    horizon = max_cycles
+    if horizon is None:
+        horizon = sum(t.duration for t in tasks) + len(tasks) + 64
+
+    t = 0
+    while unscheduled:
+        if t > horizon:
+            raise ScheduleError(
+                f"scheduler exceeded horizon of {horizon} cycles "
+                f"({len(unscheduled)} tasks left)"
+            )
+        progressed = True
+        while progressed:
+            progressed = False
+            # Candidates whose data is available now, grouped by instance.
+            candidates: dict[str, list[str]] = {}
+            for tid in ready:
+                task = by_id[tid]
+                if instance_free.get(task.instance, 0) > t:
+                    continue
+                if data_start(task) <= t:
+                    candidates.setdefault(task.instance, []).append(tid)
+            for instance, tids in candidates.items():
+                # Most critical first; task id breaks ties deterministically.
+                tid = min(tids, key=lambda x: (-criticality[x], x))
+                task = by_id[tid]
+                start[tid] = t
+                finish[tid] = t + task.duration
+                # Pipelined units free up after their initiation interval,
+                # not after the full latency.
+                instance_free[instance] = t + task.busy_cycles
+                instance_order.setdefault(instance, []).append(tid)
+                for node in task.nodes:
+                    for port in range(dfg.node(node).n_outputs):
+                        signal = (node, port)
+                        avail[signal] = t + task.latency_of(signal)
+                ready.discard(tid)
+                unscheduled.discard(tid)
+                for succ_id in succs[tid]:
+                    n_deps_left[succ_id] -= 1
+                    if n_deps_left[succ_id] == 0 and succ_id in unscheduled:
+                        ready.add(succ_id)
+                progressed = True
+        t += 1
+
+    length = 0
+    for out_id in dfg.outputs:
+        (edge,) = dfg.in_edges(out_id)
+        length = max(length, avail[edge.signal])
+
+    task_of_node = dict(producer_task)
+    return ScheduleResult(
+        start=start,
+        finish=finish,
+        avail=avail,
+        length=length,
+        instance_order=instance_order,
+        task_of_node=task_of_node,
+    )

@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,6 +29,27 @@ def design_file(tmp_path):
     path = tmp_path / "tiny.dfg"
     path.write_text(DESIGN_TEXT)
     return path
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_and_networkx_unloaded(self):
+        """Only module merges need scipy and only ``hierarchize`` needs
+        networkx, so starting the CLI (and every flat run or client
+        command after it) must not pay for importing either."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'networkx'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -149,6 +149,44 @@ class TestErrors:
         with pytest.raises(ScheduleError, match="non-operation"):
             schedule_tasks(dfg, tasks)
 
+    def test_max_cycles_exceeded(self):
+        """Three 3-cycle tasks serialized on one unit issue at 0, 3, 6."""
+
+        def chain():
+            b = GraphBuilder("chain")
+            x, y = b.inputs("x", "y")
+            n1 = b.mult(x, y, name="n1")
+            n2 = b.mult(n1, y, name="n2")
+            b.output("o", b.mult(n2, y, name="n3"))
+            return b.build()
+
+        tasks = [
+            TaskSpec("t1", ("n1",), "M", 3),
+            TaskSpec("t2", ("n2",), "M", 3),
+            TaskSpec("t3", ("n3",), "M", 3),
+        ]
+        assert schedule_tasks(chain(), tasks, max_cycles=6).length == 9
+        with pytest.raises(
+            ScheduleError, match=r"exceeded horizon of 5 cycles \(1 tasks left\)"
+        ):
+            schedule_tasks(chain(), tasks, max_cycles=5)
+
+    def test_dependence_cycle_between_multi_node_tasks(self):
+        """n1 → n2 → n3 with n1 and n3 in one task: that task both feeds
+        and waits for the task holding n2."""
+        b = GraphBuilder("loop")
+        x, y = b.inputs("x", "y")
+        n1 = b.add(x, y, name="n1")
+        n2 = b.mult(n1, y, name="n2")
+        n3 = b.add(n2, x, name="n3")
+        b.output("o", b.sub(n3, n1, name="n4"))
+        tasks = [
+            TaskSpec("ta", ("n1", "n3"), "A", 1),
+            TaskSpec("tb", ("n2", "n4"), "B", 2),
+        ]
+        with pytest.raises(ScheduleError, match="cycle in task dependence graph"):
+            schedule_tasks(b.build(), tasks)
+
 
 class TestDependencies:
     def test_dependency_map(self):

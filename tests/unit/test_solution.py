@@ -1,5 +1,9 @@
 """Unit tests for the synthesis solution representation."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro.dfg import Operation
@@ -7,6 +11,7 @@ from repro.errors import SynthesisError
 from repro.synthesis import Solution
 from repro.synthesis.context import SynthesisEnv
 from repro.synthesis.initial import initial_solution
+from repro.synthesis.moves import _min_schedule_length
 
 
 @pytest.fixture
@@ -173,6 +178,70 @@ class TestClone:
     def test_clone_equal_schedule(self, solution):
         clone = solution.clone()
         assert clone.schedule().length == solution.schedule().length
+
+
+def _legacy_blob(solution, task_index) -> bytes:
+    """*solution* pickled as releases before task blocks did: the default
+    reduction of its ``__dict__``, with no ``_blocks`` and the given task
+    index (those releases never reset the index on ``invalidate``)."""
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is not solution:
+                return NotImplemented
+            state = {k: v for k, v in obj.__dict__.items() if k != "_blocks"}
+            state["_task_index"] = task_index
+            return copyreg.__newobj__, (Solution,), state
+
+    buf = io.BytesIO()
+    LegacyPickler(buf, pickle.HIGHEST_PROTOCOL).dump(solution)
+    return buf.getvalue()
+
+
+def _timing(solution) -> tuple:
+    return (
+        solution.tasks(),
+        solution.task_signature(),
+        [solution.task(t.task_id) for t in solution.tasks()],
+        _min_schedule_length(solution),
+        solution.schedule().length,
+    )
+
+
+class TestPickle:
+    def test_task_caches_are_not_pickled(self, solution, library):
+        solution.tasks()
+        solution.set_cell(solution.instance_of("m1"), library.cell("mult2"))
+        state = solution.__getstate__()
+        assert not {"_tasks", "_task_index", "_blocks"} & set(state)
+        loaded = pickle.loads(pickle.dumps(solution))
+        assert _timing(loaded) == _timing(solution)
+
+    @pytest.mark.parametrize("cached", ["tasks", "none", "stale"])
+    def test_solution_pickled_before_task_blocks(self, solution, library, cached):
+        """An older store's module solution loads, clones and re-derives
+        its timing; neither a missing ``_blocks`` nor a leftover task
+        index leaks into the result."""
+        index = {t.task_id: t for t in solution.tasks()}
+        m1 = solution.instance_of("m1")
+        if cached == "none":
+            solution.invalidate()
+            index = {}
+        elif cached == "stale":
+            solution.set_cell(m1, library.cell("mult2"))
+            stale = index[f"{m1}#0"]
+            fresh = solution.clone().task(stale.task_id)
+            assert stale.duration != fresh.duration
+            assert solution._tasks is None
+        loaded = pickle.loads(_legacy_blob(solution, index))
+        assert _timing(loaded) == _timing(solution)
+
+        clone = loaded.clone()
+        expected = solution.clone()
+        for sol in (clone, expected):
+            sol.set_cell(sol.instance_of("a1"), library.cell("add2"))
+        assert _timing(clone) == _timing(expected)
+        assert _timing(loaded.clone()) == _timing(solution)
 
 
 class TestFingerprint:
