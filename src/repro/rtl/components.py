@@ -26,6 +26,7 @@ __all__ = [
     "Connection",
     "DatapathNetlist",
     "WIRE_AREA_PER_CONNECTION",
+    "cell_area",
 ]
 
 #: Routing-area estimate per point-to-point connection, in the same
@@ -36,8 +37,30 @@ __all__ = [
 #: free.
 WIRE_AREA_PER_CONNECTION = 2.0
 
-#: id(library) → (library, {cell name: area}) — see DatapathNetlist.area.
+#: id(library) → (library, {cell name: area}) — see :func:`cell_area`.
 _CELL_AREAS: dict = {}
+
+
+def cell_area(library: "ModuleLibrary", cell: str) -> float:
+    """Area of one library cell at :data:`REFERENCE_WIDTH`.
+
+    Resolved once per library, not once per component per netlist
+    (thousands of netlists per pricing step share one library).  The
+    library is pinned in the memo value, same idiom as the activity
+    caches.
+    """
+    entry = _CELL_AREAS.get(id(library))
+    if entry is None or entry[0] is not library:
+        if len(_CELL_AREAS) >= 8:
+            _CELL_AREAS.clear()
+        entry = (library, {})
+        _CELL_AREAS[id(library)] = entry
+    areas = entry[1]
+    area = areas.get(cell)
+    if area is None:
+        area = library.cell(cell).area
+        areas[cell] = area
+    return area
 
 
 class ComponentKind(enum.Enum):
@@ -73,6 +96,7 @@ class Component(NamedTuple):
 
     @property
     def width_factor(self) -> float:
+        """Area scale of this instance relative to :data:`REFERENCE_WIDTH`."""
         return self.width / REFERENCE_WIDTH
 
 
@@ -97,10 +121,14 @@ class DatapathNetlist:
         self.name = name
         self._components: dict[str, Component] = {}
         self._connections: set[Connection] = set()
-        #: Memoized fan-in map and per-library area, cleared by the two
-        #: mutators below.  Cost evaluation asks for both several times
-        #: per netlist (glitch counting, mux inference, area, controller
-        #: sizing), and module netlists are re-priced on every move.
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        #: Memoized fan-in map, per-library area and sorted connection
+        #: list, dropped by the two mutators below.  Cost evaluation
+        #: asks for the first two several times per netlist (glitch
+        #: counting, mux inference, area, controller sizing), and
+        #: module netlists are re-priced on every move.
         self._fanin_cache: dict[tuple[str, int], int] | None = None
         #: id(library) → (library, area).  The library reference is kept
         #: in the value to pin its id (same idiom as the stream-activity
@@ -108,10 +136,29 @@ class DatapathNetlist:
         self._area_cache: dict[int, tuple[object, float]] = {}
         self._sorted_conns: list[Connection] | None = None
 
-    def _invalidate(self) -> None:
-        self._fanin_cache = None
-        self._area_cache.clear()
-        self._sorted_conns = None
+    def __getstate__(self) -> dict:
+        """Pickled state: the name, components and connections only.
+
+        The caches are cheap to rebuild, and the area cache would drag
+        a copy of every library it was asked about into the pickle.
+        """
+        return {
+            "name": self.name,
+            "_components": self._components,
+            "_connections": self._connections,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled netlist with empty caches.
+
+        Netlists pickled before :meth:`__getstate__` existed carry their
+        whole ``__dict__``, caches included; only the three fields above
+        are taken from it.
+        """
+        self.name = state["name"]
+        self._components = state["_components"]
+        self._connections = state["_connections"]
+        self._invalidate()
 
     # ------------------------------------------------------------------
     def add_component(
@@ -121,6 +168,7 @@ class DatapathNetlist:
         cell: str,
         width: int = REFERENCE_WIDTH,
     ) -> Component:
+        """Add one component; its id must be new to this netlist."""
         if comp_id in self._components:
             raise DFGError(f"duplicate component {comp_id!r} in netlist {self.name!r}")
         comp = Component(comp_id, kind, cell, width=width)
@@ -129,6 +177,7 @@ class DatapathNetlist:
         return comp
 
     def connect(self, src: str, src_port: int, dst: str, dst_port: int) -> Connection:
+        """Wire an output port to an input port of two existing components."""
         for comp_id in (src, dst):
             if comp_id not in self._components:
                 raise DFGError(f"unknown component {comp_id!r} in netlist {self.name!r}")
@@ -139,6 +188,7 @@ class DatapathNetlist:
 
     # ------------------------------------------------------------------
     def component(self, comp_id: str) -> Component:
+        """Look up a component by id (DFGError if unknown)."""
         try:
             return self._components[comp_id]
         except KeyError:
@@ -147,9 +197,11 @@ class DatapathNetlist:
             ) from None
 
     def has_component(self, comp_id: str) -> bool:
+        """True when a component with this id exists."""
         return comp_id in self._components
 
     def components(self, kind: ComponentKind | None = None) -> list[Component]:
+        """Components in insertion order, optionally of one kind only."""
         if kind is None:
             return list(self._components.values())
         return [c for c in self._components.values() if c.kind == kind]
@@ -182,73 +234,63 @@ class DatapathNetlist:
         self._fanin_cache = fanin
         return fanin
 
+    def multi_source_ports(self) -> list[tuple[str, int, int, int]]:
+        """Ports with a mux: ``(component, port, fan-in, component width)``.
+
+        One row per input port driven by more than one distinct source,
+        sorted by ``(component, port)`` — the order :meth:`area` and
+        candidate pricing sum mux terms in, so their floats do not
+        depend on the iteration order of the connection set.
+        """
+        components = self._components
+        return sorted(
+            (dst, port, fanin, components[dst].width)
+            for (dst, port), fanin in self.fanin_ports().items()
+            if fanin > 1
+        )
+
     def mux_legs(self) -> int:
         """Total 2-to-1 multiplexer legs implied by multi-source ports."""
-        return sum(max(0, n - 1) for n in self.fanin_ports().values())
+        return sum([fanin - 1 for _d, _p, fanin, _w in self.multi_source_ports()])
 
     def n_connections(self) -> int:
+        """Number of distinct point-to-point connections."""
         return len(self._connections)
 
     # ------------------------------------------------------------------
+    def _cell_area_terms(self, library: "ModuleLibrary") -> list[float]:
+        """Per-component cell areas, in component insertion order."""
+        skip = (ComponentKind.PORT, ComponentKind.MODULE)
+        # Ports are free; nested module instances are priced by the
+        # owner (it knows the RTLModule object) — see
+        # repro.synthesis.costs.area_of.
+        return [
+            cell_area(library, comp.cell) * (comp.width / REFERENCE_WIDTH)
+            for comp in self._components.values()
+            if comp.kind not in skip
+        ]
+
     def area(self, library: "ModuleLibrary") -> float:
-        """Netlist area: cells + inferred muxes + interconnect measure."""
+        """Netlist area: cells + inferred muxes + interconnect measure.
+
+        Summed in a fixed order: cell terms in component insertion
+        order, then one mux term per :meth:`multi_source_ports` row.
+        """
         cached = self._area_cache.get(id(library))
         if cached is not None and cached[0] is library:
             return cached[1]
-        # Cell areas resolved once per library, not once per component
-        # per netlist (thousands of netlists per pricing step share one
-        # library).  The library is pinned in the memo value, same idiom
-        # as the activity caches.
-        entry = _CELL_AREAS.get(id(library))
-        if entry is None or entry[0] is not library:
-            if len(_CELL_AREAS) >= 8:
-                _CELL_AREAS.clear()
-            entry = (library, {})
-            _CELL_AREAS[id(library)] = entry
-        areas = entry[1]
-        skip = (ComponentKind.PORT, ComponentKind.MODULE)
         total = 0.0
-        for comp in self._components.values():
-            if comp.kind in skip:
-                # Ports are free; nested module instances are priced by the
-                # owner (it knows the RTLModule object) — see
-                # repro.synthesis.costs.area_of.
-                continue
-            cell_area = areas.get(comp.cell)
-            if cell_area is None:
-                cell_area = library.cell(comp.cell).area
-                areas[comp.cell] = cell_area
-            total += cell_area * (comp.width / REFERENCE_WIDTH)
+        for term in self._cell_area_terms(library):
+            total += term
         mux_area = library.mux_cell.area
-        components = self._components
-        for (dst, _port), fanin in self.fanin_ports().items():
-            if fanin > 1:
-                width_factor = components[dst].width_factor
-                total += (fanin - 1) * mux_area * width_factor
+        for _dst, _port, fanin, width in self.multi_source_ports():
+            total += (fanin - 1) * mux_area * (width / REFERENCE_WIDTH)
         total += self.n_connections() * WIRE_AREA_PER_CONNECTION
         self._area_cache[id(library)] = (library, total)
         return total
 
-    @classmethod
-    def _from_parts(
-        cls,
-        name: str,
-        components: dict[str, Component],
-        connections: set[Connection],
-    ) -> "DatapathNetlist":
-        """Adopt pre-built parts without per-call validation.
-
-        Fast path for bulk builders (``build_netlist`` constructs tens
-        of thousands of netlists per synthesis run) that guarantee
-        unique component ids and endpoints-exist by construction; the
-        dict and set are adopted, not copied.
-        """
-        netlist = cls(name)
-        netlist._components = components
-        netlist._connections = connections
-        return netlist
-
     def copy(self, name: str | None = None) -> "DatapathNetlist":
+        """An independent (editable) copy of this netlist."""
         clone = DatapathNetlist(name or self.name)
         clone._components = dict(self._components)
         clone._connections = set(self._connections)

@@ -52,6 +52,7 @@ class ControllerState:
     selects: list[MuxSelect] = field(default_factory=list)
 
     def is_idle(self) -> bool:
+        """True when the state asserts no control signal."""
         return not (self.loads or self.starts or self.selects)
 
 
@@ -64,9 +65,11 @@ class FSMController:
 
     @property
     def n_states(self) -> int:
+        """Number of states (one per schedule cycle)."""
         return len(self.states)
 
     def state(self, cycle: int) -> ControllerState:
+        """The state active in the given cycle."""
         return self.states[cycle]
 
     def n_control_signals(self) -> int:

@@ -92,12 +92,15 @@ class RTLModule:
         self._impls[behavior] = BehaviorImpl(profile, cap_internal)
 
     def supports(self, behavior: str) -> bool:
+        """True when the module implements *behavior*."""
         return behavior in self._impls
 
     def behaviors(self) -> list[str]:
+        """Implemented behaviors, the primary one first."""
         return list(self._impls)
 
     def impl(self, behavior: str) -> BehaviorImpl:
+        """Timing and energy of one behavior (LibraryError if unsupported)."""
         try:
             return self._impls[behavior]
         except KeyError:
@@ -106,9 +109,11 @@ class RTLModule:
             ) from None
 
     def profile(self, behavior: str | None = None) -> Profile:
+        """Timing profile of *behavior* (default: the primary behavior)."""
         return self.impl(behavior or self.behavior).profile
 
     def cap_internal(self, behavior: str | None = None) -> float:
+        """Switched-capacitance coefficient of *behavior* (default: primary)."""
         return self.impl(behavior or self.behavior).cap_internal
 
     # ------------------------------------------------------------------

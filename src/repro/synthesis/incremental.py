@@ -275,35 +275,20 @@ def plan_evaluation(
         violation = excess / max(solution.deadline_cycles, 1)
         violation += 0.1 * len(solution.register_conflicts())
 
-    fanin = netlist.fanin_ports()
     header = _header(solution)
     if base is not None and base.header != header:
         base = None
     vdd = solution.vdd
 
-    def instance_width(inst_id: str) -> int:
-        return max(
-            (
-                solution.dfg.node(node_id).width
-                for group in solution.executions[inst_id]
-                for node_id in group
-            ),
-            default=16,
-        )
-
-    multi_ports_of: dict[str, int] = {}
-    for (comp, _p), n_srcs in fanin.items():
-        if n_srcs > 1:
-            multi_ports_of[comp] = multi_ports_of.get(comp, 0) + 1
-
     # Glitch counts — spurious evaluations from input-mux switching on a
     # shared unit: each multi-source port re-triggers the combinational
     # logic once per select change (≈ executions − 1) — are computed
-    # inline in the instance loop below.
+    # inline in the instance loop below, from the netlist blocks.
+    inst_blocks = netlist.instance_blocks
+    reg_blocks = netlist.register_blocks
 
     terms: list[_StreamTerm] = []
     new_term = _StreamTerm._make
-    netlist_comps = netlist._components
     requests: list[tuple[list[np.ndarray], int]] = []
 
     def port_requests(groups: list[tuple[str, ...]], width: int) -> tuple[int, ...]:
@@ -339,31 +324,24 @@ def plan_evaluation(
             exec_groups[inst_id] = groups
         if not groups:
             continue
+        block = inst_blocks[inst_id]
+        # The widest node the instance runs: a functional unit's
+        # component width, and a module's stream width (module
+        # components carry no width in the netlist).
+        width = block.width
         is_module = inst.is_module
         if is_module:
-            # Module components carry no width in the netlist; their
-            # stream width is the widest hierarchical node they run.
-            width = instance_width(inst_id)
             kind = "module"
             energy_sig: tuple = ()
             prior = base_module.get(inst_id) if base_module is not None else None
         else:
-            # Same max-over-executed-nodes the netlist builder just
-            # computed for this FU component — read it back instead
-            # (raw component map: the accessor wrapper is measurable
-            # at this call rate, and the id exists by construction).
-            width = netlist_comps[inst_id].width
             kind = "fu"
             # Beyond (header, key, activity) the FU energy depends only
             # on the bound cell (A-cell swaps keep the key!) and the
             # netlist-derived glitch count.
             prior = base_fu.get(inst_id) if base_fu is not None else None
         n_execs = len(groups)
-        glitch_evals = (
-            multi_ports_of.get(inst_id, 0) * (n_execs - 1)
-            if n_execs > 1
-            else 0
-        )
+        glitch_evals = len(block.multi) * (n_execs - 1) if n_execs > 1 else 0
         if not is_module:
             assert inst.cell is not None
             energy_sig = (inst.cell.name, glitch_evals)
@@ -399,10 +377,9 @@ def plan_evaluation(
             ordered = sorted(signals, key=lambda s: sched_avail.get(s, 0))
         else:
             ordered = signals
-        # The netlist builder computed this register's width from the
-        # same signal set moments ago (no registers are skipped on the
-        # evaluation path).
-        reg_width = netlist_comps[reg_id].width
+        # The register's netlist block holds its width (no registers
+        # are skipped on the evaluation path).
+        reg_width = reg_blocks[reg_id].width
         key = (tuple(ordered), reg_width)
         prior = base_reg.get(reg_id) if base_reg is not None else None
         energy = None
@@ -428,24 +405,24 @@ def plan_evaluation(
     # Stream-free terms are always recomputed: they are cheap, and
     # computing them from the candidate's own netlist is what catches a
     # local move's side effects on shared structure.
+    # One mux term per multi-source port, in (component, port) order.
     mux_terms: list[float] = []
     mux_cell = solution.library.mux_cell
-    for (_dst, _port), n_srcs in fanin.items():
-        if n_srcs > 1:
-            mkey = (id(mux_cell), n_srcs, vdd)
-            cached = _MUX_ENERGY.get(mkey)
-            if cached is not None and cached[0] is mux_cell:
-                mux_terms.append(cached[1])
-            else:
-                if len(_MUX_ENERGY) >= 4096:
-                    _MUX_ENERGY.clear()
-                mux_energy = MuxUsage(
-                    cell=mux_cell,
-                    n_inputs=n_srcs,
-                    accesses_per_sample=n_srcs,
-                ).energy_per_sample(vdd)
-                _MUX_ENERGY[mkey] = (mux_cell, mux_energy)
-                mux_terms.append(mux_energy)
+    for _dst, _port, n_srcs, _width in netlist.multi_source_ports():
+        mkey = (id(mux_cell), n_srcs, vdd)
+        cached = _MUX_ENERGY.get(mkey)
+        if cached is not None and cached[0] is mux_cell:
+            mux_terms.append(cached[1])
+        else:
+            if len(_MUX_ENERGY) >= 4096:
+                _MUX_ENERGY.clear()
+            mux_energy = MuxUsage(
+                cell=mux_cell,
+                n_inputs=n_srcs,
+                accesses_per_sample=n_srcs,
+            ).energy_per_sample(vdd)
+            _MUX_ENERGY[mkey] = (mux_cell, mux_energy)
+            mux_terms.append(mux_energy)
 
     # Average wire length grows with the square root of circuit area;
     # _AREA_REF pins the factor to 1.0 for a mid-size datapath.

@@ -15,7 +15,9 @@ mutates:
 Scheduling is derived (and cached): executions become
 :class:`~repro.scheduling.model.TaskSpec` tasks and go through the list
 scheduler.  Tasks are derived per instance, in :class:`TaskBlock` s that
-clones share, so a move re-derives only the instances it changed.  All
+clones share, so a move re-derives only the instances it changed; the
+datapath netlist is derived the same way, per register and per instance
+(:mod:`repro.synthesis.datapath_build`).  All
 mutation goes through the ``rebind_*``/``merge_*``/``split_*`` methods
 so caches are invalidated consistently; moves clone the solution first,
 mutate the clone and compare costs.
@@ -177,6 +179,14 @@ class Solution:
         #: with clones); :meth:`task_blocks` checks each block's key
         #: before reusing it and replaces, never edits, the dict.
         self._blocks: dict[str, TaskBlock] = {}
+        #: The last :class:`~repro.synthesis.datapath_build.BlockNetlist`
+        #: built for this solution, or for the solution it was cloned
+        #: from: the netlist blocks the next build starts from.  Same
+        #: lifecycle as ``_blocks``: shared with clones, each block
+        #: checked against its key before reuse, and replaced, never
+        #: edited, by :func:`~repro.synthesis.datapath_build.
+        #: build_netlist`.
+        self._netlist = None
         self._task_signature: tuple | None = None
         self._sched_key: HashedKey | None = None
         self._reg_of: dict[Signal, str] | None = None
@@ -333,31 +343,36 @@ class Solution:
         self._fingerprint_key = None
         self._epoch += 1
 
-    def __getstate__(self) -> dict:
-        """Pickled state, without the task caches.
+    #: Derived caches left out of the pickled state.
+    _UNPICKLED = ("_tasks", "_task_index", "_blocks", "_netlist")
 
-        Task blocks may describe instances the solution no longer has
-        (they survive :meth:`invalidate`), and the task list and index
-        are cheap to re-derive, so none of the three is stored.
+    def __getstate__(self) -> dict:
+        """Pickled state, without the task and netlist-block caches.
+
+        Blocks may describe instances and registers the solution no
+        longer has (they survive :meth:`invalidate`), and the task list
+        and index are cheap to re-derive, so none of them is stored.
         """
         state = self.__dict__.copy()
-        for name in ("_tasks", "_task_index", "_blocks"):
+        for name in self._UNPICKLED:
             del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled solution with empty task caches.
+        """Restore a pickled solution with empty task and block caches.
 
         Persistent stores outlive releases: a solution pickled before
         task blocks existed carries a task list but no blocks, and
-        possibly a task index an older :meth:`invalidate` left stale.
-        Dropping all three keeps :meth:`task_blocks` from taking a
-        present task list to mean its blocks match it.
+        possibly a task index an older :meth:`invalidate` left stale;
+        one pickled before netlist blocks existed has no netlist
+        blocks.  Dropping all of them keeps :meth:`task_blocks` from
+        taking a present task list to mean its blocks match it.
         """
         self.__dict__.update(state)
         self._tasks = None
         self._task_index = None
         self._blocks = {}
+        self._netlist = None
 
     def invalidate(self) -> None:
         """Drop cached schedule/tasks/fingerprint after any mutation."""
@@ -775,9 +790,11 @@ class Solution:
     def clone(self, carry_timing: bool = False) -> "Solution":
         """Cheap structural copy (instances/modules are shared, bindings copied).
 
-        The clone shares this solution's task blocks: its first
-        :meth:`task_blocks` call reuses every block whose key still
-        matches and re-derives the rest, so the established idiom of
+        The clone shares this solution's task and netlist blocks: its
+        first :meth:`task_blocks` (or
+        :func:`~repro.synthesis.datapath_build.build_netlist`) call
+        reuses every block whose key still matches and re-derives the
+        rest, so the established idiom of
         cloning and then assigning a new operating point directly stays
         correct.  ``carry_timing=True`` additionally shares the cached
         task list, task signature and schedule.  Only sound when the
@@ -793,6 +810,7 @@ class Solution:
         other.reg_signals = {k: list(v) for k, v in self.reg_signals.items()}
         other._counter = self._counter
         other._blocks = self._blocks
+        other._netlist = self._netlist
         if carry_timing:
             other._tasks = self._tasks
             other._task_index = self._task_index

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench_suite import get_benchmark
 from repro.power import speech_traces
-from repro.rtl import emit_netlist
+from repro.rtl import DatapathNetlist, emit_netlist
 from repro.synthesis import Solution, SynthesisConfig, synthesize
 
 SEED = 11
@@ -134,21 +134,57 @@ class TestRunTierSharing:
         assert run_hits > 0
 
 
+class _TaskListPickler(pickle.Pickler):
+    """Solutions as releases before task blocks pickled them: the whole
+    ``__dict__``, with a task list and index and no ``_blocks``."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not Solution:
+            return NotImplemented
+        dropped = ("_blocks", "_netlist")
+        state = {k: v for k, v in obj.__dict__.items() if k not in dropped}
+        state["_tasks"] = obj.tasks()
+        state["_task_index"] = {t.task_id: t for t in obj.tasks()}
+        return copyreg.__newobj__, (Solution,), state
+
+
+class _ParentFormatPickler(pickle.Pickler):
+    """The release before netlist blocks: solutions without task caches
+    or ``_netlist``, and netlists as their whole ``__dict__``, caches
+    included (here with wrong contents)."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Solution:
+            dropped = ("_tasks", "_task_index", "_blocks", "_netlist")
+            state = {k: v for k, v in obj.__dict__.items() if k not in dropped}
+            return copyreg.__newobj__, (Solution,), state
+        if isinstance(obj, DatapathNetlist):
+            state = {
+                "name": obj.name,
+                "_components": obj._components,
+                "_connections": obj._connections,
+                # One source too many on every port: trusted, this cache
+                # would put a mux on each and change every module's area.
+                "_fanin_cache": {
+                    port: n + 1 for port, n in obj.fanin_ports().items()
+                },
+                "_area_cache": {},
+                "_sorted_conns": [],
+            }
+            return copyreg.__newobj__, (DatapathNetlist,), state
+        return NotImplemented
+
+
 def _downgrade_store(cache_dir):
     """Rewrite the stored modules the way releases before task blocks
-    pickled solutions (the whole ``__dict__``: a task list and index, no
-    ``_blocks``) and drop every resynthesis result, so that module loads
-    hit and resynthesis misses."""
+    pickled solutions, and drop every resynthesis result, so that module
+    loads hit and resynthesis misses."""
+    return _rewrite_modules(cache_dir, _TaskListPickler)
 
-    class LegacyPickler(pickle.Pickler):
-        def reducer_override(self, obj):
-            if type(obj) is not Solution:
-                return NotImplemented
-            state = {k: v for k, v in obj.__dict__.items() if k != "_blocks"}
-            state["_tasks"] = obj.tasks()
-            state["_task_index"] = {t.task_id: t for t in obj.tasks()}
-            return copyreg.__newobj__, (Solution,), state
 
+def _rewrite_modules(cache_dir, pickler):
+    """Re-pickle every stored module with *pickler* and drop every
+    resynthesis result; returns the number of modules rewritten."""
     (path,) = Path(cache_dir).glob("*.sqlite")
     db = sqlite3.connect(path)
     try:
@@ -157,7 +193,7 @@ def _downgrade_store(cache_dir):
         ).fetchall()
         for key, blob in rows:
             buf = io.BytesIO()
-            LegacyPickler(buf, pickle.HIGHEST_PROTOCOL).dump(pickle.loads(blob))
+            pickler(buf, pickle.HIGHEST_PROTOCOL).dump(pickle.loads(blob))
             db.execute(
                 "UPDATE store SET value = ? WHERE ns = 'module' AND key = ?",
                 (buf.getvalue(), key),
@@ -200,6 +236,33 @@ class TestOlderStoreFormat:
         assert warm.telemetry.store_hits.get("persistent.module", 0) > 0
         assert warm.telemetry.store_hits.get("persistent.resynth", 0) == 0
         assert cloned
+
+    def test_modules_pickled_before_netlist_blocks(self, tmp_path, monkeypatch):
+        """Modules from a store written before netlists were derived from
+        blocks (netlists pickled with their caches, solutions without
+        ``_netlist``) serve a warm run bit-identically to the cold run.
+        The pickled caches are wrong on purpose: loading must drop them."""
+        cold = _run("test1", tmp_path)
+        assert _rewrite_modules(tmp_path, _ParentFormatPickler) > 0
+
+        legacy = []
+        setstate = DatapathNetlist.__setstate__
+
+        def tracking_setstate(self, state):
+            setstate(self, state)
+            if "_fanin_cache" in state:  # only the parent's form has caches
+                legacy.append(
+                    (self._fanin_cache, dict(self._area_cache), self._sorted_conns)
+                )
+
+        monkeypatch.setattr(DatapathNetlist, "__setstate__", tracking_setstate)
+        warm = _run("test1", tmp_path)
+
+        assert _identity(warm) == _identity(cold)
+        assert warm.trace_events == cold.trace_events
+        assert warm.telemetry.store_hits.get("persistent.module", 0) > 0
+        assert legacy
+        assert all(caches == (None, {}, None) for caches in legacy)
 
 
 class TestMetricsSharing:

@@ -8,6 +8,11 @@ the only nondeterminism a trace could pick up is wall-clock, and the
 determinism mode strips exactly that.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench_suite import get_benchmark
@@ -56,6 +61,28 @@ def test_trace_is_byte_identical_across_repeated_runs():
     first = dumps_trace(_run("test1", n_workers=1).trace_events)
     second = dumps_trace(_run("test1", n_workers=1).trace_events)
     assert first == second
+
+
+def test_trace_is_byte_identical_across_hash_seeds(tmp_path):
+    """String hashing, and with it the iteration order of sets and of
+    dicts built from them, changes with ``PYTHONHASHSEED``; the trace of
+    a CLI run must not."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    traces = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"hashseed{seed}.jsonl"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "synth", "--benchmark", "paulin",
+             "--laxity", "2.2", "--flatten", "--trace", str(path),
+             "--no-trace-timings"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        traces.append(path.read_bytes())
+    assert traces[0]
+    assert traces[0] == traces[1]
 
 
 def test_trace_events_are_well_formed():

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.rtl.components import DatapathNetlist
 from repro.synthesis import EvaluationContext, area_of
 from repro.synthesis.context import SynthesisEnv
 from repro.synthesis.initial import initial_solution
@@ -95,24 +94,37 @@ class TestCostCache:
         assert ctx.telemetry.cache_misses == 2
         assert second.power == first.power  # still deterministic
 
-    def test_fanin_map_computed_once_in_evaluator(
-        self, ctx, solution, monkeypatch
+    def test_pricing_never_assembles_the_netlist(
+        self, ctx, solution, library, monkeypatch
     ):
-        """Regression: the mux loop used to re-call fanin_ports() (a 4th
-        time) and shadow the dict captured by the glitches() closure.
-        Legitimate calls during one evaluation: the evaluator's own map,
-        netlist.area()'s mux inference, and mux_legs() for the
-        controller estimate."""
-        calls = []
-        original = DatapathNetlist.fanin_ports
+        """Pricing reads area, fan-ins, connection count, mux legs and
+        widths from the netlist blocks: neither ``evaluate`` nor
+        ``evaluate_batch`` assembles a component map or connection set."""
+        from repro.synthesis.datapath_build import BlockNetlist
 
-        def counting(self):
-            calls.append(1)
-            return original(self)
+        def refuse(self):
+            raise AssertionError("netlist assembled while pricing")
 
-        monkeypatch.setattr(DatapathNetlist, "fanin_ports", counting)
+        monkeypatch.setattr(BlockNetlist, "_assemble", refuse)
         ctx.evaluate(solution)
-        assert len(calls) == 3
+        base = ctx.breakdown_of(solution)
+
+        shared = solution.clone()
+        a, s = shared.instance_of("a1"), shared.instance_of("s1")
+        shared.set_cell(a, library.cell("alu1"))
+        shared.merge_instances(a, s)
+        regs = solution.clone()
+        keep, absorb = list(regs.reg_signals)[:2]
+        regs.merge_registers(keep, absorb)
+        swapped = solution.clone()
+        swapped.set_cell(swapped.instance_of("m1"), library.cell("mult2"))
+        batched = [shared, regs]
+        ctx.evaluate_batch([(c, base) for c in batched])
+        for candidate in batched + [swapped]:
+            ctx.evaluate(candidate, base)
+
+        assert ctx.telemetry.cache_misses == 4
+        assert shared._netlist.instance_blocks[a].multi  # a shared unit has muxes
 
 
 class TestObjectiveValue:

@@ -8,10 +8,12 @@ import pytest
 
 from repro.dfg import Operation
 from repro.errors import SynthesisError
-from repro.synthesis import Solution
+from repro.synthesis import Solution, build_netlist
 from repro.synthesis.context import SynthesisEnv
 from repro.synthesis.initial import initial_solution
 from repro.synthesis.moves import _min_schedule_length
+
+from tests.reference_netlist import eager_build_netlist
 
 
 @pytest.fixture
@@ -208,14 +210,58 @@ def _timing(solution) -> tuple:
     )
 
 
+def _parent_format_blob(solution) -> bytes:
+    """*solution* pickled as the release before netlist blocks did: its
+    ``__dict__`` without the task caches, and no ``_netlist``."""
+
+    class ParentPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is not solution:
+                return NotImplemented
+            dropped = ("_tasks", "_task_index", "_blocks", "_netlist")
+            state = {k: v for k, v in obj.__dict__.items() if k not in dropped}
+            return copyreg.__newobj__, (Solution,), state
+
+    buf = io.BytesIO()
+    ParentPickler(buf, pickle.HIGHEST_PROTOCOL).dump(solution)
+    return buf.getvalue()
+
+
+def _assert_reference_netlist(solution) -> None:
+    got = build_netlist(solution)
+    want = eager_build_netlist(solution)
+    assert got.area(solution.library) == want.area(solution.library)
+    assert got.components() == want.components()
+    assert got.connections() == want.connections()
+
+
 class TestPickle:
     def test_task_caches_are_not_pickled(self, solution, library):
         solution.tasks()
+        build_netlist(solution)
         solution.set_cell(solution.instance_of("m1"), library.cell("mult2"))
         state = solution.__getstate__()
-        assert not {"_tasks", "_task_index", "_blocks"} & set(state)
+        assert not {"_tasks", "_task_index", "_blocks", "_netlist"} & set(state)
         loaded = pickle.loads(pickle.dumps(solution))
         assert _timing(loaded) == _timing(solution)
+        assert loaded._netlist is None
+
+    def test_solution_pickled_before_netlist_blocks(self, solution, library):
+        """A store's solution from the release before netlist blocks loads,
+        clones, takes a move and builds the reference netlist."""
+        build_netlist(solution)
+        loaded = pickle.loads(_parent_format_blob(solution))
+        assert loaded._netlist is None
+        _assert_reference_netlist(loaded)
+
+        clone = loaded.clone()
+        a, s = clone.instance_of("a1"), clone.instance_of("s1")
+        clone.set_cell(a, library.cell("alu1"))
+        clone.merge_instances(a, s)
+        regs = list(clone.reg_signals)
+        clone.merge_registers(regs[0], regs[1])
+        _assert_reference_netlist(clone)
+        assert build_netlist(clone).mux_legs() >= 1
 
     @pytest.mark.parametrize("cached", ["tasks", "none", "stale"])
     def test_solution_pickled_before_task_blocks(self, solution, library, cached):
