@@ -99,6 +99,11 @@ def render_stats(
             for kind, n in sorted(telemetry.moves_materialized.items())
         )
         rows.append(("moves materialized", materialized))
+    if telemetry.moves_embedded:
+        embedded = " / ".join(
+            f"{kind}: {n}" for kind, n in sorted(telemetry.moves_embedded.items())
+        )
+        rows.append(("moves embedded", embedded))
     if telemetry.moves_pruned:
         pruned = " / ".join(
             f"{family}: {n}" for family, n in sorted(telemetry.moves_pruned.items())

@@ -99,6 +99,10 @@ class LRUCache(Generic[K, V]):
     def __setitem__(self, key: K, value: V) -> None:
         self.put(key, value)
 
+    def discard(self, key: K) -> None:
+        """Drop ``key`` if present (no counters touched)."""
+        self._data.pop(key, None)
+
     def clear(self) -> None:
         """Drop all entries (hit/miss counters are preserved)."""
         self._data.clear()

@@ -33,19 +33,24 @@ float operations a fresh one would.  What decides reuse is an
 * register — (written signals in availability order, width): these
   determine the write-value stream.
 
-Notably the keys exclude the bound cell and the schedule length: an
-A-cell swap reuses the touched instance's own activity (same operands,
-different cell), and a schedule shift reuses every register's write
-activity while the idle-clocking arithmetic is replayed with the new
-length.  The keys are built from the candidate's own (cheaply
-recomputed) netlist and schedule, so any side effect a move has on an
-untouched resource — a register merge reordering writes, a serialization
-change on a shared unit — changes that resource's key and forces
-recomputation.  Moves that can change the schedule length or the
-register-conflict set globally (type-B resynthesis, chain formation,
-module merges) carry no footprint at all and are priced from scratch;
-for footprinted moves, a wholesale key mismatch degenerates into the
-full evaluation automatically (counted as a delta fall-back).
+Notably the keys exclude the bound cell or module and the schedule
+length: an A-cell swap reuses the touched instance's own activity (same
+operands, different cell), a module swap (``A-module``, ``A-remerge``)
+likewise reuses the instance's interleaved input activity and replays
+the new module's per-execution energy, and a schedule shift reuses
+every register's write activity while the idle-clocking arithmetic is
+replayed with the new length.  The keys are built from the candidate's
+own (cheaply recomputed) netlist and schedule, so any side effect a
+move has on an untouched resource — a register merge reordering
+writes, a serialization change on a shared unit, a module profile that
+moves its consumers — changes that resource's key and forces
+recomputation.  Cell swaps, module swaps, FU and register shares and
+splits carry a footprint and are priced by delta.  Moves that can
+change the schedule length or the register-conflict set globally
+(type-B resynthesis, chain formation, module shares and embeddings)
+carry none and are priced from scratch; for footprinted moves, a
+wholesale key mismatch degenerates into the full evaluation
+automatically (counted as a delta fall-back).
 """
 
 from __future__ import annotations

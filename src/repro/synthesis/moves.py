@@ -105,8 +105,10 @@ class Candidate:
         #: Touched-resource footprint of a *local* move — one whose
         #: effects on the cost are confined to the named instances/
         #: registers plus cheap structural terms (muxes, wiring,
-        #: controller).  ``None`` marks a global move (resynthesis,
-        #: chain formation, module merges, ...) that must always be
+        #: controller).  Cell and module swaps (``A-cell``,
+        #: ``A-module``, ``A-remerge``) name the one instance whose cell
+        #: or module they change.  ``None`` marks a global move
+        #: (resynthesis, chain formation, module merges, ...) that is
         #: priced from scratch: those can change the schedule length or
         #: the register-conflict set wholesale.  Only footprinted
         #: candidates are delta-priced against the current solution's
@@ -492,6 +494,7 @@ def _module_replacements(
                     description=f"{inst_id}: {inst.module.name} -> {module.name}",
                     solution=clone,
                     touched=frozenset({inst_id}),
+                    footprint=frozenset({inst_id}),
                 )
             )
     return out
@@ -546,9 +549,8 @@ def _merged_module_rebuild(
     merged = picks[0]
     for module in picks[1:]:
         merged = merge_modules(merged, module)
+        env.telemetry.count_move_embedded("A-remerge")
     if merged.name == inst.module.name:
-        return None
-    if not all(merged.supports(b) for b in behaviors):
         return None
     if not _ports_match(solution, inst_id, merged):
         return None
@@ -559,6 +561,7 @@ def _merged_module_rebuild(
         description=f"{inst_id}: re-embed from library corners ({merged.name})",
         solution=clone,
         touched=frozenset({inst_id}),
+        footprint=frozenset({inst_id}),
     )
 
 
@@ -644,7 +647,6 @@ def sharing_candidates(
     chain formation are library-/DFG-bounded and stay on the shared
     Python helpers in both modes.
     """
-    config = env.config
     out: list[Candidate] = []
     if view is not None:
         out.extend(view.fu_sharing())
@@ -653,7 +655,9 @@ def sharing_candidates(
         out.extend(_fu_sharing(env, solution, locked))
         out.extend(_register_sharing(env, solution, locked))
     out.extend(
-        _module_sharing(env, solution, locked)[: max(1, config.max_share_pairs // 2)]
+        _module_sharing(
+            env, solution, locked, max(1, env.config.max_share_pairs // 2)
+        )
     )
     out.extend(_chain_formation(env, solution, locked))
     return out
@@ -758,8 +762,17 @@ def _register_sharing(
 
 
 def _module_sharing(
-    env: SynthesisEnv, solution: Solution, locked: frozenset[str]
+    env: SynthesisEnv, solution: Solution, locked: frozenset[str], budget: int
 ) -> list[Candidate]:
+    """Module pairs in instance order, stopping at *budget* candidates.
+
+    A pair whose first module already supports every behavior bound to
+    the second shares that module (``C-share-module``); any other pair
+    is RTL-embedded (``C-embed``).  The loop returns as soon as it holds
+    *budget* candidates, so no pair past the cut is cloned or embedded.
+    ``merge_modules`` supports every behavior of both constituents, so
+    an embedding always yields a candidate.
+    """
     modules = [
         inst_id
         for inst_id, inst in solution.instances.items()
@@ -771,9 +784,7 @@ def _module_sharing(
             mod_a = solution.instances[a].module
             mod_b = solution.instances[b].module
             assert mod_a is not None and mod_b is not None
-            behaviors_b = _bound_behaviors(solution, b)
-            behaviors_a = _bound_behaviors(solution, a)
-            if all(mod_a.supports(x) for x in behaviors_b):
+            if all(mod_a.supports(x) for x in _bound_behaviors(solution, b)):
                 clone = solution.clone()
                 clone.merge_instances(a, b)
                 out.append(
@@ -786,10 +797,7 @@ def _module_sharing(
                 )
             elif env.config.enable_embedding:
                 merged = merge_modules(mod_a, mod_b)
-                if not all(
-                    merged.supports(x) for x in behaviors_a + behaviors_b
-                ):
-                    continue
+                env.telemetry.count_move_embedded("C-embed")
                 clone = solution.clone()
                 clone.set_module(a, merged)
                 clone.merge_instances(a, b)
@@ -803,6 +811,10 @@ def _module_sharing(
                         touched=frozenset({a, b}),
                     )
                 )
+            else:
+                continue
+            if len(out) >= budget:
+                return out
     return out
 
 

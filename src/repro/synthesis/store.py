@@ -45,6 +45,13 @@ Per-tier hit/miss/eviction counters are written into the bound
 :class:`~repro.telemetry.Telemetry` (``store_hits``/``store_misses``/
 ``store_evictions``, keyed ``"{tier}.{namespace}"``) and surface in
 ``--stats`` and trace reports.
+
+A damaged store never breaks synthesis.  A blob that does not unpickle
+(garbage bytes, a class that no longer exists) is a miss counted under
+``corrupt.{namespace}``: it is dropped from the run and persistent
+tiers, so the recomputed value takes its place.  A database that does
+not open leaves the store on its memory tiers, counted as one
+``fallback.persistent`` miss.  Each of the two warns once per store.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import re
 import sqlite3
 import threading
 import time
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -304,6 +312,8 @@ class SynthesisStore:
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._evictions: dict[str, int] = {}
+        #: Damage kinds ("corrupt", "fallback") already warned about.
+        self._warned: set[str] = set()
         if self.persistent:
             try:
                 self._dbs = self._open_dbs(shards)
@@ -315,6 +325,13 @@ class SynthesisStore:
                     db.close()
                 self._dbs = []
                 self.persistent = False
+                self._tick(self._misses, "fallback.persistent")
+                self._warn_once(
+                    "fallback",
+                    "synthesis store: the database under the cache "
+                    "directory does not open; only the in-memory tiers "
+                    "are used",
+                )
 
     @classmethod
     def from_config(cls, config: "SynthesisConfig") -> "SynthesisStore":
@@ -389,6 +406,39 @@ class SynthesisStore:
     def _tick(self, counters: dict[str, int], key: str) -> None:
         counters[key] = counters.get(key, 0) + 1
 
+    def _warn_once(self, kind: str, message: str) -> None:
+        if kind not in self._warned:
+            self._warned.add(kind)
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+    def _unpickle(self, blob_key: tuple[str, str], blob: bytes) -> Any:
+        """Unpickle a stored blob, or :data:`MISSING` when it does not.
+
+        A blob that fails to load (garbage bytes, a truncated write, a
+        class that no longer exists) is a miss counted under
+        ``corrupt.{ns}``.  It is dropped from the run tier and the
+        persistent tier, so the caller's recomputed :meth:`put` stores
+        a good blob in its place.
+        """
+        try:
+            return pickle.loads(blob)
+        except Exception:
+            with self._lock:
+                self._tick(self._misses, f"corrupt.{blob_key[0]}")
+                self._run.discard(blob_key)
+                # Delete only these bytes: a concurrent writer's good
+                # blob under the same key is left alone.
+                self._db_write(
+                    "DELETE FROM store WHERE ns = ? AND key = ? AND value = ?",
+                    blob_key, blob,
+                )
+            self._warn_once(
+                "corrupt",
+                "synthesis store: a stored entry does not load; it is "
+                "recomputed and replaced (see the corrupt.* store counters)",
+            )
+            return MISSING
+
     def _digest(self, content: tuple) -> str:
         """Memoized :func:`digest_content` (same object → cached digest)."""
         entry = self._digest_memo.get(id(content))
@@ -428,7 +478,8 @@ class SynthesisStore:
         through *decode* when given (module loads route through
         ``SynthesisEnv.adopt_loaded_module`` to keep generated-name
         sequences consistent), installed into the point tier under
-        *key*, and returned; otherwise :data:`MISSING`.
+        *key*, and returned; otherwise :data:`MISSING`.  A blob that
+        does not unpickle is a counted miss (see :meth:`_unpickle`).
         """
         blob_key = (ns, self._digest(content))
         with self._lock:
@@ -442,7 +493,9 @@ class SynthesisStore:
                     self._run_put(blob_key, blob)
         if blob is None:
             return MISSING
-        value = pickle.loads(blob)
+        value = self._unpickle(blob_key, blob)
+        if value is MISSING:
+            return MISSING
         if decode is not None:
             value = decode(value)
         with self._lock:
@@ -503,7 +556,7 @@ class SynthesisStore:
                     self._run_put(blob_key, blob)
         if blob is None:
             return MISSING
-        return pickle.loads(blob)
+        return self._unpickle(blob_key, blob)
 
     def replace(self, ns: str, content: tuple, value: Any) -> None:
         """Store *value* under *content*, overwriting any previous value.

@@ -64,6 +64,11 @@ class Telemetry:
     #: until pricing, so the gap between the two counters is the
     #: number of clones lazy materialization avoided.
     moves_materialized: dict[str, int] = field(default_factory=dict)
+    #: ``merge_modules`` calls (RTL embeddings) made by discovery, keyed
+    #: by the kind of candidate they were made for (``"C-embed"``,
+    #: ``"A-remerge"``).  Module sharing stops at its budget, so every
+    #: ``C-embed`` embedding becomes a discovered candidate.
+    moves_embedded: dict[str, int] = field(default_factory=dict)
     #: Operating points explored / skipped as structurally hopeless.
     points_explored: int = 0
     points_skipped: int = 0
@@ -109,6 +114,10 @@ class Telemetry:
         """Record ``n`` candidate solutions actually cloned/built."""
         self.moves_materialized[kind] = self.moves_materialized.get(kind, 0) + n
 
+    def count_move_embedded(self, kind: str, n: int = 1) -> None:
+        """Record ``n`` RTL embeddings made while discovering ``kind``."""
+        self.moves_embedded[kind] = self.moves_embedded.get(kind, 0) + n
+
     def add_time(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock seconds against a named stage."""
         self.stage_s[stage] = self.stage_s.get(stage, 0.0) + seconds
@@ -150,6 +159,8 @@ class Telemetry:
             self.moves_materialized[kind] = (
                 self.moves_materialized.get(kind, 0) + n
             )
+        for kind, n in other.moves_embedded.items():
+            self.moves_embedded[kind] = self.moves_embedded.get(kind, 0) + n
         self.verify_checks += other.verify_checks
         self.verify_failures += other.verify_failures
         for stage, s in other.stage_s.items():
@@ -181,6 +192,7 @@ class Telemetry:
             "moves_pruned": dict(sorted(self.moves_pruned.items())),
             "moves_discovered": dict(sorted(self.moves_discovered.items())),
             "moves_materialized": dict(sorted(self.moves_materialized.items())),
+            "moves_embedded": dict(sorted(self.moves_embedded.items())),
             "verify": {
                 "checks": self.verify_checks,
                 "failures": self.verify_failures,

@@ -16,6 +16,7 @@ from tests.designs import (
     make_butterfly_design,
     make_flat_design,
     make_flat_dfg,
+    make_mixed_module_design,
     sim_for,
 )
 
@@ -63,3 +64,32 @@ def flat_sim(flat_design):
 @pytest.fixture
 def butterfly_sim(butterfly_design):
     return sim_for(butterfly_design)
+
+
+@pytest.fixture
+def mixed_design() -> Design:
+    return make_mixed_module_design()
+
+
+@pytest.fixture
+def mixed_library(mixed_design):
+    """A complex-module library generated for the mixed-module design.
+
+    Two corners per behavior, so every module instance has a library
+    alternative to swap to.
+    """
+    from repro.synthesis import SynthesisConfig
+    from repro.synthesis.library_gen import build_complex_library
+
+    return build_complex_library(
+        mixed_design,
+        default_library(),
+        laxity_factors=(1.5,),
+        config=SynthesisConfig(max_moves=4, max_passes=1, n_clocks=1),
+        n_samples=16,
+    )
+
+
+@pytest.fixture
+def mixed_sim(mixed_design):
+    return sim_for(mixed_design, n=16)

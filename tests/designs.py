@@ -19,6 +19,7 @@ __all__ = [
     "make_butterfly_design",
     "make_flat_design",
     "make_flat_dfg",
+    "make_mixed_module_design",
     "sim_for",
 ]
 
@@ -41,6 +42,38 @@ def make_butterfly_design() -> Design:
 
     design = Design("bf_design")
     design.add_dfg(butterfly)
+    design.add_dfg(t.build(), top=True)
+    return design
+
+
+def make_mixed_module_design() -> Design:
+    """Two butterflies and a multiply-accumulate under one top.
+
+    The two butterfly instances can share one module, while a butterfly
+    and the multiply-accumulate can only be merged by RTL embedding, so
+    module discovery on this design reaches every module move kind.
+    """
+    b = GraphBuilder("butterfly")
+    a, c = b.inputs("a", "b")
+    b.output("o0", b.add(a, c, name="badd"))
+    b.output("o1", b.sub(a, c, name="bsub"))
+    butterfly = b.build()
+
+    m = GraphBuilder("mac")
+    a, c, d = m.inputs("a", "b", "c")
+    m.output("o", m.add(m.mult(a, c, name="mm"), d, name="ma"))
+    mac = m.build()
+
+    t = GraphBuilder("mixed_top")
+    x, y, z, w = t.inputs("x", "y", "z", "w")
+    h1 = t.hier("butterfly", x, y, n_outputs=2, name="h1")
+    h2 = t.hier("butterfly", z, w, n_outputs=2, name="h2")
+    h3 = t.hier("mac", h1[0], h2[0], h1[1], name="h3")
+    t.output("out", t.add(h3, h2[1], name="s1"))
+
+    design = Design("mixed_module_design")
+    design.add_dfg(butterfly)
+    design.add_dfg(mac)
     design.add_dfg(t.build(), top=True)
     return design
 

@@ -59,3 +59,26 @@ class TestAllBenchmarksSynthesize:
         )
         assert result.metrics.feasible
         result.solution.check_invariants()
+
+
+class TestModuleDiscovery:
+    def test_every_embedding_is_discovered(self):
+        """Hierarchical dct, as ``repro synth`` runs it with the quick
+        config: module sharing stops at its budget, so each RTL
+        embedding it makes is a discovered ``C-embed`` candidate."""
+        from repro.library import default_library
+        from repro.reporting.sweep import quick_config
+        from repro.synthesis.library_gen import build_complex_library
+
+        design = get_benchmark("dct")
+        config = quick_config()
+        library = build_complex_library(design, default_library(), config=config)
+        result = synthesize(
+            design, library, laxity_factor=2.2, objective="power", config=config
+        )
+        telemetry = result.telemetry
+        assert telemetry.moves_discovered["C-embed"] > 0
+        assert (
+            telemetry.moves_embedded["C-embed"]
+            == telemetry.moves_discovered["C-embed"]
+        )

@@ -21,6 +21,8 @@ from repro.power import speech_traces
 from repro.rtl import DatapathNetlist, emit_netlist
 from repro.synthesis import Solution, SynthesisConfig, synthesize
 
+from tests.unit.test_store import _GONE_CLASS, _overwrite_blobs
+
 SEED = 11
 SAMPLES = 24
 LAXITY = 2.2
@@ -301,6 +303,41 @@ class TestObjectiveSeparation:
         _run("test1", tmp_path, objective="power")
         area_warm = _run("test1", tmp_path, objective="area")
         assert _identity(area_warm) == _identity(baseline)
+
+
+def _truncate(cache_dir, _blob):
+    path = cache_dir / "synthesis_store.sqlite"
+    path.write_bytes(path.read_bytes()[:100])
+
+
+class TestDamagedStore:
+    """A damaged store degrades to recomputation: the run finishes with
+    exactly the result of an uncached run (untraced, so the metrics
+    namespace is in play next to module, resynth and schedule)."""
+
+    @pytest.mark.parametrize(
+        "damage, blob, warning",
+        [
+            (_overwrite_blobs, b"\x00garbage bytes\xff", "does not load"),
+            (_overwrite_blobs, _GONE_CLASS, "does not load"),
+            (_truncate, None, "does not open"),
+        ],
+        ids=["garbage-blobs", "gone-class", "truncated-db"],
+    )
+    def test_damaged_store_matches_uncached_run(
+        self, tmp_path, damage, blob, warning
+    ):
+        uncached = _run("test1", None, trace=False)
+        _run("test1", tmp_path, trace=False)
+        damage(tmp_path, blob)
+        with pytest.warns(RuntimeWarning, match=warning):
+            damaged = _run("test1", tmp_path, trace=False)
+        assert _identity(damaged) == _identity(uncached)
+        misses = damaged.telemetry.store_misses
+        if blob is None:
+            assert misses["fallback.persistent"] == 1
+        else:
+            assert {"corrupt.module", "corrupt.schedule"} <= set(misses)
 
 
 @pytest.mark.slow

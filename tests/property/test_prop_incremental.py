@@ -11,6 +11,9 @@ two :class:`~repro.synthesis.costs.Metrics` to be *equal*, not close.
 Also checks the pruning lower bound (`_min_schedule_length` must never
 exceed the real schedule length) and that pruning never changes the
 winner `_best` picks.
+
+Hierarchical rounds add a generated complex-module library, so module
+swaps (``A-module``, ``A-remerge``) are priced by delta too.
 """
 
 import random
@@ -29,6 +32,7 @@ from repro.synthesis.context import SynthesisConfig, SynthesisEnv  # noqa: E402
 from repro.synthesis.improve import _best  # noqa: E402
 from repro.synthesis.incremental import evaluate_solution  # noqa: E402
 from repro.synthesis.initial import initial_solution  # noqa: E402
+from repro.synthesis.library_gen import build_complex_library  # noqa: E402
 from repro.synthesis.moves import (  # noqa: E402
     _min_schedule_length,
     prune_candidates,
@@ -39,12 +43,37 @@ from repro.synthesis.moves import (  # noqa: E402
 
 ROUND_SEEDS = (0, 1, 2, 5)
 
+#: Round seeds whose designs call two behaviors from the top (0, 6, 12)
+#: or one behavior four times (3).
+HIER_ROUND_SEEDS = (0, 3, 6, 12)
 
-def _round(seed):
-    """Deterministic (env, solution, sim, candidates) for one round seed."""
+
+def _all_candidates(env, solution, sim):
+    candidates = []
+    candidates += type_a_b_candidates(env, solution, sim, frozenset())
+    candidates += sharing_candidates(env, solution, sim, frozenset())
+    candidates += splitting_candidates(env, solution, sim, frozenset())
+    return candidates
+
+
+def _round(seed, complex_library=False):
+    """Deterministic (env, solution, sim, candidates) for one round seed.
+
+    With *complex_library*, the design's behaviors are synthesized into
+    a complex-module library first, so module instances have library
+    alternatives.
+    """
     rng = random.Random(seed)
     design = random_design(rng)
     library = default_library()
+    if complex_library:
+        library = build_complex_library(
+            design,
+            library,
+            laxity_factors=(1.5,),
+            config=SynthesisConfig(max_moves=4, max_passes=1, n_clocks=1),
+            n_samples=12,
+        )
     top = design.top
     traces = white_traces(top, n=12, seed=seed)
     sim = simulate_subgraph(design, top, [traces[n] for n in top.inputs])
@@ -52,11 +81,7 @@ def _round(seed):
     objective = rng.choice(("area", "power"))
     env = SynthesisEnv(design, library, objective, config)
     solution = initial_solution(env, top, sim, 10.0, 5.0, 2000.0)
-    candidates = []
-    candidates += type_a_b_candidates(env, solution, sim, frozenset())
-    candidates += sharing_candidates(env, solution, sim, frozenset())
-    candidates += splitting_candidates(env, solution, sim, frozenset())
-    return env, solution, sim, candidates
+    return env, solution, sim, _all_candidates(env, solution, sim)
 
 
 @pytest.mark.parametrize("seed", ROUND_SEEDS)
@@ -74,6 +99,43 @@ def test_delta_equals_full_for_every_candidate(seed):
             # them against a base here must still be exact (it was).
             continue
         assert 0 <= reused <= terms
+
+
+_MODULE_SWAPS = ("A-module", "A-remerge")
+
+
+@pytest.mark.parametrize("seed", HIER_ROUND_SEEDS)
+def test_module_swaps_delta_equals_full(seed):
+    """Every module swap prices by delta exactly as from scratch.
+
+    Swaps are taken on the round's solution and, when it has one, on
+    the solution after its first RTL embedding, whose merged instance
+    runs two behaviors (the only place ``A-remerge`` arises).
+    """
+    env, solution, sim, candidates = _round(seed, complex_library=True)
+    ctx = env.context(sim)
+    bases = [(solution, candidates)]
+    embeds = [c for c in candidates if c.kind == "C-embed"]
+    if embeds:
+        merged = embeds[0].solution
+        bases.append((merged, _all_candidates(env, merged, sim)))
+    priced = set()
+    for parent, cands in bases:
+        _m, base, _r, _t = evaluate_solution(ctx, parent, None)
+        for cand in cands:
+            if cand.kind not in _MODULE_SWAPS:
+                continue
+            assert cand.footprint is not None, cand.kind
+            delta, _b, reused, terms = evaluate_solution(
+                ctx, cand.solution, base
+            )
+            full, _b2, _r2, _t2 = evaluate_solution(ctx, cand.solution, None)
+            assert delta == full, f"seed {seed}: {cand.description}"
+            assert 0 < reused <= terms, f"seed {seed}: {cand.description}"
+            priced.add(cand.kind)
+    assert "A-module" in priced
+    if embeds:
+        assert "A-remerge" in priced
 
 
 @pytest.mark.parametrize("seed", ROUND_SEEDS)

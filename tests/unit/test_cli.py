@@ -297,8 +297,9 @@ class TestCachePrune:
     def test_prune_missing_store_fails(self, tmp_path, capsys):
         target = tmp_path / "not-a-dir"
         target.write_text("file in the way")
-        code = main(["cache", "prune", "--cache-dir", str(target / "sub"),
-                     "--max-entries", "2"])
+        with pytest.warns(RuntimeWarning, match="does not open"):
+            code = main(["cache", "prune", "--cache-dir", str(target / "sub"),
+                         "--max-entries", "2"])
         assert code == 1
         assert "no usable store" in capsys.readouterr().err
 

@@ -29,12 +29,27 @@ def setup(flat_design, library, flat_sim):
     return env, sol, flat_sim
 
 
+@pytest.fixture
+def hier_setup(mixed_design, mixed_library, mixed_sim):
+    env = SynthesisEnv(mixed_design, mixed_library, "power", SynthesisConfig())
+    sol = initial_solution(env, mixed_design.top, mixed_sim, 10.0, 5.0, 2000.0)
+    return env, sol, mixed_sim
+
+
 def _all_candidates(env, sol, sim):
     out = []
     out += type_a_b_candidates(env, sol, sim, frozenset())
     out += sharing_candidates(env, sol, sim, frozenset())
     out += splitting_candidates(env, sol, sim, frozenset())
     return out
+
+
+def _module_candidates(env, sol, sim):
+    """Every candidate of *sol* and of its first RTL embedding, whose
+    merged instance runs two behaviors and so offers an ``A-remerge``."""
+    out = _all_candidates(env, sol, sim)
+    embed = next(c for c in out if c.kind == "C-embed")
+    return out + _all_candidates(env, embed.solution, sim)
 
 
 class TestHashedKey:
@@ -178,16 +193,22 @@ class TestFallbackTriggers:
             assert b2.reg[reg_id][0] == base.reg[reg_id][0]
         assert m2.report.register_energy != m1.report.register_energy
 
-    def test_global_moves_have_no_footprint(self, setup):
-        env, sol, sim = setup
-        for cand in _all_candidates(env, sol, sim):
+    def test_global_moves_have_no_footprint(self, setup, hier_setup):
+        cands = _all_candidates(*setup)
+        hier = _module_candidates(*hier_setup)
+        assert {"A-module", "A-remerge", "B-resynth", "C-share-module",
+                "C-embed"} <= {c.kind for c in hier}
+        for cand in cands + hier:
             if cand.kind in ("B-resynth", "C-chain", "C-chain3", "C-embed",
-                             "A-module", "A-remerge", "C-share-module",
-                             "D-unchain"):
+                             "C-share-module", "D-unchain"):
                 assert cand.footprint is None, cand.kind
             if cand.kind in ("A-cell", "C-share-fu", "C-share-reg",
                              "D-split-fu", "D-split-reg"):
                 assert cand.footprint is not None, cand.kind
+            if cand.kind in ("A-module", "A-remerge"):
+                # A module swap changes the module of one instance.
+                assert cand.footprint == cand.touched, cand.kind
+                assert len(cand.footprint) == 1, cand.kind
 
 
 class TestEvaluateTelemetry:
@@ -208,6 +229,23 @@ class TestEvaluateTelemetry:
         ctx.evaluate(cands[0].solution, base=base)
         assert tel.delta_hits == 1
         assert tel.delta_hit_rate == pytest.approx(0.5)
+
+    def test_module_swaps_price_by_delta(self, hier_setup):
+        env, sol, sim = hier_setup
+        ctx = env.context(sim)
+        tel = ctx.telemetry
+        ctx.evaluate(sol)
+        base = ctx.breakdown_of(sol)
+        swaps = [
+            c for c in _all_candidates(env, sol, sim) if c.kind == "A-module"
+        ]
+        assert swaps
+        best = _best(ctx, swaps, base=base)
+        assert best is not None
+        assert tel.full_evals == 1  # only the base solution
+        assert tel.delta_hits == tel.cache_misses - 1
+        full = evaluate_solution(ctx, best.candidate.solution, None)[0]
+        assert ctx.evaluate(best.candidate.solution) == full
 
     def test_cache_hit_skips_classification(self, setup):
         env, sol, sim = setup

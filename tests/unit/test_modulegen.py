@@ -59,7 +59,7 @@ class TestCharacterize:
 
 
 class TestMergeModules:
-    def test_union_of_behaviors(self, sub_solution):
+    def test_union_of_behaviors(self, sub_solution, butterfly_design, library):
         sol, sim = sub_solution
         m1 = characterize_module("bf1", "butterfly", sol, sim, ())
         m2 = characterize_module("bf2", "other_beh", sol, sim, ())
@@ -67,6 +67,21 @@ class TestMergeModules:
         assert merged.supports("butterfly")
         assert merged.supports("other_beh")
         assert not merged.resynthesizable
+        # A constituent that is itself a merge keeps all its behaviors,
+        # each with its own profile: module discovery relies on this and
+        # checks nothing after a merge.  The third module is
+        # characterized at another clock, so its profile differs.
+        env = SynthesisEnv(butterfly_design, library, "power")
+        slow = initial_solution(env, sol.dfg, sim, 20.0, 5.0, 400.0)
+        m3 = characterize_module("bf3", "third_beh", slow, sim, ())
+        assert m3.profile() != m1.profile()
+        for triple in (merge_modules(merged, m3), merge_modules(m3, merged)):
+            assert sorted(triple.behaviors()) == [
+                "butterfly", "other_beh", "third_beh"
+            ]
+            for source in (m1, m2, m3):
+                (behavior,) = source.behaviors()
+                assert triple.profile(behavior) == source.profile(behavior)
 
     def test_profiles_preserved(self, sub_solution):
         sol, sim = sub_solution

@@ -7,7 +7,10 @@ from repro.power import simulate_subgraph, speech_traces
 from repro.synthesis import EvaluationContext
 from repro.synthesis.context import SynthesisConfig, SynthesisEnv
 from repro.synthesis.initial import initial_solution
+from repro.synthesis.modulegen import merge_modules
 from repro.synthesis.moves import (
+    _bound_behaviors,
+    _module_sharing,
     normalize_registers,
     sharing_candidates,
     splitting_candidates,
@@ -179,6 +182,76 @@ class TestModuleMoves:
         for cand in resynth:
             cand.solution.check_invariants()
             assert cand.solution.is_feasible()
+
+
+def _unbounded_module_sharing(env, solution, locked):
+    """Reference: every unlocked module pair, in instance order.
+
+    The enumeration ``_module_sharing`` made before it took a budget:
+    it clones (and, for pairs of different behaviors, RTL-embeds) every
+    pair, and the caller kept a prefix.
+    """
+    modules = [
+        inst_id
+        for inst_id, inst in solution.instances.items()
+        if inst.is_module and inst_id not in locked and solution.executions[inst_id]
+    ]
+    out = []
+    for i, a in enumerate(modules):
+        for b in modules[i + 1:]:
+            mod_a = solution.instances[a].module
+            mod_b = solution.instances[b].module
+            behaviors_a = _bound_behaviors(solution, a)
+            behaviors_b = _bound_behaviors(solution, b)
+            if all(mod_a.supports(x) for x in behaviors_b):
+                clone = solution.clone()
+                clone.merge_instances(a, b)
+                out.append(("C-share-module",
+                            f"share module: {b} -> {a} ({mod_a.name})",
+                            frozenset({a, b}), clone.fingerprint_key()))
+            elif env.config.enable_embedding:
+                merged = merge_modules(mod_a, mod_b)
+                assert all(merged.supports(x) for x in behaviors_a + behaviors_b)
+                clone = solution.clone()
+                clone.set_module(a, merged)
+                clone.merge_instances(a, b)
+                out.append(("C-embed",
+                            f"RTL-embed: {mod_b.name} into {mod_a.name} on {a}",
+                            frozenset({a, b}), clone.fingerprint_key()))
+    return out
+
+
+class TestModuleSharingBudget:
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_first_n_of_unbounded_enumeration(
+        self, mixed_design, mixed_library, mixed_sim, budget
+    ):
+        env = SynthesisEnv(mixed_design, mixed_library, "power", SynthesisConfig())
+        sol = initial_solution(env, mixed_design.top, mixed_sim, 10.0, 5.0, 2000.0)
+        reference = _unbounded_module_sharing(env, sol, NONE_LOCKED)
+        # One pair shares a module, two need an embedding.
+        assert [kind for kind, *_ in reference] == [
+            "C-share-module", "C-embed", "C-embed"
+        ]
+        got = _module_sharing(env, sol, NONE_LOCKED, budget)
+        assert [
+            (c.kind, c.description, c.touched, c.fingerprint_key()) for c in got
+        ] == reference[:budget]
+        embedded = env.telemetry.moves_embedded.get("C-embed", 0)
+        assert embedded == sum(c.kind == "C-embed" for c in got) <= budget
+
+    def test_sharing_candidates_apply_the_family_budget(
+        self, mixed_design, mixed_library, mixed_sim
+    ):
+        config = SynthesisConfig(max_share_pairs=2)  # budget max(1, 2 // 2)
+        env = SynthesisEnv(mixed_design, mixed_library, "power", config)
+        sol = initial_solution(env, mixed_design.top, mixed_sim, 10.0, 5.0, 2000.0)
+        cands = sharing_candidates(env, sol, mixed_sim, NONE_LOCKED)
+        module_kinds = [
+            c.kind for c in cands if c.kind in ("C-share-module", "C-embed")
+        ]
+        assert module_kinds == ["C-share-module"]
+        assert env.telemetry.moves_embedded == {}
 
 
 class TestNormalizeRegisters:

@@ -1,6 +1,7 @@
 """Unit tests for the tiered synthesis store (repro.synthesis.store)."""
 
 import sqlite3
+import warnings
 
 import pytest
 
@@ -189,10 +190,95 @@ class TestPersistentTier:
         target.write_text("file in the way")
         with pytest.raises(Exception):
             target.joinpath("x").mkdir()  # sanity: path is unusable
-        store = SynthesisStore(cache_dir=str(target / "sub"))
+        with pytest.warns(RuntimeWarning, match="does not open"):
+            store = SynthesisStore(cache_dir=str(target / "sub"))
         assert not store.persistent
+        assert store.counters()["misses"] == {"fallback.persistent": 1}
         store.put("module", "k", ("c",), 1)  # still works in memory
         assert store.get("module", "k") == 1
+
+
+#: A pickle naming a class that does not exist (any more).
+_GONE_CLASS = b"\x80\x02crepro.synthesis.solution\nRemovedSolution\n)\x81."
+_GARBAGE = b"\x00not a pickle\xff"
+
+
+def _overwrite_blobs(cache_dir, blob: bytes) -> None:
+    db = sqlite3.connect(cache_dir / "synthesis_store.sqlite")
+    db.execute("UPDATE store SET value = ?", (blob,))
+    db.commit()
+    db.close()
+
+
+class TestDamagedStore:
+    """A damaged store is a counted miss, never an exception."""
+
+    @pytest.mark.parametrize("blob", [_GARBAGE, _GONE_CLASS],
+                             ids=["garbage", "gone-class"])
+    def test_fetch_turns_bad_blob_into_counted_miss(self, tmp_path, blob):
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        first.put("schedule", "k", ("c",), (1, 2, 3))
+        first.close()
+        _overwrite_blobs(tmp_path, blob)
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="does not load"):
+            assert store.fetch("schedule", "k", ("c",)) is MISSING
+        assert store.counters()["misses"]["corrupt.schedule"] == 1
+        # Dropped from both tiers: the recomputed value takes its place.
+        assert not store.contains("schedule", ("c",))
+        store.put("schedule", "k", ("c",), (1, 2, 3))
+        store.close()
+        fresh = SynthesisStore(cache_dir=str(tmp_path))
+        assert fresh.fetch("schedule", "k2", ("c",)) == (1, 2, 3)
+        fresh.close()
+
+    def test_load_turns_bad_blob_into_counted_miss(self, tmp_path):
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        first.replace("priors", ("p",), {"table": 1})
+        first.close()
+        _overwrite_blobs(tmp_path, _GARBAGE)
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning):
+            assert store.load("priors", ("p",)) is MISSING
+        assert store.counters()["misses"]["corrupt.priors"] == 1
+        store.close()
+
+    def test_warns_once_per_store(self, tmp_path):
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        for i in range(3):
+            first.put("schedule", f"k{i}", (f"c{i}",), i)
+        first.close()
+        _overwrite_blobs(tmp_path, _GARBAGE)
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i in range(3):
+                assert store.fetch("schedule", f"k{i}", (f"c{i}",)) is MISSING
+        assert len(caught) == 1
+        assert store.counters()["misses"]["corrupt.schedule"] == 3
+        store.close()
+
+    def test_truncated_database_falls_back_to_memory(self, tmp_path):
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        for i in range(50):
+            first.put("schedule", f"k{i}", (f"c{i}",), list(range(i)))
+        first.close()
+        path = tmp_path / "synthesis_store.sqlite"
+        path.write_bytes(path.read_bytes()[:100])
+
+        with pytest.warns(RuntimeWarning, match="does not open"):
+            store = SynthesisStore(cache_dir=str(tmp_path))
+        assert not store.persistent
+        assert store.counters()["misses"] == {"fallback.persistent": 1}
+        assert store.fetch("schedule", "k1", ("c1",)) is MISSING
+        store.put("schedule", "k1", ("c1",), [0])
+        assert store.fetch("schedule", "k9", ("c1",)) == [0]
+        telemetry = Telemetry()
+        store.bind(telemetry)
+        assert telemetry.store_misses["fallback.persistent"] == 1
 
 
 def _corpus_keys(n: int, base_seed: int = 11) -> list[tuple[str, tuple]]:

@@ -77,6 +77,21 @@ class TestMerge:
         assert clone == t
 
 
+class TestEmbeddedCounter:
+    def test_counted_per_kind_merged_and_exported(self):
+        a, b = Telemetry(), Telemetry()
+        a.count_move_embedded("C-embed", n=3)
+        b.count_move_embedded("C-embed")
+        b.count_move_embedded("A-remerge", n=2)
+        a.merge(b)
+        assert a.moves_embedded == {"C-embed": 4, "A-remerge": 2}
+        assert a.as_dict()["moves_embedded"] == {"A-remerge": 2, "C-embed": 4}
+        assert "A-remerge: 2 / C-embed: 4" in render_stats(a)
+
+    def test_render_omits_row_without_embeddings(self):
+        assert "moves embedded" not in render_stats(Telemetry())
+
+
 class TestAsDict:
     def test_plain_data(self):
         t = Telemetry(evaluations=4, cache_hits=1, cache_misses=3)
