@@ -20,44 +20,62 @@ resulting :class:`~repro.synthesis.costs.Metrics` are equal bit for
 bit.  Golden cost snapshots therefore do not move when incremental
 evaluation is switched on.
 
-What is reused is the *switching activity* of each resource — the only
-stream-derived (and therefore expensive) factor of its energy term.
-Everything downstream of the activity (cell energy at that activity,
-glitch surcharge, width scaling, idle clocking) is cheap arithmetic and
-is always replayed, so a reused activity flows through the identical
-float operations a fresh one would.  What decides reuse is an
-*activity key*, not the move's footprint:
+What is reused is decided per resource, in two tiers.
+
+**Identity.** A functional unit or module instance whose netlist block
+(:class:`~repro.synthesis.datapath_build.InstanceNetBlock`) is the very
+object its base entry was priced with, and whose serialization order
+(``ScheduleResult.instance_order``) is equal, carries its whole entry
+over: activity, energy or module addends.  The block is keyed by the
+``Instance`` object (its cell or module), a copy of its execution list
+and the sources of its signals, and holds the width and the multi-source
+ports the glitch count comes from; task ids are positions in that
+execution list.  So the same block with an equal order fixes every input
+of the term, and the header pins the DFG and the operating point.  A
+register holding one signal carries its activity and write energy when
+its :class:`~repro.synthesis.datapath_build.RegisterNetBlock` is the
+base's; only the idle-clocking arithmetic is replayed when the schedule
+length moved.  No key is built for a carried entry.
+
+**Activity key.** Every other resource compares an *activity key*
+against its base entry and reuses the switching activity — the only
+stream-derived (and therefore expensive) factor of its energy term —
+when the keys are equal:
 
 * functional unit / complex module — (executions in scheduled order,
   width): these determine the operand streams and their interleaving;
 * register — (written signals in availability order, width): these
   determine the write-value stream.
 
-Notably the keys exclude the bound cell or module and the schedule
-length: an A-cell swap reuses the touched instance's own activity (same
-operands, different cell), a module swap (``A-module``, ``A-remerge``)
-likewise reuses the instance's interleaved input activity and replays
-the new module's per-execution energy, and a schedule shift reuses
-every register's write activity while the idle-clocking arithmetic is
-replayed with the new length.  The keys are built from the candidate's
-own (cheaply recomputed) netlist and schedule, so any side effect a
-move has on an untouched resource — a register merge reordering
-writes, a serialization change on a shared unit, a module profile that
-moves its consumers — changes that resource's key and forces
-recomputation.  Cell swaps, module swaps, FU and register shares and
-splits carry a footprint and are priced by delta.  Moves that can
-change the schedule length or the register-conflict set globally
-(type-B resynthesis, chain formation, module shares and embeddings)
-carry none and are priced from scratch; for footprinted moves, a
-wholesale key mismatch degenerates into the full evaluation
-automatically (counted as a delta fall-back).
+Everything downstream of a key-matched activity (cell energy at that
+activity, glitch surcharge, width scaling, idle clocking) is replayed,
+so the reused activity flows through the identical float operations a
+fresh one would (or copied, when the energy signature matches too; see
+:class:`Breakdown`).  The keys exclude the bound cell or module and the
+schedule length: an A-cell swap reuses the touched instance's own
+activity (same operands, different cell), a module swap (``A-module``,
+``A-remerge``) likewise reuses the instance's interleaved input activity
+and replays the new module's per-execution energy, and a schedule shift
+reuses every register's write activity while the idle-clocking
+arithmetic is replayed with the new length.  Blocks, orders and keys are
+all taken from the candidate's own (cheaply rebuilt) netlist and
+schedule, so any side effect a move has on an untouched resource — a
+register merge reordering writes, a serialization change on a shared
+unit, a module profile that moves its consumers — changes that
+resource's block, order or key and forces recomputation.  Cell swaps,
+module swaps, FU and register shares and splits carry a footprint and
+are priced by delta.  Moves that can change the schedule length or the
+register-conflict set globally (type-B resynthesis, chain formation,
+module shares and embeddings) carry none and are priced from scratch;
+for footprinted moves, a wholesale mismatch degenerates into the full
+evaluation automatically (counted as a delta fall-back).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -87,33 +105,47 @@ __all__ = [
 
 @dataclass
 class Breakdown:
-    """Per-resource switching activities of one evaluated solution.
+    """Per-resource energy terms of one evaluated solution.
 
-    Each entry maps a resource id to ``(activity key, activity)``: the
-    key captures every input of the stream-driven activity computation
-    (the expensive factor of the resource's energy term), the value is
-    the float it produced.  A later evaluation reuses the activity when
-    — and only when — its own key is equal, then replays the cheap
-    energy arithmetic on top of it.  ``header`` pins the context the
-    activities were computed in (DFG identity and operating point); a
-    header mismatch discards the whole breakdown.
+    Entries are plain tuples whose first two fields are always the
+    *activity key* (every input of the stream-driven activity
+    computation, the expensive factor of the term) and the activity it
+    produced.  The rest of each entry is what the next evaluation needs
+    to carry the term over unchanged:
 
-    FU and register entries additionally carry ``(energy signature,
-    energy)``: the signature covers every input of the term's energy
-    arithmetic *beyond* the activity key and header (the cell and
-    glitch count for FUs, the schedule length for registers).  When a
-    later evaluation matches both the key and the signature, the term's
-    energy is the same pure function of the same inputs, so the cached
-    float is copied instead of recomputed — bit-identical by
-    construction, it merely skips re-running identical arithmetic.
+    * FU — ``(key, activity, block, order, energy sig, energy)``;
+    * module — ``(key, activity, block, order, addends)``, the addends
+      being the instance's ordered ``extra_energy`` contributions;
+    * register — ``(key, activity, block, energy sig, write energy,
+      energy)``.
+
+    ``block`` is the netlist block the term was priced with
+    (:class:`~repro.synthesis.datapath_build.InstanceNetBlock` or
+    :class:`~repro.synthesis.datapath_build.RegisterNetBlock`) and
+    ``order`` the instance's task ids in serialization order.  A later
+    evaluation copies an FU or module entry whole when its own block
+    *is* that block and its order is equal, and a one-signal register's
+    activity and write energy when its block is that block.  Otherwise
+    it compares keys: an equal key reuses the activity and replays the
+    energy arithmetic on top of it.  The energy signature covers every
+    input of that arithmetic *beyond* the key and header (the cell name
+    and glitch count for FUs; the schedule length and register cell
+    for registers); when both key and signature match, the cached
+    energy is the same pure function of the same inputs and is copied.
+    ``header`` pins the context the terms were computed in (DFG identity
+    and operating point); a header mismatch discards the whole
+    breakdown.
     """
 
     header: tuple
-    #: simple FU instance id → (key, activity, energy sig, energy).
+    #: simple FU instance id → (key, activity, block, order, energy
+    #: sig, energy).
     fu: dict[str, tuple] = field(default_factory=dict)
-    #: module instance id → (key, interleaved input activity).
-    module: dict[str, tuple[tuple, float]] = field(default_factory=dict)
-    #: register id → (key, activity, energy sig, energy).
+    #: module instance id → (key, interleaved input activity, block,
+    #: order, addends).
+    module: dict[str, tuple] = field(default_factory=dict)
+    #: register id → (key, activity, block, energy sig, write energy,
+    #: energy).
     reg: dict[str, tuple] = field(default_factory=dict)
 
 
@@ -163,7 +195,7 @@ def _header(solution: Solution) -> tuple:
 def _module_addends(
     solution: Solution,
     inst: Instance,
-    groups: list[tuple[str, ...]],
+    groups: tuple[tuple[str, ...], ...],
     input_activity: float,
     glitch_evals: int,
 ) -> tuple[float, ...]:
@@ -193,58 +225,28 @@ def _module_addends(
     return tuple(addends)
 
 
-class _StreamTerm(NamedTuple):
-    """One stream-derived energy term of a planned evaluation.
-
-    ``activity`` is set when the term's switching activity is already
-    known (reused from the base breakdown, or structurally zero);
-    otherwise ``ports`` indexes into the plan's activity-request list —
-    one request per operand port for FU/module terms, exactly one for
-    register terms.
-
-    A NamedTuple built positionally via ``_make`` (plain-tuple
-    construction): tens of thousands of terms are created per pricing
-    step, and a dataclass ``__init__`` costs ~1µs each.
-    """
-
-    kind: str  # "module" | "fu" | "reg"
-    res_id: str
-    key: tuple
-    width: int
-    reused: bool
-    activity: float | None
-    ports: tuple[int, ...]
-    # FU/module extras.
-    inst: Instance | None
-    groups: tuple[tuple[str, ...], ...]
-    glitch_evals: int
-    # Register extras.
-    n_writes: int
-    # Energy caching (FU/reg only): ``energy_sig`` covers the term's
-    # energy inputs beyond (header, key, activity); ``energy`` is the
-    # base's cached float when both key and sig matched, else None.
-    energy_sig: tuple
-    energy: float | None
-
-
 @dataclass
 class EvaluationPlan:
     """Everything :func:`finish_evaluation` needs except the activities.
 
     Produced by :func:`plan_evaluation`: the netlist has been rebuilt,
-    the schedule resolved, every stream-free term computed, and every
-    stream-derived term either matched against the base breakdown or
-    turned into entries of ``requests`` — the ``(streams, width)``
-    activity requests still to be priced.  Splitting the evaluator here
-    lets :meth:`~repro.synthesis.costs.EvaluationContext.evaluate_batch`
-    gather the requests of a whole candidate set and resolve them with
-    one batched kernel call before replaying each candidate's float
-    arithmetic unchanged.
+    the schedule resolved and every stream-free term computed.
+    ``breakdown`` already holds, in resource order, every entry carried
+    over from the base; each other resource holds a ``None`` placeholder
+    and one tuple in ``pending``, whose activity is either reused
+    (its key matched) or indexes into ``requests`` — the ``(streams,
+    width)`` activity requests still to be priced.  Splitting the
+    evaluator here lets :meth:`~repro.synthesis.costs.EvaluationContext.
+    evaluate_batch` gather the requests of a whole candidate set and
+    resolve them with one batched kernel call before replaying each
+    candidate's float arithmetic unchanged.
     """
 
     solution: Solution
-    header: tuple
-    terms: list[_StreamTerm]
+    breakdown: Breakdown
+    pending: list[tuple]
+    #: Stream-derived terms carried over or key-matched.
+    reused: int
     requests: list[tuple[list[np.ndarray], int]]
     area: float  # includes controller area
     schedule_length: int
@@ -255,6 +257,10 @@ class EvaluationPlan:
     controller_energy: float
 
 
+#: ``pending`` tuple tags (the first field of each tuple).
+_FU, _MODULE, _REG = 0, 1, 2
+
+
 def plan_evaluation(
     ctx: "EvaluationContext",
     solution: Solution,
@@ -263,8 +269,9 @@ def plan_evaluation(
     """Phase one of :func:`evaluate_solution`: everything but activities.
 
     Rebuilds the netlist, resolves the schedule and computes all
-    stream-free terms; stream-derived terms are keyed against *base*
-    and unresolved activities become batched kernel requests.
+    stream-free terms; stream-derived terms are carried over from
+    *base* by block identity, or keyed against it, and unresolved
+    activities become batched kernel requests.
     """
     if _COSTS_NAMES is None:
         _bind_costs()
@@ -292,11 +299,17 @@ def plan_evaluation(
     inst_blocks = netlist.instance_blocks
     reg_blocks = netlist.register_blocks
 
-    terms: list[_StreamTerm] = []
-    new_term = _StreamTerm._make
+    breakdown = Breakdown(header)
+    bd_fu = breakdown.fu
+    bd_module = breakdown.module
+    bd_reg = breakdown.reg
+    pending: list[tuple] = []
+    reused = 0
     requests: list[tuple[list[np.ndarray], int]] = []
 
-    def port_requests(groups: list[tuple[str, ...]], width: int) -> tuple[int, ...]:
+    def port_requests(
+        groups: tuple[tuple[str, ...], ...], width: int
+    ) -> tuple[int, ...]:
         """Per-port activity requests of one FU/module instance — the
         same port decomposition :func:`~repro.power.activity.
         operand_activity` performs."""
@@ -314,87 +327,119 @@ def plan_evaluation(
         return tuple(slots)
 
     # Stream-derived terms, in instance insertion order — the order the
-    # original evaluator built (and summed) its usage records in.  Only
-    # the switching activity of each term is reused from the base; the
-    # energy arithmetic on top of it is replayed every time, with the
-    # candidate's own cell, glitch count and schedule length.
+    # original evaluator built (and summed) its usage records in.
+    inst_order = sched.instance_order
     exec_groups = sched.exec_groups_memo
-    base_fu = base.fu if base is not None else None
-    base_module = base.module if base is not None else None
-    base_reg = base.reg if base is not None else None
+    base_fu = base.fu if base is not None else {}
+    base_module = base.module if base is not None else {}
+    base_reg = base.reg if base is not None else {}
     for inst_id, inst in solution.instances.items():
+        order = inst_order.get(inst_id)
+        if order is None:
+            continue  # no executions, no term
+        block = inst_blocks[inst_id]
+        is_module = inst.is_module
+        if is_module:
+            bd = bd_module
+            prior = base_module.get(inst_id)
+        else:
+            bd = bd_fu
+            prior = base_fu.get(inst_id)
+        if prior is not None and prior[2] is block and prior[3] == order:
+            # Same block, same serialization order: the same execution
+            # groups, width, glitch count and cell or module, so the
+            # whole term is the base's.
+            bd[inst_id] = prior
+            reused += 1
+            continue
         groups = exec_groups.get(inst_id)
         if groups is None:
             groups = tuple(ctx._execution_order(solution, inst_id))
             exec_groups[inst_id] = groups
-        if not groups:
-            continue
-        block = inst_blocks[inst_id]
         # The widest node the instance runs: a functional unit's
         # component width, and a module's stream width (module
         # components carry no width in the netlist).
         width = block.width
-        is_module = inst.is_module
-        if is_module:
-            kind = "module"
-            energy_sig: tuple = ()
-            prior = base_module.get(inst_id) if base_module is not None else None
-        else:
-            kind = "fu"
-            # Beyond (header, key, activity) the FU energy depends only
-            # on the bound cell (A-cell swaps keep the key!) and the
-            # netlist-derived glitch count.
-            prior = base_fu.get(inst_id) if base_fu is not None else None
         n_execs = len(groups)
         glitch_evals = len(block.multi) * (n_execs - 1) if n_execs > 1 else 0
-        if not is_module:
-            assert inst.cell is not None
-            energy_sig = (inst.cell.name, glitch_evals)
         key = (groups, width)
-        energy: float | None = None
         if prior is not None and prior[0] == key:
             activity: float | None = prior[1]
-            reused, ports = True, ()
-            if (
-                not is_module
-                and len(prior) == 4
-                and prior[2] == energy_sig
-            ):
-                energy = prior[3]
+            ports: tuple[int, ...] = ()
+            reused += 1
         else:
-            activity, reused = None, False
+            prior = None
+            activity = None
             ports = port_requests(groups, width)
             if not ports:
                 activity = 0.0  # no operand ports → defined as zero
-        terms.append(new_term((
-            kind, inst_id, key, width, reused, activity, ports,
-            inst, groups, glitch_evals, 0, energy_sig, energy,
-        )))
+        bd[inst_id] = None
+        if is_module:
+            pending.append((
+                _MODULE, inst_id, key, activity, ports, block, order,
+                inst, groups, glitch_evals,
+            ))
+        else:
+            # Beyond (header, key, activity) the FU energy depends only
+            # on the bound cell (A-cell swaps keep the key!) and the
+            # netlist-derived glitch count.
+            cell = inst.cell
+            assert cell is not None
+            energy_sig = (cell.name, glitch_evals)
+            energy = (
+                prior[5]
+                if prior is not None and prior[4] == energy_sig
+                else None
+            )
+            pending.append((
+                _FU, inst_id, key, activity, ports, block, order,
+                energy_sig, energy, cell, n_execs, glitch_evals,
+            ))
 
     sched_avail = sched.avail
     # Beyond (header, key, activity) a register's energy depends only on
     # the schedule length (idle clocking) and the library register cell.
     reg_sig = (sched.length, solution.library.register_cell.name)
     for reg_id, signals in solution.reg_signals.items():
-        # Single-value registers dominate; sorting their one signal
-        # (with a lambda key) was measurable across thousands of plans.
-        if len(signals) > 1:
-            ordered = sorted(signals, key=lambda s: sched_avail.get(s, 0))
-        else:
-            ordered = signals
         # The register's netlist block holds its width (no registers
         # are skipped on the evaluation path).
-        reg_width = reg_blocks[reg_id].width
+        block = reg_blocks[reg_id]
+        prior = base_reg.get(reg_id)
+        if len(signals) == 1:
+            if prior is not None and prior[2] is block:
+                # Same block, same one signal: the same write stream.
+                prior_sig = prior[3]
+                if prior_sig == reg_sig:
+                    bd_reg[reg_id] = prior
+                    reused += 1
+                    continue
+                if prior_sig[1] == reg_sig[1]:
+                    # Only the schedule length moved: replay the idle
+                    # clocking on the carried write energy.
+                    bd_reg[reg_id] = None
+                    pending.append((
+                        _REG, reg_id, prior[0], prior[1], (), block,
+                        reg_sig, prior[4], None, 1,
+                    ))
+                    reused += 1
+                    continue
+            # Single-value registers dominate; sorting their one signal
+            # (with a lambda key) was measurable across thousands of
+            # plans.
+            ordered = signals
+        else:
+            ordered = sorted(signals, key=lambda s: sched_avail.get(s, 0))
+        reg_width = block.width
         key = (tuple(ordered), reg_width)
-        prior = base_reg.get(reg_id) if base_reg is not None else None
-        energy = None
+        write_energy = energy = None
         if prior is not None and prior[0] == key:
             activity = prior[1]
-            reused, ports = True, ()
-            if len(prior) == 4 and prior[2] == reg_sig:
-                energy = prior[3]
+            ports = ()
+            reused += 1
+            if prior[3] == reg_sig:
+                write_energy, energy = prior[4], prior[5]
         else:
-            activity, reused = None, False
+            activity = None
             ports = (len(requests),)
             requests.append(
                 (
@@ -402,10 +447,11 @@ def plan_evaluation(
                     reg_width,
                 )
             )
-        terms.append(new_term((
-            "reg", reg_id, key, reg_width, reused, activity, ports,
-            None, (), 0, len(ordered), reg_sig, energy,
-        )))
+        bd_reg[reg_id] = None
+        pending.append((
+            _REG, reg_id, key, activity, ports, block, reg_sig,
+            write_energy, energy, len(ordered),
+        ))
 
     # Stream-free terms are always recomputed: they are cheap, and
     # computing them from the candidate's own netlist is what catches a
@@ -456,8 +502,9 @@ def plan_evaluation(
 
     return EvaluationPlan(
         solution=solution,
-        header=header,
-        terms=terms,
+        breakdown=breakdown,
+        pending=pending,
+        reused=reused,
         requests=requests,
         area=area + controller.area(),
         schedule_length=sched.length,
@@ -472,13 +519,15 @@ def plan_evaluation(
 def finish_evaluation(
     plan: EvaluationPlan, activities: list[float]
 ) -> tuple["Metrics", Breakdown, int, int]:
-    """Phase two: replay the per-term float arithmetic of a plan.
+    """Phase two: fill in the pending terms and sum every term.
 
     ``activities`` resolves ``plan.requests`` position for position
-    (:func:`repro.power.activity.batch_activities` output).  The
-    arithmetic below accumulates terms in exactly the order the
-    original single-pass evaluator used, so results are bit-identical
-    regardless of how the activities were batched.
+    (:func:`repro.power.activity.batch_activities` output).  Only the
+    plan's pending terms are computed here; the sums then walk the
+    whole breakdown in resource order, exactly the order the original
+    single-pass evaluator accumulated terms in, so results are
+    bit-identical regardless of how the activities were batched or
+    which terms were carried over.
     """
     if _COSTS_NAMES is None:
         _bind_costs()
@@ -486,8 +535,9 @@ def finish_evaluation(
 
     solution = plan.solution
     vdd = solution.vdd
-    breakdown = Breakdown(plan.header)
+    breakdown = plan.breakdown
     bd_fu = breakdown.fu
+    bd_module = breakdown.module
     bd_reg = breakdown.reg
     # Every register term of one plan scales the identical idle
     # clock-tree product (fraction × schedule length × idle-op energy),
@@ -500,17 +550,11 @@ def finish_evaluation(
         * plan.schedule_length
         * reg_cell.energy_per_op(vdd, 0.0)
     )
-    reused = 0
-    fu_terms: list[float] = []
-    reg_terms: list[float] = []
-    extra_energy = 0.0
-    for term in plan.terms:
-        # One positional unpack per term (attribute access per field
-        # would cost ~10 extra lookups on this very hot loop).
-        (kind, res_id, key, width, was_reused, activity, ports, inst,
-         groups, glitch_evals, n_writes, energy_sig, energy) = term
+    for term in plan.pending:
+        activity = term[3]
         if activity is None:
-            if kind == "reg" or len(ports) == 1:
+            ports = term[4]
+            if len(ports) == 1:
                 # Registers request exactly one activity; a one-port
                 # unit's mean IS that port's activity (np.mean of a
                 # single float is exact), so the kernel result is used
@@ -520,19 +564,11 @@ def finish_evaluation(
                 # The unit's activity is the mean over its operand ports
                 # — the same float(np.mean([...])) the scalar path
                 # computes.
-                activity = float(
-                    np.mean([activities[p] for p in ports])
-                )
-        reused += was_reused
-        if kind == "module":
-            assert inst is not None
-            breakdown.module[res_id] = (key, activity)
-            addends = _module_addends(
-                solution, inst, list(groups), activity, glitch_evals,
-            )
-            for addend in addends:
-                extra_energy += addend
-        elif kind == "fu":
+                activity = float(np.mean([activities[p] for p in ports]))
+        kind = term[0]
+        if kind == _FU:
+            (_kind, res_id, key, _activity, _ports, block, order,
+             energy_sig, energy, cell, activations, glitch_evals) = term
             # A None energy means key or signature mismatch: replay the
             # arithmetic.  A cached float is the result of the identical
             # arithmetic on identical inputs (same key, same signature,
@@ -541,38 +577,50 @@ def finish_evaluation(
                 # Inlined ``FUUsage.energy_per_sample`` (identical ops
                 # in identical order): constructing a usage record per
                 # term is measurable on this loop.
-                assert inst is not None and inst.cell is not None
-                cell = inst.cell
-                activations = len(groups)
-                if activations == 0:
-                    energy = 0.0
-                else:
-                    useful = activations * cell.energy_per_op(vdd, activity)
-                    glitch = (
-                        glitch_evals
-                        * GLITCH_FRACTION
-                        * cell.energy_per_op(vdd, 0.5)
-                    )
-                    energy = (useful + glitch) * (width / 16.0)
-            bd_fu[res_id] = (key, activity, energy_sig, energy)
-            fu_terms.append(energy)
+                useful = activations * cell.energy_per_op(vdd, activity)
+                glitch = (
+                    glitch_evals
+                    * GLITCH_FRACTION
+                    * cell.energy_per_op(vdd, 0.5)
+                )
+                energy = (useful + glitch) * (block.width / 16.0)
+            bd_fu[res_id] = (key, activity, block, order, energy_sig, energy)
+        elif kind == _MODULE:
+            (_kind, res_id, key, _activity, _ports, block, order, inst,
+             groups, glitch_evals) = term
+            bd_module[res_id] = (
+                key, activity, block, order,
+                _module_addends(
+                    solution, inst, groups, activity, glitch_evals
+                ),
+            )
         else:
+            (_kind, res_id, key, _activity, _ports, block, reg_sig,
+             write_energy, energy, n_writes) = term
             if energy is None:
                 # Inlined ``RegisterUsage.energy_per_sample`` with the
                 # plan-constant clock term hoisted above.
-                if n_writes == 0:
-                    write_energy = 0.0
-                else:
-                    write_energy = n_writes * reg_cell.energy_per_op(
-                        vdd, activity
-                    )
-                energy = (write_energy + reg_clock_energy) * (width / 16.0)
-            bd_reg[res_id] = (key, activity, energy_sig, energy)
-            reg_terms.append(energy)
+                if write_energy is None:
+                    if n_writes == 0:
+                        write_energy = 0.0
+                    else:
+                        write_energy = n_writes * reg_cell.energy_per_op(
+                            vdd, activity
+                        )
+                energy = (write_energy + reg_clock_energy) * (
+                    block.width / 16.0
+                )
+            bd_reg[res_id] = (
+                key, activity, block, reg_sig, write_energy, energy
+            )
 
+    extra_energy = 0.0
+    for entry in bd_module.values():
+        for addend in entry[4]:
+            extra_energy += addend
     report = PowerReport(
-        fu_energy=sum(fu_terms),
-        register_energy=sum(reg_terms),
+        fu_energy=sum([entry[5] for entry in bd_fu.values()]),
+        register_energy=sum([entry[5] for entry in bd_reg.values()]),
         mux_energy=sum(plan.mux_terms),
         wire_energy=plan.wire_energy,
         extra_energy=extra_energy,
@@ -589,7 +637,8 @@ def finish_evaluation(
         report=report,
         violation=plan.violation,
     )
-    return metrics, breakdown, reused, len(plan.terms)
+    n_terms = len(bd_fu) + len(bd_module) + len(bd_reg)
+    return metrics, breakdown, plan.reused, n_terms
 
 
 def evaluate_solution(
@@ -597,7 +646,7 @@ def evaluate_solution(
     solution: Solution,
     base: Breakdown | None = None,
 ) -> tuple["Metrics", Breakdown, int, int]:
-    """Evaluate *solution*, reusing *base*'s terms where keys match.
+    """Evaluate *solution*, reusing *base*'s terms where blocks or keys match.
 
     With ``base=None`` this **is** the full evaluator (netlist rebuild
     plus trace-driven estimation); with a base breakdown it prices the

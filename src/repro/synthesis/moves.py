@@ -73,7 +73,11 @@ class Candidate:
     The precomputed fingerprint must equal the built solution's
     ``fingerprint_key()`` exactly — pruning and cost-cache decisions
     key on it, and the bit-identity of the relational and legacy paths
-    rests on that equality (asserted by the test suite).
+    rests on that equality (asserted by the test suite against a key
+    derived from scratch).  Building a lazy candidate therefore installs
+    the precomputed key into the clone
+    (:meth:`~repro.synthesis.solution.Solution.adopt_fingerprint`)
+    instead of deriving it again.
     """
 
     __slots__ = (
@@ -132,6 +136,8 @@ class Candidate:
             assert self._build is not None
             self._solution = self._build()
             self._build = None
+            if self._fingerprint is not None:
+                self._solution.adopt_fingerprint(self._fingerprint)
             if self._on_materialize is not None:
                 self._on_materialize(self.kind)
         return self._solution

@@ -446,6 +446,19 @@ class Solution:
             self._fingerprint_key = HashedKey(self.fingerprint())
         return self._fingerprint_key
 
+    def adopt_fingerprint(self, key: HashedKey) -> None:
+        """Install a fingerprint key derived for this exact structure.
+
+        Only sound when the caller proved that :meth:`fingerprint_key`
+        would return a key equal to *key*: a lazy
+        :class:`~repro.synthesis.moves.Candidate` installs its
+        descriptor's precomputed key into the clone it builds.  The
+        counterpart of :meth:`adopt_schedule`; like a derived key, an
+        adopted one is dropped by the next mutation.
+        """
+        self._fingerprint = key.value
+        self._fingerprint_key = key
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

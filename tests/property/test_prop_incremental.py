@@ -14,6 +14,12 @@ winner `_best` picks.
 
 Hierarchical rounds add a generated complex-module library, so module
 swaps (``A-module``, ``A-remerge``) are priced by delta too.
+
+Both kinds of round also compare breakdowns, not only metrics: every
+delta-priced candidate's breakdown must list the same resources in the
+same order as its from-scratch breakdown, with equal keys, activities
+and energies (addends, for modules), and some entries must have been
+carried over from the base by identity.
 """
 
 import random
@@ -81,7 +87,32 @@ def _round(seed, complex_library=False):
     objective = rng.choice(("area", "power"))
     env = SynthesisEnv(design, library, objective, config)
     solution = initial_solution(env, top, sim, 10.0, 5.0, 2000.0)
+    # Price the solution before discovery, as the KL loop does, so the
+    # candidates' clones start from its netlist blocks.
+    evaluate_solution(env.context(sim), solution, None)
     return env, solution, sim, _all_candidates(env, solution, sim)
+
+
+def _same_terms(delta, full, base, where) -> int:
+    """Require *delta* to equal *full* entry by entry; count carried.
+
+    Entries compare on the resource order, the key, the activity, the
+    netlist block and the energy (the last field: addends for modules).
+    Returns how many of *delta*'s entries are *base*'s entry objects.
+    """
+    carried = 0
+    for kind in ("fu", "module", "reg"):
+        got, want = getattr(delta, kind), getattr(full, kind)
+        assert list(got) == list(want), f"{where}: {kind} order"
+        prior = getattr(base, kind)
+        for res_id, entry in got.items():
+            ref = want[res_id]
+            assert entry[0] == ref[0], f"{where}: {res_id} key"
+            assert entry[1] == ref[1], f"{where}: {res_id} activity"
+            assert entry[2] is ref[2], f"{where}: {res_id} block"
+            assert entry[-1] == ref[-1], f"{where}: {res_id} energy"
+            carried += entry is prior.get(res_id)
+    return carried
 
 
 @pytest.mark.parametrize("seed", ROUND_SEEDS)
@@ -90,15 +121,21 @@ def test_delta_equals_full_for_every_candidate(seed):
     ctx = env.context(sim)
     _m, base, _r, _t = evaluate_solution(ctx, solution, None)
     assert candidates, "fuzz round generated no candidates"
+    carried = 0
     for cand in candidates:
-        delta, _b, reused, terms = evaluate_solution(ctx, cand.solution, base)
-        full, _b2, _r2, _t2 = evaluate_solution(ctx, cand.solution, None)
-        assert delta == full, f"seed {seed}: {cand.description}"
+        delta, delta_bd, reused, terms = evaluate_solution(
+            ctx, cand.solution, base
+        )
+        full, full_bd, _r2, _t2 = evaluate_solution(ctx, cand.solution, None)
+        where = f"seed {seed}: {cand.description}"
+        assert delta == full, where
         if cand.footprint is None:
             # Global moves are never delta-priced by the engine; pricing
             # them against a base here must still be exact (it was).
             continue
         assert 0 <= reused <= terms
+        carried += _same_terms(delta_bd, full_bd, base, where)
+    assert carried, f"seed {seed}: no entry carried over by identity"
 
 
 _MODULE_SWAPS = ("A-module", "A-remerge")
@@ -110,7 +147,9 @@ def test_module_swaps_delta_equals_full(seed):
 
     Swaps are taken on the round's solution and, when it has one, on
     the solution after its first RTL embedding, whose merged instance
-    runs two behaviors (the only place ``A-remerge`` arises).
+    runs two behaviors (the only place ``A-remerge`` arises).  Every
+    other footprinted candidate of those solutions is compared term by
+    term as well.
     """
     env, solution, sim, candidates = _round(seed, complex_library=True)
     ctx = env.context(sim)
@@ -118,24 +157,32 @@ def test_module_swaps_delta_equals_full(seed):
     embeds = [c for c in candidates if c.kind == "C-embed"]
     if embeds:
         merged = embeds[0].solution
+        evaluate_solution(ctx, merged, None)
         bases.append((merged, _all_candidates(env, merged, sim)))
     priced = set()
+    carried = 0
     for parent, cands in bases:
         _m, base, _r, _t = evaluate_solution(ctx, parent, None)
         for cand in cands:
-            if cand.kind not in _MODULE_SWAPS:
+            if cand.footprint is None:
                 continue
-            assert cand.footprint is not None, cand.kind
-            delta, _b, reused, terms = evaluate_solution(
+            delta, delta_bd, reused, terms = evaluate_solution(
                 ctx, cand.solution, base
             )
-            full, _b2, _r2, _t2 = evaluate_solution(ctx, cand.solution, None)
-            assert delta == full, f"seed {seed}: {cand.description}"
-            assert 0 < reused <= terms, f"seed {seed}: {cand.description}"
+            full, full_bd, _r2, _t2 = evaluate_solution(
+                ctx, cand.solution, None
+            )
+            where = f"seed {seed}: {cand.description}"
+            assert delta == full, where
+            carried += _same_terms(delta_bd, full_bd, base, where)
+            if cand.kind not in _MODULE_SWAPS:
+                continue
+            assert 0 < reused <= terms, where
             priced.add(cand.kind)
     assert "A-module" in priced
     if embeds:
         assert "A-remerge" in priced
+    assert carried, f"seed {seed}: no entry carried over by identity"
 
 
 @pytest.mark.parametrize("seed", ROUND_SEEDS)

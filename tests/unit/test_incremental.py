@@ -8,11 +8,14 @@ approximately equal floats.
 
 import pytest
 
+from repro.bench_suite import get_benchmark
 from repro.errors import SynthesisError
+from repro.library import default_library
+from repro.power import simulate_subgraph, speech_traces
 from repro.synthesis.caching import HashedKey, LRUCache
 from repro.synthesis.context import SynthesisConfig, SynthesisEnv
 from repro.synthesis.costs import EvaluationContext
-from repro.synthesis.improve import _best
+from repro.synthesis.improve import _best, improve_solution
 from repro.synthesis.incremental import evaluate_solution
 from repro.synthesis.initial import initial_solution
 from repro.synthesis.moves import (
@@ -166,6 +169,90 @@ class TestDeltaBitIdentity:
         assert changed
 
 
+class TestIdentityReuse:
+    """Unchanged resources carry their base entries over as objects."""
+
+    @pytest.mark.parametrize("fixture", ["setup", "hier_setup"])
+    def test_cell_swap_carries_untouched_entries(self, fixture, request):
+        env, sol, sim = request.getfixturevalue(fixture)
+        ctx = env.context(sim)
+        _m, base, _r, _t = evaluate_solution(ctx, sol, None)
+        swaps = [
+            c
+            for c in type_a_b_candidates(env, sol, sim, frozenset())
+            if c.kind == "A-cell"
+        ]
+        assert swaps
+        carried = 0
+        for cand in swaps:
+            (touched,) = cand.touched
+            _m, after, _r, _t = evaluate_solution(ctx, cand.solution, base)
+            for kind in ("fu", "module"):
+                entries = getattr(after, kind)
+                base_entries = getattr(base, kind)
+                for inst_id, entry in entries.items():
+                    if inst_id != touched:
+                        assert entry is base_entries[inst_id], inst_id
+                        carried += 1
+            same_length = (
+                cand.solution.schedule().length == sol.schedule().length
+            )
+            for reg_id, signals in cand.solution.reg_signals.items():
+                if len(signals) != 1:
+                    continue
+                entry, prior = after.reg[reg_id], base.reg[reg_id]
+                if same_length:
+                    assert entry is prior, reg_id
+                else:
+                    # Only the idle clocking is replayed: the activity
+                    # and write energy are the base's floats.
+                    assert entry[1] is prior[1] and entry[4] is prior[4]
+                carried += 1
+        assert carried
+
+    def test_reordered_instance_is_rekeyed(self):
+        """A share can reorder the executions of an instance whose block
+        it leaves alone; that entry must not be carried over."""
+        design = get_benchmark("paulin")
+        traces = speech_traces(design.top, n=24, seed=1)
+        sim = simulate_subgraph(
+            design, design.top, [traces[n] for n in design.top.inputs]
+        )
+        env = SynthesisEnv(
+            design,
+            default_library(),
+            "area",
+            SynthesisConfig(max_passes=2, max_moves=8),
+        )
+        sol = initial_solution(env, design.top, sim, 10.0, 5.0, 2000.0)
+        sol = improve_solution(env, sol, sim)
+        ctx = env.context(sim)
+        _m, base, _r, _t = evaluate_solution(ctx, sol, None)
+        rekeyed = 0
+        for cand in _all_candidates(env, sol, sim):
+            if cand.footprint is None:
+                continue
+            delta, after, _r, _t = evaluate_solution(ctx, cand.solution, base)
+            order = cand.solution.schedule().instance_order
+            for inst_id, entry in after.fu.items():
+                prior = base.fu.get(inst_id)
+                if prior is None or entry[2] is not prior[2]:
+                    continue
+                if order[inst_id] == prior[3]:
+                    assert entry is prior
+                    continue
+                # Same block, new serialization order.
+                full, full_bd, _r, _t = evaluate_solution(
+                    ctx, cand.solution, None
+                )
+                assert entry is not prior
+                assert entry[0] == full_bd.fu[inst_id][0] != prior[0]
+                assert entry[1] == full_bd.fu[inst_id][1]
+                assert delta == full, cand.description
+                rekeyed += 1
+        assert rekeyed
+
+
 class TestFallbackTriggers:
     def test_other_operating_point_discards_base(self, setup):
         env, sol, sim = setup
@@ -274,8 +361,12 @@ class TestValidateMode:
         assert cands
         (touched,) = cands[0].touched
         victim = next(i for i in base.fu if i != touched)
-        key, activity, sig, energy = base.fu[victim]
-        base.fu[victim] = (key, activity + 1.0, sig, energy + 1.0)
+        # The victim is one identity reuse carries over whole: corrupting
+        # it must still be caught.
+        _m, after, _r, _t = evaluate_solution(ctx, cands[0].solution, base)
+        assert after.fu[victim] is base.fu[victim]
+        key, activity, block, order, sig, energy = base.fu[victim]
+        base.fu[victim] = (key, activity + 1.0, block, order, sig, energy + 1.0)
         with pytest.raises(SynthesisError, match="diverged"):
             ctx.evaluate(cands[0].solution, base=base)
 

@@ -86,7 +86,10 @@ class TestEquivalence:
         seen_kinds = set()
         for cand in lazy:
             seen_kinds.add(cand.kind)
-            assert cand.fingerprint_key() == cand.solution.fingerprint_key(), (
+            # A clone never carries a fingerprint, so its key is derived
+            # from scratch (the built solution adopts the descriptor's).
+            derived = cand.solution.clone().fingerprint_key()
+            assert cand.fingerprint_key() == derived, (
                 f"{cand.kind}: descriptor fingerprint diverges from the "
                 "materialized clone"
             )
@@ -153,6 +156,23 @@ class TestLazyCandidate:
         )
         cand.fingerprint_key()
         assert not cand.is_materialized
+
+    def test_built_solution_adopts_descriptor_key(self):
+        env, solution, sim = _env_for("paulin")
+        view = RelationalView(env, solution, NONE_LOCKED)
+        cands = view.fu_sharing()
+        assert cands
+        cand = cands[0]
+        key = cand.fingerprint_key()
+        built = cand.solution
+        assert built.fingerprint_key() is key
+        assert built.fingerprint() is key.value
+        # A mutation drops the adopted key; the next one is derived.
+        built.merge_registers(*list(built.reg_signals)[:2])
+        rederived = built.fingerprint_key()
+        assert rederived is not key
+        assert rederived == built.clone().fingerprint_key()
+        assert rederived != key
 
     def test_epoch_guard_rejects_stale_materialization(self):
         env, solution, sim = _env_for("paulin")
