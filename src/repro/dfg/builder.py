@@ -95,21 +95,27 @@ class GraphBuilder:
         return Wire(node_id)
 
     def add(self, a, b, name: str | None = None) -> Wire:
+        """Add an addition node computing *a* + *b*."""
         return self.op(Operation.ADD, a, b, name=name)
 
     def sub(self, a, b, name: str | None = None) -> Wire:
+        """Add a subtraction node computing *a* - *b*."""
         return self.op(Operation.SUB, a, b, name=name)
 
     def mult(self, a, b, name: str | None = None) -> Wire:
+        """Add a multiplication node computing *a* · *b*."""
         return self.op(Operation.MULT, a, b, name=name)
 
     def lt(self, a, b, name: str | None = None) -> Wire:
+        """Add a less-than comparison node computing *a* < *b*."""
         return self.op(Operation.LT, a, b, name=name)
 
     def gt(self, a, b, name: str | None = None) -> Wire:
+        """Add a greater-than comparison node computing *a* > *b*."""
         return self.op(Operation.GT, a, b, name=name)
 
     def neg(self, a, name: str | None = None) -> Wire:
+        """Add a negation node computing -*a*."""
         return self.op(Operation.NEG, a, name=name)
 
     def hier(

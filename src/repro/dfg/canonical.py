@@ -59,10 +59,6 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
-def _edge_count(dfg: DFG) -> int:
-    return sum(1 for _ in dfg.edges())
-
-
 def _memo_get(dfg: DFG, token: str) -> str | None:
     cache = getattr(dfg, "_canonical_memo", None)
     if cache is None:
@@ -71,7 +67,7 @@ def _memo_get(dfg: DFG, token: str) -> str | None:
     if hit is None:
         return None
     n_nodes, n_edges, value = hit
-    if n_nodes != len(dfg) or n_edges != _edge_count(dfg):
+    if n_nodes != len(dfg) or n_edges != dfg.n_edges:
         return None
     return value
 
@@ -81,7 +77,7 @@ def _memo_put(dfg: DFG, token: str, value: str) -> None:
     if cache is None:
         cache = {}
         dfg._canonical_memo = cache  # type: ignore[attr-defined]
-    cache[token] = (len(dfg), _edge_count(dfg), value)
+    cache[token] = (len(dfg), dfg.n_edges, value)
 
 
 def _node_label(

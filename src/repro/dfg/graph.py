@@ -127,6 +127,8 @@ class DFG:
         #: port dict on a graph that never changes mid-search is pure
         #: waste.  Callers treat the list as read-only.
         self._in_sorted: dict[str, list[Edge]] = {}
+        #: Number of edges, kept by :meth:`connect` (see :attr:`n_edges`).
+        self._n_edges = 0
         #: Ordered primary inputs (node ids) - defines hierarchical port order.
         self.inputs: list[str] = []
         #: Ordered primary outputs (node ids).
@@ -225,6 +227,7 @@ class DFG:
         self._in_edges[dst][dst_port] = edge
         self._out_edges[src].append(edge)
         self._in_sorted.pop(dst, None)
+        self._n_edges += 1
         return edge
 
     # ------------------------------------------------------------------
@@ -238,6 +241,7 @@ class DFG:
             raise DFGError(f"unknown node {node_id!r} in DFG {self.name!r}") from None
 
     def has_node(self, node_id: str) -> bool:
+        """True when the graph has a node *node_id*."""
         return node_id in self._nodes
 
     def nodes(self) -> Iterator[Node]:
@@ -245,7 +249,18 @@ class DFG:
         return iter(self._nodes.values())
 
     def node_ids(self) -> Iterator[str]:
+        """Iterate over all node ids in insertion order."""
         return iter(self._nodes.keys())
+
+    @property
+    def n_edges(self) -> int:
+        """Number of edges, in O(1).
+
+        With the node count it versions the graph for derived caches
+        (:mod:`repro.dfg.canonical`, the scheduler's per-graph data): a
+        DFG is append-only, so equal counts mean an unchanged graph.
+        """
+        return self._n_edges
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges."""
@@ -364,4 +379,12 @@ class DFG:
         for edge in self.edges():
             clone._in_edges[edge.dst][edge.dst_port] = edge
             clone._out_edges[edge.src].append(edge)
+        clone._n_edges = self._n_edges
         return clone
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled graph, counting its edges if it predates
+        the edge counter (store files outlive releases)."""
+        self.__dict__.update(state)
+        if "_n_edges" not in state:
+            self._n_edges = sum(len(ports) for ports in self._in_edges.values())

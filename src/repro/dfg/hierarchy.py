@@ -57,11 +57,13 @@ class Design:
 
     @property
     def top_name(self) -> str:
+        """Name of the top-level DFG."""
         if self._top is None:
             raise DFGError(f"design {self.name!r} has no top-level DFG")
         return self._top
 
     def set_top(self, name: str) -> None:
+        """Make the registered DFG *name* the top level."""
         if name not in self._dfgs:
             raise DFGError(f"unknown DFG {name!r}")
         self._top = name
@@ -74,12 +76,15 @@ class Design:
             raise DFGError(f"unknown DFG {name!r} in design {self.name!r}") from None
 
     def dfgs(self) -> Iterator[DFG]:
+        """Iterate over every registered DFG, in registration order."""
         return iter(self._dfgs.values())
 
     def dfg_names(self) -> list[str]:
+        """Names of every registered DFG, in registration order."""
         return list(self._dfgs)
 
     def has_behavior(self, behavior: str) -> bool:
+        """True when some registered DFG implements *behavior*."""
         return behavior in self._by_behavior
 
     def variants(self, behavior: str) -> list[DFG]:
@@ -100,6 +105,7 @@ class Design:
         return self.variants(behavior)[0]
 
     def behaviors(self) -> list[str]:
+        """Every behavior some registered DFG implements."""
         return list(self._by_behavior)
 
     # ------------------------------------------------------------------

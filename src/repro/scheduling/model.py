@@ -15,15 +15,131 @@ Profile semantics, following Example 1 of the paper: a task with input
 offsets :math:`o_i` whose inputs arrive at :math:`a_i` can start at
 :math:`s = \\max_i(a_i - o_i, 0)`; output :math:`j` with latency
 :math:`l_j` is available at :math:`s + l_j`.
+
+What the scheduler reads from the graph is derived once and cached: per
+DFG in a :class:`GraphWiring`, per task in a :class:`TaskWiring`.
+Synthesis clones share :class:`TaskSpec` objects for the instances a
+move left alone, so a candidate's schedule re-derives only the wiring
+of the tasks its move changed.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
-from ..dfg.graph import DFG, Signal
+from ..dfg.graph import DFG, NodeKind, Signal
 
 __all__ = ["TaskSpec", "ScheduleResult"]
+
+
+class GraphWiring:
+    """What the scheduler reads from one DFG, for one version of it.
+
+    A DFG is append-only, so its node and edge counts version it:
+    :meth:`of` re-derives the wiring when either count moved.
+
+    Attributes
+    ----------
+    sources:
+        Signals of the primary inputs and constants, in node order:
+        available at cycle 0.
+    operations:
+        Ids of the nodes a task may cover (operations and hierarchical
+        nodes).
+    output_drivers:
+        Per primary output, the signals driving it (exactly one in a
+        well-formed graph).
+    """
+
+    __slots__ = ("n_nodes", "n_edges", "sources", "operations",
+                 "output_drivers")
+
+    def __init__(self, dfg: DFG):
+        self.n_nodes = len(dfg)
+        self.n_edges = dfg.n_edges
+        self.sources = tuple(
+            [
+                (node.node_id, 0)
+                for node in dfg.nodes()
+                if node.kind in (NodeKind.INPUT, NodeKind.CONST)
+            ]
+        )
+        self.operations = frozenset(
+            [node.node_id for node in dfg.nodes() if node.is_operation]
+        )
+        self.output_drivers = tuple(
+            [
+                tuple([edge.signal for edge in dfg.in_edges(out_id)])
+                for out_id in dfg.outputs
+            ]
+        )
+
+    @classmethod
+    def of(cls, dfg: DFG) -> "GraphWiring":
+        """The wiring of *dfg* as it stands (cached per DFG object)."""
+        wiring = _GRAPH_WIRING.get(dfg)
+        if (
+            wiring is None
+            or wiring.n_nodes != len(dfg)
+            or wiring.n_edges != dfg.n_edges
+        ):
+            wiring = cls(dfg)
+            _GRAPH_WIRING[dfg] = wiring
+        return wiring
+
+
+#: DFG → its current :class:`GraphWiring`.  Weakly keyed, so the cache
+#: never keeps a graph alive, and not an attribute of the DFG, so it is
+#: never pickled with one.
+_GRAPH_WIRING: "weakref.WeakKeyDictionary[DFG, GraphWiring]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+class TaskWiring:
+    """What the scheduler reads from one task in one :class:`GraphWiring`.
+
+    Attributes
+    ----------
+    graph:
+        The graph wiring this was derived against.
+    inputs:
+        ``(signal, offset)`` per external input edge, in node order and
+        then port order: the task can start once every signal has
+        arrived, less its expected-arrival offset.
+    producers:
+        The operation nodes outside the task that feed those inputs, in
+        the same order (primary inputs and constants feed none).
+    outputs:
+        ``(signal, latency)`` per signal the task produces, in node and
+        port order.
+    """
+
+    __slots__ = ("graph", "inputs", "producers", "outputs")
+
+    def __init__(self, task: "TaskSpec", dfg: DFG, graph: GraphWiring):
+        self.graph = graph
+        inside = set(task.nodes)
+        offsets = task.input_offsets
+        inputs: list[tuple[Signal, int]] = []
+        producers: list[str] = []
+        outputs: list[tuple[Signal, int]] = []
+        for node_id in task.nodes:
+            for edge in dfg.in_edges(node_id):
+                src = edge.src
+                if src in inside:
+                    continue
+                inputs.append((edge.signal, offsets.get((node_id, edge.dst_port), 0)))
+                if dfg.node(src).kind not in (NodeKind.INPUT, NodeKind.CONST):
+                    producers.append(src)
+        for node_id in task.nodes:
+            for port in range(dfg.node(node_id).n_outputs):
+                signal = (node_id, port)
+                outputs.append((signal, task.latency_of(signal)))
+        self.inputs = tuple(inputs)
+        self.producers = tuple(producers)
+        self.outputs = tuple(outputs)
 
 
 @dataclass
@@ -85,6 +201,29 @@ class TaskSpec:
             for edge in dfg.in_edges(node):
                 if edge.src not in inside:
                     yield edge
+
+    #: The last :class:`TaskWiring` derived for this task (see
+    #: :meth:`wiring`).  Unannotated, so not a dataclass field: it
+    #: takes no part in construction, comparison or ``repr``.
+    _wiring = None
+
+    def wiring(self, dfg: DFG, graph: GraphWiring) -> TaskWiring:
+        """This task's wiring into *dfg*, whose current wiring is *graph*.
+
+        Cached on the task and re-derived when *graph* is not the one
+        it was derived against: another DFG, or the same one after it
+        grew.  A task's fields never change once it is built.
+        """
+        wiring = self._wiring
+        if wiring is None or wiring.graph is not graph:
+            wiring = self._wiring = TaskWiring(self, dfg, graph)
+        return wiring
+
+    def __getstate__(self) -> dict:
+        """Pickled state: the fields, without the cached wiring."""
+        state = self.__dict__.copy()
+        state.pop("_wiring", None)
+        return state
 
 
 @dataclass

@@ -12,6 +12,13 @@ The list scheduler is event-driven: a cycle in which no task can issue
 changes nothing, so it jumps from one issue cycle to the next instead
 of stepping through the idle cycles in between.
 
+Set-up reads the graph through cached wirings
+(:class:`~repro.scheduling.model.GraphWiring` per DFG,
+:class:`~repro.scheduling.model.TaskWiring` per task): each call checks
+coverage against the graph's operation set and builds dependencies,
+successors and ALAP priorities from the tasks' producer lists, without
+walking the DFG.
+
 Hierarchical tasks use profile semantics (Example 1): a task may start
 *before* all its inputs have arrived if the module expects late inputs
 (non-zero input offsets).
@@ -19,9 +26,9 @@ Hierarchical tasks use profile semantics (Example 1): a task may start
 
 from __future__ import annotations
 
-from ..dfg.graph import DFG, NodeKind, Signal
+from ..dfg.graph import DFG, Signal
 from ..errors import ScheduleError
-from .model import ScheduleResult, TaskSpec
+from .model import GraphWiring, ScheduleResult, TaskSpec, TaskWiring
 
 __all__ = ["schedule_tasks", "task_dependencies"]
 
@@ -35,80 +42,42 @@ def task_dependencies(dfg: DFG, tasks: list[TaskSpec]) -> dict[str, set[str]]:
                 raise ScheduleError(f"node {node!r} covered by two tasks")
             producer[node] = task.task_id
 
+    graph = GraphWiring.of(dfg)
     deps: dict[str, set[str]] = {t.task_id: set() for t in tasks}
     for task in tasks:
-        for edge in task.external_in_edges(dfg):
-            src_kind = dfg.node(edge.src).kind
-            if src_kind in (NodeKind.INPUT, NodeKind.CONST):
-                continue
-            if edge.src not in producer:
+        for src in task.wiring(dfg, graph).producers:
+            if src not in producer:
                 raise ScheduleError(
-                    f"operation {edge.src!r} is not covered by any task"
+                    f"operation {src!r} is not covered by any task"
                 )
-            deps[task.task_id].add(producer[edge.src])
+            deps[task.task_id].add(producer[src])
     return deps
 
 
-def _check_coverage(dfg: DFG, tasks: list[TaskSpec]) -> None:
+def _coverage_error(dfg: DFG, tasks: list[TaskSpec]) -> ScheduleError:
+    """The first coverage fault of a task list that fails the check.
+
+    Faults are reported in a fixed order: an operation without a task,
+    then a covered node that is no operation (an unknown node raises
+    :class:`~repro.errors.DFGError` here), then a node covered twice.
+    """
     covered = {node for task in tasks for node in task.nodes}
     for node in dfg.operation_nodes():
         if node.node_id not in covered:
-            raise ScheduleError(f"operation {node.node_id!r} has no task")
-    for node_id in covered:
-        if not dfg.node(node_id).is_operation:
-            raise ScheduleError(f"task covers non-operation node {node_id!r}")
-
-
-def _alap_priorities(
-    dfg: DFG, tasks: list[TaskSpec], deps: dict[str, set[str]]
-) -> dict[str, int]:
-    """Longest path from each task to any primary output (criticality).
-
-    Higher value = more critical = scheduled first on contention.
-    """
-    by_id = {t.task_id: t for t in tasks}
-
-    # Reverse-topological order via depth-first search on the task DAG.
-    succs: dict[str, set[str]] = {t.task_id: set() for t in tasks}
-    for tid, dep_ids in deps.items():
-        for dep in dep_ids:
-            succs[dep].add(tid)
-
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(tid: str) -> None:
-        stack = [(tid, iter(succs[tid]))]
-        state[tid] = 1
-        while stack:
-            current, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt, 0) == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-                if state.get(nxt) == 1:
-                    raise ScheduleError("cycle in task dependence graph")
-            if not advanced:
-                state[current] = 2
-                order.append(current)
-                stack.pop()
-
+            return ScheduleError(f"operation {node.node_id!r} has no task")
     for task in tasks:
-        if state.get(task.task_id, 0) == 0:
-            visit(task.task_id)
-
-    # order is reverse-topological (all successors of t appear before t).
-    criticality: dict[str, int] = {}
-    for tid in order:
-        task = by_id[tid]
-        tail = 0
-        for succ_id in succs[tid]:
-            tail = max(tail, criticality[succ_id])
-        criticality[tid] = task.duration + tail
-    return criticality
+        for node_id in task.nodes:
+            if not dfg.node(node_id).is_operation:
+                return ScheduleError(f"task covers non-operation node {node_id!r}")
+    # Every operation is covered and nothing else is, so the check
+    # failed on a node covered twice.
+    seen: set[str] = set()
+    for task in tasks:
+        for node_id in task.nodes:
+            if node_id in seen:
+                return ScheduleError(f"node {node_id!r} covered by two tasks")
+            seen.add(node_id)
+    raise AssertionError("task coverage check failed without a fault")
 
 
 def schedule_tasks(
@@ -135,46 +104,73 @@ def schedule_tasks(
     needs the actual makespan to compute gains of infeasible
     candidates.
     """
-    _check_coverage(dfg, tasks)
-    deps = task_dependencies(dfg, tasks)
-    criticality = _alap_priorities(dfg, tasks, deps)
-    by_id = {t.task_id: t for t in tasks}
+    graph = GraphWiring.of(dfg)
+    # Coverage: every operation in exactly one task, nothing else.
     producer_task: dict[str, str] = {}
+    n_covered = 0
     for task in tasks:
+        tid = task.task_id
         for node in task.nodes:
-            producer_task[node] = task.task_id
+            producer_task[node] = tid
+        n_covered += len(task.nodes)
+    covered = producer_task.keys()
+    if n_covered != len(covered) or covered != graph.operations:
+        raise _coverage_error(dfg, tasks)
 
-    # Signals from inputs/constants are available at time zero.
-    avail: dict[Signal, int] = {}
-    for node in dfg.nodes():
-        if node.kind in (NodeKind.INPUT, NodeKind.CONST):
-            avail[(node.node_id, 0)] = 0
-
-    n_deps_left = {tid: len(dep_ids) for tid, dep_ids in deps.items()}
-    succs: dict[str, list[str]] = {t.task_id: [] for t in tasks}
+    by_id = {t.task_id: t for t in tasks}
+    instance_of = {t.task_id: t.instance for t in tasks}
+    wiring: dict[str, TaskWiring] = {}
+    deps: dict[str, set[str]] = {}
+    for task in tasks:
+        task_wiring = task.wiring(dfg, graph)
+        wiring[task.task_id] = task_wiring
+        deps[task.task_id] = {producer_task[src] for src in task_wiring.producers}
+    succs: dict[str, list[str]] = {tid: [] for tid in deps}
     for tid, dep_ids in deps.items():
         for dep in dep_ids:
             succs[dep].append(tid)
 
-    def data_ready(task: TaskSpec) -> int:
+    # Criticality: the longest path from each task to any primary output,
+    # in one reverse-topological pass.  Higher value = more critical =
+    # scheduled first on contention.
+    criticality: dict[str, int] = {}
+    tail = dict.fromkeys(deps, 0)
+    n_succs_left = {tid: len(succ_ids) for tid, succ_ids in succs.items()}
+    sinks = [tid for tid, n in n_succs_left.items() if not n]
+    while sinks:
+        tid = sinks.pop()
+        crit = by_id[tid].duration + tail[tid]
+        criticality[tid] = crit
+        for dep in deps[tid]:
+            if crit > tail[dep]:
+                tail[dep] = crit
+            n_succs_left[dep] -= 1
+            if not n_succs_left[dep]:
+                sinks.append(dep)
+    if len(criticality) != len(deps):
+        raise ScheduleError("cycle in task dependence graph")
+
+    # Signals from inputs/constants are available at time zero.
+    avail: dict[Signal, int] = dict.fromkeys(graph.sources, 0)
+    n_deps_left = {tid: len(dep_ids) for tid, dep_ids in deps.items()}
+
+    def data_ready(tid: str) -> int:
         """Earliest start the task's operands allow (all are produced)."""
         earliest = 0
-        for edge in task.external_in_edges(dfg):
-            at = avail.get(edge.signal)
+        for signal, offset in wiring[tid].inputs:
+            at = avail.get(signal)
             if at is None:
                 raise ScheduleError(
-                    f"task {task.task_id!r} became ready before signal "
-                    f"{edge.signal!r} was produced"
+                    f"task {tid!r} became ready before signal "
+                    f"{signal!r} was produced"
                 )
-            at -= task.offset_of(edge.dst, edge.dst_port)
+            at -= offset
             if at > earliest:
                 earliest = at
         return earliest
 
     # Ready task id → its data-ready cycle.
-    ready = {
-        t.task_id: data_ready(t) for t in tasks if n_deps_left[t.task_id] == 0
-    }
+    ready = {tid: data_ready(tid) for tid in deps if n_deps_left[tid] == 0}
     instance_free: dict[str, int] = {}
     instance_order: dict[str, list[str]] = {}
     start: dict[str, int] = {}
@@ -192,51 +188,54 @@ def schedule_tasks(
                 f"scheduler exceeded horizon of {horizon} cycles "
                 f"({left} tasks left)"
             )
-        while True:
-            # Tasks that can issue now, grouped by instance.
-            candidates: dict[str, list[str]] = {}
-            for tid, at in ready.items():
-                if at > t:
-                    continue
-                instance = by_id[tid].instance
-                if instance_free.get(instance, 0) <= t:
-                    candidates.setdefault(instance, []).append(tid)
-            if not candidates:
-                break
-            for instance, tids in candidates.items():
-                # Most critical first; task id breaks ties deterministically.
+        # Tasks that can issue now, grouped by instance.
+        candidates: dict[str, list[str]] = {}
+        for tid, at in ready.items():
+            if at > t:
+                continue
+            instance = instance_of[tid]
+            if instance_free.get(instance, 0) <= t:
+                candidates.setdefault(instance, []).append(tid)
+        for instance, tids in candidates.items():
+            # Most critical first; task id breaks ties deterministically.
+            if len(tids) == 1:
+                tid = tids[0]
+            else:
                 tid = min(tids, key=lambda x: (-criticality[x], x))
-                task = by_id[tid]
-                start[tid] = t
-                finish[tid] = t + task.duration
-                # Pipelined units free up after their initiation interval,
-                # not after the full latency.
-                instance_free[instance] = t + task.busy_cycles
-                instance_order.setdefault(instance, []).append(tid)
-                for node in task.nodes:
-                    for port in range(dfg.node(node).n_outputs):
-                        signal = (node, port)
-                        avail[signal] = t + task.latency_of(signal)
-                del ready[tid]
-                left -= 1
-                for succ_id in succs[tid]:
-                    n_deps_left[succ_id] -= 1
-                    if n_deps_left[succ_id] == 0:
-                        ready[succ_id] = data_ready(by_id[succ_id])
-        # Nothing more issues at t: every ready task waits for its data
-        # or its instance, and neither changes until something issues.
-        t = min(
-            (
-                max(at, instance_free.get(by_id[tid].instance, 0))
-                for tid, at in ready.items()
-            ),
-            default=horizon + 1,
-        )
+            task = by_id[tid]
+            start[tid] = t
+            finish[tid] = t + task.duration
+            # Pipelined units free up after their initiation interval,
+            # not after the full latency.
+            instance_free[instance] = t + task.busy_cycles
+            instance_order.setdefault(instance, []).append(tid)
+            for signal, latency in wiring[tid].outputs:
+                avail[signal] = t + latency
+            del ready[tid]
+            left -= 1
+            for succ_id in succs[tid]:
+                n_deps_left[succ_id] -= 1
+                if n_deps_left[succ_id] == 0:
+                    ready[succ_id] = data_ready(succ_id)
+        # The next issue cycle: the earliest at which some ready task has
+        # both its data and a free instance.  It stays t while a task that
+        # just became ready, or one whose instance is still free, can
+        # issue at t.  Ready times and instance-free times change only
+        # when a task issues, so nothing could issue in the cycles
+        # skipped.  (Any cycle past the horizon raises the same error.)
+        nxt = horizon + 1
+        for tid, at in ready.items():
+            free = instance_free.get(instance_of[tid], 0)
+            if free > at:
+                at = free
+            if at < nxt:
+                nxt = at
+        t = max(t, nxt)
 
     length = 0
-    for out_id in dfg.outputs:
-        (edge,) = dfg.in_edges(out_id)
-        length = max(length, avail[edge.signal])
+    for drivers in graph.output_drivers:
+        (signal,) = drivers
+        length = max(length, avail[signal])
 
     return ScheduleResult(
         start=start,

@@ -17,6 +17,7 @@ period and the objective.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
@@ -55,6 +56,7 @@ __all__ = [
     "Metrics",
     "EvaluationContext",
     "area_of",
+    "schedule_digest",
     "DEFAULT_COST_CACHE_SIZE",
 ]
 
@@ -110,6 +112,30 @@ def area_of(solution: Solution, netlist: DatapathNetlist | None = None) -> float
             assert inst.module is not None
             total += inst.module.area(solution.library)
     return total
+
+
+def schedule_digest(solution: Solution) -> str:
+    """Store address of *solution*'s schedule, composed from its blocks.
+
+    Equal to ``digest_content(("schedule", graph_signature(dfg),
+    solution.task_signature()))``: list scheduling is a pure function
+    of the graph and the task list, and the graph signature is
+    identity-exact because a schedule's dicts reference concrete
+    node/task ids.  The ``repr`` of that tuple is composed from each
+    non-empty task block's cached :meth:`~repro.synthesis.solution.
+    TaskBlock.signature_text` instead of being rendered afresh, so only
+    blocks a move re-derived are rendered; a one-row signature keeps
+    ``repr``'s trailing comma.
+    """
+    texts: list[str] = []
+    n_rows = 0
+    for block in solution.task_blocks():
+        if block.tasks:
+            texts.append(block.signature_text())
+            n_rows += len(block.tasks)
+    rows = ", ".join(texts) + ("," if n_rows == 1 else "")
+    text = f"('schedule', {graph_signature(solution.dfg)!r}, ({rows}))"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class EvaluationContext:
@@ -261,19 +287,11 @@ class EvaluationContext:
             return cached
         cached = self.store.get("schedule", key)
         if cached is MISSING:
-            # List scheduling is a pure function of the graph and the
-            # task list, so the content key needs nothing else; the
-            # graph signature is identity-exact because the schedule's
-            # dicts reference concrete node/task ids.
-            content = (
-                "schedule",
-                graph_signature(solution.dfg),
-                solution.task_signature(),
-            )
-            cached = self.store.fetch("schedule", key, content)
+            digest = schedule_digest(solution)
+            cached = self.store.fetch("schedule", key, digest)
             if cached is MISSING:
                 cached = solution.schedule()
-                self.store.put("schedule", key, content, cached)
+                self.store.put("schedule", key, digest, cached)
                 return cached
         solution.adopt_schedule(cached)
         return cached

@@ -81,7 +81,7 @@ class TaskBlock:
     """
 
     __slots__ = ("instance", "executions", "clk_ns", "vdd", "tasks",
-                 "_rows", "_min_length")
+                 "_rows", "_key", "_text", "_min_length")
 
     def __init__(
         self,
@@ -97,6 +97,8 @@ class TaskBlock:
         self.vdd = vdd
         self.tasks = tasks
         self._rows: tuple | None = None
+        self._key: HashedKey | None = None
+        self._text: str | None = None
         self._min_length: int | None = None
 
     def fits(
@@ -132,6 +134,21 @@ class TaskBlock:
                 ]
             )
         return self._rows
+
+    def signature_key(self) -> HashedKey:
+        """:meth:`signature_rows` with their hash precomputed (cached):
+        this block's part of :meth:`Solution.schedule_key`."""
+        if self._key is None:
+            self._key = HashedKey(self.signature_rows())
+        return self._key
+
+    def signature_text(self) -> str:
+        """The ``repr`` of each of :meth:`signature_rows`, joined by
+        ``", "`` (cached): this block's part of the schedule store
+        address (:func:`repro.synthesis.costs.schedule_digest`)."""
+        if self._text is None:
+            self._text = ", ".join([repr(row) for row in self.signature_rows()])
+        return self._text
 
     @property
     def min_length(self) -> int:
@@ -187,7 +204,6 @@ class Solution:
         #: edited, by :func:`~repro.synthesis.datapath_build.
         #: build_netlist`.
         self._netlist = None
-        self._task_signature: tuple | None = None
         self._sched_key: HashedKey | None = None
         self._reg_of: dict[Signal, str] | None = None
         self._fingerprint: tuple | None = None
@@ -379,7 +395,6 @@ class Solution:
         self._schedule = None
         self._tasks = None
         self._task_index = None
-        self._task_signature = None
         self._sched_key = None
         self._reg_of = None
         self._fingerprint = None
@@ -648,25 +663,30 @@ class Solution:
         Register-binding moves (and cell swaps that keep the timing)
         have the same signature as the solution they were derived from,
         which is what lets the evaluation context share one schedule
-        across them (cached; dropped by :meth:`invalidate`).
+        across them.  Not cached: the memo key (:meth:`schedule_key`)
+        and the store address (:func:`repro.synthesis.costs.
+        schedule_digest`) are composed from the blocks' cached parts.
         """
-        if self._task_signature is None:
-            rows: list[tuple] = []
-            for block in self.task_blocks():
-                rows.extend(block.signature_rows())
-            self._task_signature = tuple(rows)
-        return self._task_signature
+        rows: list[tuple] = []
+        for block in self.task_blocks():
+            rows.extend(block.signature_rows())
+        return tuple(rows)
 
     def schedule_key(self) -> HashedKey:
-        """Memoized schedule-sharing key: graph identity + task digest.
+        """Memoized schedule-sharing key: graph identity + task blocks.
 
-        Hashing the (large) task signature tuple once per solution
-        instead of once per lookup is measurable across thousands of
-        candidates; binding moves carry the key through clones just
-        like the signature itself.
+        ``id(dfg)`` followed by the :meth:`TaskBlock.signature_key` of
+        every block with tasks, in instance order.  Each of those blocks
+        is a maximal run of one instance's rows in
+        :meth:`task_signature`, so two keys are equal exactly when the
+        graphs and the task signatures are.  Blocks a move left alone
+        bring their hashed keys along through clones, so a key costs
+        only the blocks the move re-derived; binding moves carry the
+        whole key through clones like the signature itself.
         """
         if self._sched_key is None:
-            self._sched_key = HashedKey((id(self.dfg), self.task_signature()))
+            keys = [b.signature_key() for b in self.task_blocks() if b.tasks]
+            self._sched_key = HashedKey((id(self.dfg), *keys))
         return self._sched_key
 
     def adopt_schedule(self, sched: ScheduleResult) -> None:
@@ -810,7 +830,7 @@ class Solution:
         rest, so the established idiom of
         cloning and then assigning a new operating point directly stays
         correct.  ``carry_timing=True`` additionally shares the cached
-        task list, task signature and schedule.  Only sound when the
+        task list, schedule key and schedule.  Only sound when the
         caller will touch nothing but the register binding (whose
         mutators preserve those caches — see
         :meth:`_invalidate_binding`).
@@ -827,7 +847,6 @@ class Solution:
         if carry_timing:
             other._tasks = self._tasks
             other._task_index = self._task_index
-            other._task_signature = self._task_signature
             other._sched_key = self._sched_key
             other._schedule = self._schedule
         return other

@@ -30,9 +30,12 @@ The lookup protocol is two-step to mirror the legacy control flow
 exactly: :meth:`get` probes only the point tier (the legacy fast path,
 requiring no content key), and :meth:`fetch` — called only after a
 point miss — builds on the caller-supplied content key to probe the run
-and persistent tiers.  :data:`MISSING` distinguishes "absent" from a
-stored ``None`` (the resynthesis memo stores ``None`` for infeasible
-budgets).
+and persistent tiers.  A content key is a tuple, or its
+:func:`digest_content` as a ``str`` when the caller can compose that
+more cheaply (the schedule namespace builds it from cached per-block
+text, :func:`repro.synthesis.costs.schedule_digest`).  :data:`MISSING`
+distinguishes "absent" from a stored ``None`` (the resynthesis memo
+stores ``None`` for infeasible budgets).
 
 One namespace holds **mutable aggregates** rather than immutable
 results: ``priors`` (trace-mined move statistics, see
@@ -439,8 +442,14 @@ class SynthesisStore:
             )
             return MISSING
 
-    def _digest(self, content: tuple) -> str:
-        """Memoized :func:`digest_content` (same object → cached digest)."""
+    def _digest(self, content: tuple | str) -> str:
+        """Memoized :func:`digest_content` (same object → cached digest).
+
+        A ``str`` is a digest the caller made already and is returned
+        as it is, without entering the memo.
+        """
+        if type(content) is str:
+            return content
         entry = self._digest_memo.get(id(content))
         if entry is not None and entry[0] is content:
             return entry[1]
@@ -469,7 +478,7 @@ class SynthesisStore:
         self,
         ns: str,
         key,
-        content: tuple,
+        content: tuple | str,
         decode: Callable[[Any], Any] | None = None,
     ) -> Any:
         """Probe the run and persistent tiers after a point miss.
@@ -502,7 +511,7 @@ class SynthesisStore:
             self._point_put(ns, key, value)
         return value
 
-    def contains(self, ns: str, content: tuple) -> bool:
+    def contains(self, ns: str, content: tuple | str) -> bool:
         """Whether the run or persistent tier holds *content*.
 
         A pure probe — no counters, no point-tier install: batch pricing
@@ -525,7 +534,7 @@ class SynthesisStore:
                 return False
             return row is not None
 
-    def put(self, ns: str, key, content: tuple, value: Any) -> None:
+    def put(self, ns: str, key, content: tuple | str, value: Any) -> None:
         """Store a freshly computed value in every tier."""
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob_key = (ns, self._digest(content))
@@ -535,7 +544,7 @@ class SynthesisStore:
             self._db_put(blob_key, blob)
             self._fresh.append((ns, blob_key[1], blob))
 
-    def load(self, ns: str, content: tuple) -> Any:
+    def load(self, ns: str, content: tuple | str) -> Any:
         """Content-only probe of the run and persistent tiers.
 
         For namespaces addressed purely by content (no per-point live
@@ -558,7 +567,7 @@ class SynthesisStore:
             return MISSING
         return self._unpickle(blob_key, blob)
 
-    def replace(self, ns: str, content: tuple, value: Any) -> None:
+    def replace(self, ns: str, content: tuple | str, value: Any) -> None:
         """Store *value* under *content*, overwriting any previous value.
 
         The mutable-aggregate counterpart of :meth:`put`: most

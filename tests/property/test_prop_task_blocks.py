@@ -2,12 +2,22 @@
 
 :meth:`~repro.synthesis.solution.Solution.tasks` reuses the per-instance
 :class:`~repro.synthesis.solution.TaskBlock` s a clone inherits from its
-parent.  This walks random move sequences on the move fuzzer's random
-designs (``benchmarks/fuzz_moves.py``), materializes every candidate of
-both discovery engines, and requires each one's tasks, task signature
-and schedule-length bound to equal a derivation from scratch.  The walk
-ends with a clone whose operating point is reassigned after cloning,
-the idiom of ``voltage_scale`` and the corner sweep.
+parent, and with them the tasks' cached scheduler wiring and the
+blocks' cached schedule-key parts and signature texts.  This walks
+random move sequences on the move fuzzer's random designs
+(``benchmarks/fuzz_moves.py``), materializes every candidate of both
+discovery engines, and requires of each one:
+
+* its tasks, task signature and schedule-length bound equal a
+  derivation from scratch;
+* the engine's schedule of its shared tasks equals the stepped
+  reference scheduler's schedule of fresh tasks, field for field;
+* its schedule store digest equals the digest of the full content key;
+* its schedule key equals another candidate's exactly when their graph
+  identity and task signature are equal.
+
+The walk ends with a clone whose operating point is reassigned after
+cloning, the idiom of ``voltage_scale`` and the corner sweep.
 """
 
 import random
@@ -21,11 +31,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
 from fuzz_moves import random_design  # noqa: E402
 
+from repro.dfg.canonical import graph_signature  # noqa: E402
 from repro.library import default_library  # noqa: E402
 from repro.library.voltage import SUPPLY_VOLTAGES  # noqa: E402
 from repro.power import simulate_subgraph, white_traces  # noqa: E402
-from repro.scheduling import TaskSpec  # noqa: E402
+from repro.scheduling import TaskSpec, schedule_tasks  # noqa: E402
+from repro.synthesis.caching import HashedKey  # noqa: E402
 from repro.synthesis.context import SynthesisConfig, SynthesisEnv  # noqa: E402
+from repro.synthesis.costs import schedule_digest  # noqa: E402
 from repro.synthesis.initial import initial_solution  # noqa: E402
 from repro.synthesis.moves import (  # noqa: E402
     _min_schedule_length,
@@ -34,6 +47,8 @@ from repro.synthesis.moves import (  # noqa: E402
     type_a_b_candidates,
 )
 from repro.synthesis.relational import RelationalView  # noqa: E402
+from repro.synthesis.store import digest_content  # noqa: E402
+from tests.reference_scheduler import stepped_schedule_tasks  # noqa: E402
 
 DISCOVER = (type_a_b_candidates, sharing_candidates, splitting_candidates)
 
@@ -98,11 +113,40 @@ def fresh_bound(tasks) -> int:
     )
 
 
-def assert_fresh(solution) -> None:
+SCHEDULE_FIELDS = (
+    "start", "finish", "avail", "length", "instance_order", "task_of_node"
+)
+
+
+class KeyCensus:
+    """Schedule keys seen so far, each against its full key: the two
+    must map one to one."""
+
+    def __init__(self):
+        self.full_of: dict[HashedKey, HashedKey] = {}
+        self.key_of: dict[HashedKey, HashedKey] = {}
+
+    def add(self, solution) -> None:
+        key = solution.schedule_key()
+        full = HashedKey((id(solution.dfg), solution.task_signature()))
+        assert self.full_of.setdefault(key, full) == full
+        assert self.key_of.setdefault(full, key) == key
+
+
+def assert_fresh(solution, census: KeyCensus) -> None:
     expected = fresh_tasks(solution)
     assert solution.tasks() == expected
     assert solution.task_signature() == fresh_signature(expected)
     assert _min_schedule_length(solution) == fresh_bound(expected)
+
+    got = schedule_tasks(solution.dfg, solution.tasks())
+    want = stepped_schedule_tasks(solution.dfg, expected)
+    for name in SCHEDULE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert schedule_digest(solution) == digest_content(
+        ("schedule", graph_signature(solution.dfg), solution.task_signature())
+    )
+    census.add(solution)
 
 
 @given(
@@ -123,7 +167,8 @@ def test_candidate_tasks_match_fresh_derivation(seed, walk, vdd, clk_ns):
     config = SynthesisConfig(max_share_pairs=8, max_split_candidates=4)
     env = SynthesisEnv(design, default_library(), "power", config)
     solution = initial_solution(env, top, sim, 10.0, 5.0, 2000.0)
-    assert_fresh(solution)
+    census = KeyCensus()
+    assert_fresh(solution, census)
     for relational, pick in walk:
         view = RelationalView(env, solution, frozenset()) if relational else None
         candidates = []
@@ -132,7 +177,7 @@ def test_candidate_tasks_match_fresh_derivation(seed, walk, vdd, clk_ns):
         if not candidates:
             break
         for cand in candidates:
-            assert_fresh(cand.solution)
+            assert_fresh(cand.solution, census)
         solution = candidates[pick % len(candidates)].solution
 
     # Clone, then reassign the supply, the clock or both directly.
@@ -140,6 +185,6 @@ def test_candidate_tasks_match_fresh_derivation(seed, walk, vdd, clk_ns):
         scaled = solution.clone()
         for name, value in point.items():
             setattr(scaled, name, value)
-        assert_fresh(scaled)
+        assert_fresh(scaled, census)
     # Re-deriving the clones' blocks left the parent's untouched.
-    assert_fresh(solution)
+    assert_fresh(solution, census)

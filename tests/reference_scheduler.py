@@ -6,6 +6,11 @@ and, at every cycle, re-derives each ready task's data-ready cycle from
 its in-edges.  Slow, but obviously a list scheduler; the property tests
 require the event-driven scheduler to return exactly what this one
 returns.
+
+Its set-up (coverage check, dependencies, ALAP priorities) is the
+engine's set-up as it was before the engine read the graph through
+cached task wirings, kept here so the oracle shares no set-up code with
+the engine: it walks the DFG on every call and caches nothing.
 """
 
 from __future__ import annotations
@@ -13,11 +18,91 @@ from __future__ import annotations
 from repro.dfg.graph import DFG, NodeKind, Signal
 from repro.errors import ScheduleError
 from repro.scheduling.model import ScheduleResult, TaskSpec
-from repro.scheduling.scheduler import (
-    _alap_priorities,
-    _check_coverage,
-    task_dependencies,
-)
+
+
+def task_dependencies(dfg: DFG, tasks: list[TaskSpec]) -> dict[str, set[str]]:
+    """Map each task id to the set of task ids it depends on for data."""
+    producer: dict[str, str] = {}
+    for task in tasks:
+        for node in task.nodes:
+            if node in producer:
+                raise ScheduleError(f"node {node!r} covered by two tasks")
+            producer[node] = task.task_id
+
+    deps: dict[str, set[str]] = {t.task_id: set() for t in tasks}
+    for task in tasks:
+        for edge in task.external_in_edges(dfg):
+            src_kind = dfg.node(edge.src).kind
+            if src_kind in (NodeKind.INPUT, NodeKind.CONST):
+                continue
+            if edge.src not in producer:
+                raise ScheduleError(
+                    f"operation {edge.src!r} is not covered by any task"
+                )
+            deps[task.task_id].add(producer[edge.src])
+    return deps
+
+
+def _check_coverage(dfg: DFG, tasks: list[TaskSpec]) -> None:
+    covered = {node for task in tasks for node in task.nodes}
+    for node in dfg.operation_nodes():
+        if node.node_id not in covered:
+            raise ScheduleError(f"operation {node.node_id!r} has no task")
+    for node_id in covered:
+        if not dfg.node(node_id).is_operation:
+            raise ScheduleError(f"task covers non-operation node {node_id!r}")
+
+
+def _alap_priorities(
+    dfg: DFG, tasks: list[TaskSpec], deps: dict[str, set[str]]
+) -> dict[str, int]:
+    """Longest path from each task to any primary output (criticality).
+
+    Higher value = more critical = scheduled first on contention.
+    """
+    by_id = {t.task_id: t for t in tasks}
+
+    # Reverse-topological order via depth-first search on the task DAG.
+    succs: dict[str, set[str]] = {t.task_id: set() for t in tasks}
+    for tid, dep_ids in deps.items():
+        for dep in dep_ids:
+            succs[dep].add(tid)
+
+    order: list[str] = []
+    state: dict[str, int] = {}
+
+    def visit(tid: str) -> None:
+        stack = [(tid, iter(succs[tid]))]
+        state[tid] = 1
+        while stack:
+            current, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if state.get(nxt, 0) == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(succs[nxt])))
+                    advanced = True
+                    break
+                if state.get(nxt) == 1:
+                    raise ScheduleError("cycle in task dependence graph")
+            if not advanced:
+                state[current] = 2
+                order.append(current)
+                stack.pop()
+
+    for task in tasks:
+        if state.get(task.task_id, 0) == 0:
+            visit(task.task_id)
+
+    # order is reverse-topological (all successors of t appear before t).
+    criticality: dict[str, int] = {}
+    for tid in order:
+        task = by_id[tid]
+        tail = 0
+        for succ_id in succs[tid]:
+            tail = max(tail, criticality[succ_id])
+        criticality[tid] = task.duration + tail
+    return criticality
 
 
 def stepped_schedule_tasks(

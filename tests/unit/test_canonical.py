@@ -6,14 +6,19 @@ results (node names, construction order) and sensitive to everything
 that does (operations, wiring, port order, nested behavior bodies).
 """
 
+import copyreg
 import dataclasses
 import inspect
+import io
+import pickle
 
 import numpy as np
 
 from repro.dfg import (
+    DFG,
     Design,
     GraphBuilder,
+    Operation,
     canonical_fingerprint,
     clusters_isomorphic,
     config_signature,
@@ -121,6 +126,50 @@ class TestGraphSignature:
             _mac(("prod", "sum"))
         )
         assert graph_signature(_mac()) == graph_signature(_mac())
+
+    def test_memo_misses_after_connect(self):
+        def adder(connect_y: bool) -> DFG:
+            dfg = DFG("g")
+            dfg.add_input("x")
+            dfg.add_input("y")
+            dfg.add_op("a", Operation.ADD)
+            dfg.add_output("o")
+            dfg.connect("x", 0, "a", 0)
+            dfg.connect("a", 0, "o", 0)
+            if connect_y:
+                dfg.connect("y", 0, "a", 1)
+            return dfg
+
+        dfg = adder(connect_y=False)
+        partial = graph_signature(dfg)
+        fingerprint = canonical_fingerprint(dfg)
+        dfg.connect("y", 0, "a", 1)
+        assert graph_signature(dfg) != partial
+        assert graph_signature(dfg) == graph_signature(adder(connect_y=True))
+        assert canonical_fingerprint(dfg) != fingerprint
+
+    def test_graph_pickled_without_edge_counter(self):
+        """Store files hold DFGs pickled before the edge counter: they
+        unpickle with their edges counted and sign as before."""
+        dfg = _mac()
+        signature = graph_signature(dfg)  # memoized into the pickle too
+        fingerprint = canonical_fingerprint(_mac())
+
+        class OlderPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if obj is not dfg:
+                    return NotImplemented
+                state = {k: v for k, v in vars(obj).items() if k != "_n_edges"}
+                return copyreg.__newobj__, (DFG,), state
+
+        buf = io.BytesIO()
+        OlderPickler(buf, pickle.HIGHEST_PROTOCOL).dump(dfg)
+        restored = pickle.loads(buf.getvalue())
+        assert restored.n_edges == dfg.n_edges == 5
+        assert graph_signature(restored) == signature
+        assert canonical_fingerprint(restored) == fingerprint
+        restored._canonical_memo.clear()
+        assert graph_signature(restored) == signature
 
 
 class TestStreamDigest:

@@ -4,9 +4,13 @@ import math
 
 import pytest
 
-from repro.synthesis import EvaluationContext, area_of
+from repro.dfg import GraphBuilder, Operation
+from repro.dfg.canonical import graph_signature
+from repro.synthesis import EvaluationContext, Solution, area_of
 from repro.synthesis.context import SynthesisEnv
+from repro.synthesis.costs import schedule_digest
 from repro.synthesis.initial import initial_solution
+from repro.synthesis.store import digest_content
 
 
 @pytest.fixture
@@ -168,3 +172,33 @@ class TestSharingEffects:
         m = ctx.evaluate(clone)
         assert m.feasible
         assert m.area < base
+
+
+class TestScheduleDigest:
+    """The schedule store address is composed from per-block texts; it
+    must equal the digest of the full content key, whose task tuple
+    ``repr`` writes as ``()`` empty and ``(row,)`` with one row."""
+
+    @staticmethod
+    def _adder_chain(library, n_ops: int) -> Solution:
+        b = GraphBuilder("chain")
+        x, y = b.inputs("x", "y")
+        wire = x
+        for k in range(n_ops):
+            wire = b.add(wire, y, name=f"a{k}")
+        b.output("o", wire)
+        solution = Solution(b.build(), library, 10.0, 5.0, 500.0)
+        cell = library.fastest_cell(Operation.ADD)
+        solution.add_instance(cell=cell)  # idle: a block with no rows
+        units = [solution.add_instance(cell=cell).inst_id for _ in range(2)]
+        for k in range(n_ops):
+            solution.bind_execution(units[k % 2], (f"a{k}",))
+        return solution
+
+    @pytest.mark.parametrize("n_ops", [0, 1, 2, 3])
+    def test_matches_full_content_digest(self, library, n_ops):
+        solution = self._adder_chain(library, n_ops)
+        rows = solution.task_signature()
+        assert len(rows) == n_ops
+        content = ("schedule", graph_signature(solution.dfg), rows)
+        assert schedule_digest(solution) == digest_content(content)

@@ -1,12 +1,16 @@
 """Unit tests for the profile-aware list scheduler."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.dfg import GraphBuilder
+from repro.dfg import DFG, GraphBuilder, Operation
 from repro.errors import ScheduleError
 from repro.scheduling import TaskSpec, schedule_tasks, task_dependencies
 
 from tests.designs import diamond_dfg as diamond
+from tests.reference_scheduler import stepped_schedule_tasks
 
 
 class TestBasicScheduling:
@@ -66,6 +70,20 @@ class TestBasicScheduling:
         assert res.start["ts1"] < res.start["tf"]
         # slow1 at 0, slow2 at 1..6, fast fills the gap at cycle 1.
         assert res.length == 6
+
+    def test_instance_free_after_zero_cycles_issues_again(self):
+        """Zero-cycle tasks leave their instance free: both multiplies
+        and the add that reads them all issue at cycle 0."""
+        dfg = diamond()
+        tasks = [
+            TaskSpec("t1", ("m1",), "Z", 0),
+            TaskSpec("t2", ("m2",), "Z", 0),
+            TaskSpec("t3", ("a1",), "A", 1),
+        ]
+        res = schedule_tasks(dfg, tasks)
+        assert res.start == {"t1": 0, "t2": 0, "t3": 0}
+        assert res.instance_order["Z"] == ["t1", "t2"]
+        assert res == stepped_schedule_tasks(dfg, tasks)
 
 
 class TestProfileSemantics:
@@ -171,6 +189,27 @@ class TestErrors:
         ):
             schedule_tasks(chain(), tasks, max_cycles=5)
 
+    def test_missing_operation_reported_before_double_coverage(self):
+        """m1 is covered twice and m2 not at all: the missing one wins."""
+        dfg = diamond()
+        tasks = [
+            TaskSpec("t1", ("m1",), "M", 3),
+            TaskSpec("t2", ("m1",), "M", 3),
+            TaskSpec("t3", ("a1",), "A", 1),
+        ]
+        with pytest.raises(ScheduleError, match="'m2' has no task"):
+            schedule_tasks(dfg, tasks)
+
+    def test_non_operation_reported_before_double_coverage(self):
+        dfg = diamond()
+        tasks = [
+            TaskSpec("t1", ("m1",), "M", 3),
+            TaskSpec("t2", ("m1", "m2"), "M", 3),
+            TaskSpec("t3", ("a1", "o"), "A", 1),
+        ]
+        with pytest.raises(ScheduleError, match="non-operation node 'o'"):
+            schedule_tasks(dfg, tasks)
+
     def test_dependence_cycle_between_multi_node_tasks(self):
         """n1 → n2 → n3 with n1 and n3 in one task: that task both feeds
         and waits for the task holding n2."""
@@ -199,3 +238,97 @@ class TestDependencies:
         deps = task_dependencies(dfg, tasks)
         assert deps["t3"] == {"t1", "t2"}
         assert deps["t1"] == set()
+
+
+def _fresh(tasks):
+    """Equal tasks that have never been scheduled."""
+    return [
+        TaskSpec(t.task_id, t.nodes, t.instance, t.duration,
+                 dict(t.input_offsets), dict(t.output_latency),
+                 t.initiation_interval)
+        for t in tasks
+    ]
+
+
+def _two_wirings():
+    """Two graphs with the same node ids and counts, wired oppositely:
+    ``m1 = x * y; a1 = m1 + y`` and ``a1 = x + y; m1 = a1 * y``."""
+    graphs = []
+    for first, second in (("m1", "a1"), ("a1", "m1")):
+        dfg = DFG(f"{first}_first")
+        dfg.add_input("x")
+        dfg.add_input("y")
+        dfg.add_op("m1", Operation.MULT)
+        dfg.add_op("a1", Operation.ADD)
+        dfg.add_output("o")
+        dfg.connect("x", 0, first, 0)
+        dfg.connect("y", 0, first, 1)
+        dfg.connect(first, 0, second, 0)
+        dfg.connect("y", 0, second, 1)
+        dfg.connect(second, 0, "o", 0)
+        graphs.append(dfg)
+    return graphs
+
+
+class TestCachedWiring:
+    """Each task caches what the scheduler reads from the graph; the
+    cache must follow the graph it is scheduled on."""
+
+    TASKS = (
+        TaskSpec("tm", ("m1",), "M", 3),
+        TaskSpec("ta", ("a1",), "A", 1,
+                 input_offsets={("a1", 1): 1}, output_latency={("a1", 0): 2}),
+    )
+
+    def test_same_tasks_on_differently_wired_graphs(self):
+        tasks = _fresh(self.TASKS)
+        mult_first, add_first = _two_wirings()
+        assert (len(mult_first), mult_first.n_edges) == (
+            len(add_first), add_first.n_edges
+        )
+        for dfg in (mult_first, add_first, mult_first):
+            assert schedule_tasks(dfg, tasks) == schedule_tasks(
+                dfg, _fresh(self.TASKS)
+            )
+        assert schedule_tasks(mult_first, tasks).start == {"tm": 0, "ta": 3}
+        assert schedule_tasks(add_first, tasks).start == {"ta": 0, "tm": 2}
+
+    def test_graph_that_grew_is_read_again(self):
+        dfg = DFG("growing")
+        dfg.add_input("x")
+        dfg.add_input("y")
+        dfg.add_op("m1", Operation.MULT)
+        dfg.add_op("a1", Operation.ADD)
+        dfg.add_output("o")
+        dfg.connect("x", 0, "m1", 0)
+        dfg.connect("y", 0, "m1", 1)
+        dfg.connect("x", 0, "a1", 0)
+        dfg.connect("a1", 0, "o", 0)
+        tasks = _fresh(self.TASKS)
+        assert schedule_tasks(dfg, tasks).length == 2
+        # a1's second operand now comes from m1: a1 waits for it.
+        dfg.connect("m1", 0, "a1", 1)
+        grown = schedule_tasks(dfg, tasks)
+        assert grown == schedule_tasks(dfg, _fresh(self.TASKS))
+        assert grown.start["ta"] == 2
+        # A new operation without a task is caught, not missed.
+        dfg.add_op("n1", Operation.NEG)
+        with pytest.raises(ScheduleError, match="'n1' has no task"):
+            schedule_tasks(dfg, tasks)
+
+    def test_pickles_without_cached_wiring(self):
+        tasks = _fresh(self.TASKS)
+        schedule_tasks(_two_wirings()[0], tasks)
+        for task, never_scheduled in zip(tasks, _fresh(self.TASKS)):
+            blob = pickle.dumps(task)
+            assert blob == pickle.dumps(never_scheduled)
+            restored = pickle.loads(blob)
+            assert restored == task
+            assert "_wiring" not in vars(restored)
+            assert "_wiring" not in vars(copy.copy(task))
+
+    def test_dependencies_follow_the_graph(self):
+        tasks = _fresh(self.TASKS)
+        mult_first, add_first = _two_wirings()
+        assert task_dependencies(mult_first, tasks) == {"tm": set(), "ta": {"tm"}}
+        assert task_dependencies(add_first, tasks) == {"tm": {"ta"}, "ta": set()}
