@@ -9,8 +9,9 @@ Concurrent-writer hardening mirrors (and goes beyond) the store tier's
 sweep-worker setup: WAL journaling with a generous busy timeout,
 ``BEGIN IMMEDIATE`` transactions for read-modify-write updates (the
 coalesce counter), and bounded retries on transient ``database is
-locked`` failures, so a server, its workers, and ``repro status``
-probes in other processes can all touch one registry safely.
+locked`` failures, of every write and of the set-up on open, so a
+server, its workers, and ``repro status`` probes in other processes
+can all open and touch one registry safely.
 """
 
 from __future__ import annotations
@@ -55,13 +56,32 @@ class JobRegistry:
         self._db = sqlite3.connect(
             self.path, timeout=30.0, check_same_thread=False
         )
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute("PRAGMA busy_timeout=30000")
-        self._init_schema()
+        attempt = 0
+        while True:
+            try:
+                self._init_schema()
+                break
+            except sqlite3.OperationalError as exc:
+                # Two processes opening a fresh registry at once: the
+                # journal-mode switch can fail at once with "database is
+                # locked" (the busy timeout does not cover it).  Every
+                # set-up statement is idempotent, so it simply reruns.
+                attempt += 1
+                transient = "locked" in str(exc) or "busy" in str(exc)
+                if not transient or attempt == _WRITE_RETRIES:
+                    self._db.close()
+                    raise
+                try:
+                    self._db.rollback()
+                except sqlite3.Error:
+                    pass
+                time.sleep(_WRITE_RETRY_SLEEP_S * attempt)
 
     def _init_schema(self) -> None:
         db = self._db
+        db.execute("PRAGMA journal_mode=WAL")
+        db.execute("PRAGMA synchronous=NORMAL")
+        db.execute("PRAGMA busy_timeout=30000")
         db.execute(
             "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
         )

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from ..dfg.canonical import graph_signature
+from ..dfg.canonical import design_fingerprint, graph_signature
 from ..dfg.graph import Signal
 from ..errors import SynthesisError
 from ..power.estimator import PowerReport
@@ -35,8 +35,8 @@ from .caching import HashedKey, LRUCache
 from .store import (
     MISSING,
     SynthesisStore,
+    module_pricing_text,
     sim_level_digest,
-    solution_pricing_signature,
 )
 from ..power.activity import batch_activities
 from .datapath_build import build_netlist, operand_port_map
@@ -56,6 +56,7 @@ __all__ = [
     "Metrics",
     "EvaluationContext",
     "area_of",
+    "metrics_digest",
     "schedule_digest",
     "DEFAULT_COST_CACHE_SIZE",
 ]
@@ -138,6 +139,55 @@ def schedule_digest(solution: Solution) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def metrics_digest(
+    solution: Solution, design, prefix: str | None, level_digest: str
+) -> str:
+    """Store address of *solution*'s metrics, composed from cached text.
+
+    Equal to ``digest_content(("metrics", prefix,
+    solution_pricing_signature(solution, design), level_digest))``.
+    The ``repr`` of that tuple is joined from text cached on the
+    objects a move leaves alone: each task block's instance row
+    (:meth:`~repro.synthesis.solution.TaskBlock.row_text`) and each
+    module's pricing signature (:func:`~repro.synthesis.store.
+    module_pricing_text`).  Only the register rows and the scalar
+    fields are rendered afresh.  The blocks come in instance order,
+    because a solution's instance and execution maps share their keys
+    and order.
+    """
+    rows: list[str] = []
+    modules: list[str] = []
+    for block in solution.task_blocks():
+        rows.append(block.row_text(design))
+        module = block.instance.module
+        if module is not None:
+            modules.append(
+                f"({block.instance.inst_id!r}, "
+                f"{module_pricing_text(module, design)})"
+            )
+    regs = tuple(
+        [
+            (reg_id, tuple(signals))
+            for reg_id, signals in solution.reg_signals.items()
+        ]
+    )
+    signature = (
+        f"(({design_fingerprint(design, solution.dfg)!r}, "
+        f"{solution.clk_ns!r}, {solution.vdd!r}, {solution.sampling_ns!r}, "
+        f"{_tuple_text(rows)}, {regs!r}), "
+        f"{solution.deadline_cycles!r}, {_tuple_text(modules)})"
+    )
+    text = f"('metrics', {prefix!r}, {signature}, {level_digest!r})"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _tuple_text(items: list[str]) -> str:
+    """The ``repr`` of a tuple whose elements' ``repr`` s are *items*:
+    a one-element tuple keeps its trailing comma, an empty one is
+    ``()``."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
 class EvaluationContext:
     """Fixed context for evaluating solutions of one DFG level."""
 
@@ -189,13 +239,13 @@ class EvaluationContext:
         self._batched: dict[
             HashedKey, tuple[Metrics, Breakdown, int, int]
         ] = {}
-        #: Canonical metrics content keys, memoized per fingerprint.
-        #: One candidate's content is needed up to three times (the
+        #: Metrics store addresses (hex digests, see
+        #: :func:`metrics_digest`), memoized per fingerprint.  One
+        #: candidate's address is needed up to three times (the
         #: batch-pricing ``contains`` filter, then ``fetch`` and ``put``
-        #: in :meth:`evaluate`); building the pricing signature each time
-        #: was measurable, and returning the *same* tuple object lets
-        #: the store's digest memo answer repeat hashings for free.
-        self._content_memo: LRUCache[HashedKey, tuple] = LRUCache(cache_size)
+        #: in :meth:`evaluate`), and each composition still renders the
+        #: register rows and hashes a few KB of text.
+        self._content_memo: LRUCache[HashedKey, str] = LRUCache(cache_size)
         #: Tiered synthesis store carrying the shared schedule memo
         #: (namespace ``"schedule"``); ``None`` for bare contexts
         #: (voltage scaling, module characterization), which fall back
@@ -373,27 +423,28 @@ class EvaluationContext:
 
     def _metrics_content(
         self, solution: Solution, key: HashedKey | None = None
-    ) -> tuple:
+    ) -> str:
         """Canonical content address of one solution's metrics.
 
         Name-free and process-independent: the pricing signature covers
         the solution side, the level digest covers the operand streams,
-        and the store prefix covers library and configuration.
-        Memoized per fingerprint (equal fingerprints imply equal pricing
-        signatures at one synthesis point).
+        and the store prefix covers library and configuration.  The
+        digest is composed from cached text (:func:`metrics_digest`)
+        and memoized per fingerprint (equal fingerprints imply equal
+        pricing signatures at one synthesis point).
         """
         if key is None:
             key = solution.fingerprint_key()
-        content = self._content_memo.get(key)
-        if content is None:
-            content = (
-                "metrics",
+        digest = self._content_memo.get(key)
+        if digest is None:
+            digest = metrics_digest(
+                solution,
+                self.design,
                 self._store_prefix,
-                solution_pricing_signature(solution, self.design),
                 sim_level_digest(self.sim, self.path),
             )
-            self._content_memo.put(key, content)
-        return content
+            self._content_memo.put(key, digest)
+        return digest
 
     def breakdown_of(self, solution: Solution) -> Breakdown | None:
         """The stored per-term breakdown of an already-evaluated solution.

@@ -36,6 +36,7 @@ from ..rtl.module import RTLModule
 from ..scheduling.model import ScheduleResult, TaskSpec
 from ..scheduling.scheduler import schedule_tasks
 from .caching import HashedKey
+from .store import module_content_text
 
 __all__ = ["Instance", "Solution", "TaskBlock"]
 
@@ -81,7 +82,7 @@ class TaskBlock:
     """
 
     __slots__ = ("instance", "executions", "clk_ns", "vdd", "tasks",
-                 "_rows", "_key", "_text", "_min_length")
+                 "_rows", "_key", "_text", "_min_length", "_row_text")
 
     def __init__(
         self,
@@ -100,6 +101,7 @@ class TaskBlock:
         self._key: HashedKey | None = None
         self._text: str | None = None
         self._min_length: int | None = None
+        self._row_text: str | None = None
 
     def fits(
         self,
@@ -149,6 +151,24 @@ class TaskBlock:
         if self._text is None:
             self._text = ", ".join([repr(row) for row in self.signature_rows()])
         return self._text
+
+    def row_text(self, design) -> str:
+        """The ``repr`` of this instance's row of :func:`repro.synthesis.
+        store.solution_signature`, ``(inst_id, module content signature
+        or ("cell", name), executions)`` (cached): the block's key fixes
+        all three, and a module's content signature is frozen.  This
+        block's part of the metrics store address
+        (:func:`repro.synthesis.costs.metrics_digest`)."""
+        if self._row_text is None:
+            inst = self.instance
+            if inst.module is not None:
+                sig = module_content_text(inst.module, design)
+            else:
+                sig = repr(("cell", inst.cell.name))
+            self._row_text = (
+                f"({inst.inst_id!r}, {sig}, {tuple(self.executions)!r})"
+            )
+        return self._row_text
 
     @property
     def min_length(self) -> int:

@@ -30,12 +30,17 @@ The lookup protocol is two-step to mirror the legacy control flow
 exactly: :meth:`get` probes only the point tier (the legacy fast path,
 requiring no content key), and :meth:`fetch` — called only after a
 point miss — builds on the caller-supplied content key to probe the run
-and persistent tiers.  A content key is a tuple, or its
-:func:`digest_content` as a ``str`` when the caller can compose that
-more cheaply (the schedule namespace builds it from cached per-block
-text, :func:`repro.synthesis.costs.schedule_digest`).  :data:`MISSING`
-distinguishes "absent" from a stored ``None`` (the resynthesis memo
-stores ``None`` for infeasible budgets).
+and persistent tiers.  A content key is a tuple, hashed with
+:func:`digest_content` on every call, or that digest as a ``str``.  The
+two hot namespaces pass a ``str`` composed from text cached on what a
+move leaves alone: ``schedule`` from per-task-block rows
+(:func:`repro.synthesis.costs.schedule_digest`) and ``metrics`` from
+per-block instance rows and per-module texts
+(:func:`repro.synthesis.costs.metrics_digest`).  The other callers
+(``module``, ``resynth``, ``priors``, ``service`` and the corner
+sweep's metrics) pass tuples, a few dozen per run.
+:data:`MISSING` distinguishes "absent" from a stored ``None`` (the
+resynthesis memo stores ``None`` for infeasible budgets).
 
 One namespace holds **mutable aggregates** rather than immutable
 results: ``priors`` (trace-mined move statistics, see
@@ -66,6 +71,7 @@ import sqlite3
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -90,6 +96,8 @@ __all__ = [
     "SynthesisStore",
     "context_signature",
     "module_content_signature",
+    "module_content_text",
+    "module_pricing_text",
     "sim_level_digest",
     "solution_pricing_signature",
     "solution_signature",
@@ -213,18 +221,63 @@ def module_pricing_signature(module: "RTLModule", design: "Design") -> tuple:
     characterized under different input streams carries different ones.
     Not memoized: RTL embedding adds behaviors in place.
     """
-    return (
-        module_content_signature(module, design),
-        tuple(
-            sorted(
-                (
-                    (behavior, impl.profile, impl.cap_internal)
-                    for behavior, impl in module._impls.items()
-                ),
-                key=lambda entry: entry[0],
-            )
-        ),
+    return (module_content_signature(module, design), _behavior_rows(module))
+
+
+def _behavior_rows(module: "RTLModule") -> tuple:
+    """``(behavior, profile, cap_internal)`` per behavior, by behavior."""
+    return tuple(
+        sorted(
+            (
+                (behavior, impl.profile, impl.cap_internal)
+                for behavior, impl in module._impls.items()
+            ),
+            key=lambda entry: entry[0],
+        )
     )
+
+
+#: RTL module → ``[content text, behavior count, pricing text]`` (see
+#: :func:`module_content_text` and :func:`module_pricing_text`).
+#: Weakly keyed, so the cache never keeps a module alive, and not an
+#: attribute of the module, so it is never pickled with one.
+_MODULE_TEXTS: "weakref.WeakKeyDictionary[RTLModule, list]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _module_texts(module: "RTLModule", design: "Design") -> list:
+    entry = _MODULE_TEXTS.get(module)
+    if entry is None:
+        entry = [repr(module_content_signature(module, design)), -1, ""]
+        _MODULE_TEXTS[module] = entry
+    return entry
+
+
+def module_content_text(module: "RTLModule", design: "Design") -> str:
+    """``repr(module_content_signature(module, design))``, cached per module.
+
+    Exact for as long as the signature it renders, which is memoized
+    on the module object too.
+    """
+    return _module_texts(module, design)[0]
+
+
+def module_pricing_text(module: "RTLModule", design: "Design") -> str:
+    """``repr(module_pricing_signature(module, design))``, cached per module.
+
+    Rendered again whenever the module's behavior count moves: RTL
+    embedding and :func:`~repro.synthesis.context.ensure_behavior` add
+    behaviors in place, while a behavior, once added, is never removed
+    or re-characterized (both add one only after ``supports`` said no).
+    The content signature's text is reused, not rendered again.
+    """
+    entry = _module_texts(module, design)
+    count = len(module._impls)
+    if entry[1] != count:
+        entry[2] = f"({entry[0]}, {_behavior_rows(module)!r})"
+        entry[1] = count
+    return entry[2]
 
 
 def solution_pricing_signature(solution: "Solution", design: "Design") -> tuple:
@@ -297,15 +350,6 @@ class SynthesisStore:
         #: so one store object stays consistent if several threads use
         #: it at once.
         self._lock = threading.Lock()
-        #: id(content) → (content, digest).  One content tuple flows
-        #: through up to three digesting calls per candidate
-        #: (``contains`` while batch pricing filters candidates, then
-        #: ``fetch`` and ``put`` in the accounting pass); re-hashing the
-        #: multi-KB repr each time was a measurable fraction of pricing.
-        #: The content tuple is kept in the value so its id cannot be
-        #: recycled while the entry lives; the identity check on lookup
-        #: makes a stale entry merely a recompute, never a wrong digest.
-        self._digest_memo: dict[int, tuple[tuple, str]] = {}
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.persistent = self.cache_dir is not None and persistent
         #: Persistent-tier connections, one per shard (empty when the
@@ -442,22 +486,11 @@ class SynthesisStore:
             )
             return MISSING
 
-    def _digest(self, content: tuple | str) -> str:
-        """Memoized :func:`digest_content` (same object → cached digest).
-
-        A ``str`` is a digest the caller made already and is returned
-        as it is, without entering the memo.
-        """
-        if type(content) is str:
-            return content
-        entry = self._digest_memo.get(id(content))
-        if entry is not None and entry[0] is content:
-            return entry[1]
-        digest = digest_content(content)
-        if len(self._digest_memo) >= 4096:
-            self._digest_memo.clear()
-        self._digest_memo[id(content)] = (content, digest)
-        return digest
+    @staticmethod
+    def _digest(content: tuple | str) -> str:
+        """The address of *content*: a ``str`` is a digest the caller
+        made already, a tuple is hashed with :func:`digest_content`."""
+        return content if type(content) is str else digest_content(content)
 
     def get(self, ns: str, key) -> Any:
         """Probe the point tier only; returns :data:`MISSING` on a miss.
@@ -663,6 +696,31 @@ class SynthesisStore:
         # check_same_thread=False: scoring threads may fetch/put; all
         # access is serialized by self._lock.
         db = sqlite3.connect(file, timeout=30.0, check_same_thread=False)
+        attempt = 0
+        while True:
+            try:
+                self._init_db(db)
+                return db
+            except sqlite3.OperationalError as exc:
+                # Two processes opening a fresh file at once: the
+                # journal-mode switch can fail at once with "database is
+                # locked" (the busy timeout does not cover it).  Every
+                # set-up statement is idempotent, so it simply reruns.
+                attempt += 1
+                transient = "locked" in str(exc) or "busy" in str(exc)
+                if not transient or attempt == _WRITE_RETRIES:
+                    db.close()
+                    raise
+                try:
+                    db.rollback()
+                except sqlite3.Error:
+                    pass
+                time.sleep(_WRITE_RETRY_SLEEP_S * attempt)
+
+    @staticmethod
+    def _init_db(db: sqlite3.Connection) -> None:
+        """Set up one connection: WAL journaling, the schema and its
+        version (dropping the entries of any other version)."""
         db.execute("PRAGMA journal_mode=WAL")
         db.execute("PRAGMA synchronous=NORMAL")
         # Belt over the connect timeout: writers blocked on another
@@ -691,7 +749,6 @@ class SynthesisStore:
                 (str(STORE_SCHEMA_VERSION),),
             )
         db.commit()
-        return db
 
     def _shard_for(self, digest: str) -> sqlite3.Connection | None:
         """Connection owning *digest*, or ``None`` when the tier is off.

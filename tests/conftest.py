@@ -7,6 +7,8 @@ plain functions; this file only wraps them as fixtures.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.dfg import Design
@@ -93,3 +95,35 @@ def mixed_library(mixed_design):
 @pytest.fixture
 def mixed_sim(mixed_design):
     return sim_for(mixed_design, n=16)
+
+
+@pytest.fixture
+def locked_journal_switch(monkeypatch):
+    """Make the next *n* ``PRAGMA journal_mode`` statements fail.
+
+    Each fails as a switch contended by another process opening the
+    same fresh database does: at once, with ``database is locked``.
+    Call the fixture's value with *n*; it returns the list of injected
+    failures, which grows as they happen.
+    """
+    real_connect = sqlite3.connect
+    remaining = [0]
+    injected: list[str] = []
+
+    class LockedSwitch(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql.startswith("PRAGMA journal_mode") and remaining[0] > 0:
+                remaining[0] -= 1
+                injected.append(sql)
+                raise sqlite3.OperationalError("database is locked")
+            return super().execute(sql, *args)
+
+    def connect(*args, **kwargs):
+        return real_connect(*args, factory=LockedSwitch, **kwargs)
+
+    def install(n: int) -> list[str]:
+        remaining[0] = n
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        return injected
+
+    return install

@@ -25,6 +25,7 @@ SCOPE = [
     SRC / "rtl",
     SRC / "scheduling",
     SRC / "search",
+    SRC / "service",
     SRC / "synthesis",
     SRC / "trace",
     SRC / "telemetry.py",

@@ -1,6 +1,7 @@
 """Unit tests for the SQLite job registry (lifecycle + concurrency)."""
 
 import json
+import sqlite3
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import JobRegistry
+from repro.service import registry as registry_module
 
 REQUEST = {"gen_seed": 1, "laxity_factor": 2.0}
 
@@ -189,6 +191,26 @@ for job_id in ids:
 registry.close()
 print(f"{tag} done")
 """
+
+
+class TestOpen:
+    def test_retries_a_locked_journal_switch(
+        self, tmp_path, locked_journal_switch
+    ):
+        """A second process opening the same fresh registry can make
+        the WAL switch fail at once; opening retries it."""
+        injected = locked_journal_switch(1)
+        registry = JobRegistry(tmp_path)
+        assert len(injected) == 1
+        record = registry.create(REQUEST, "fp1")
+        assert registry.get(record.job_id).state == "queued"
+        registry.close()
+
+    def test_raises_when_the_lock_lasts(self, tmp_path, locked_journal_switch):
+        injected = locked_journal_switch(100)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            JobRegistry(tmp_path)
+        assert len(injected) == registry_module._WRITE_RETRIES
 
 
 class TestConcurrentWriterProcesses:

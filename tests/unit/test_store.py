@@ -1,15 +1,23 @@
 """Unit tests for the tiered synthesis store (repro.synthesis.store)."""
 
+import pickle
 import sqlite3
 import warnings
 
 import pytest
 
+from repro.synthesis import store as store_module
+from repro.synthesis.context import SynthesisEnv
+from repro.synthesis.initial import initial_solution
 from repro.synthesis.store import (
     MISSING,
     STORE_SCHEMA_VERSION,
     SynthesisStore,
     digest_content,
+    module_content_signature,
+    module_content_text,
+    module_pricing_signature,
+    module_pricing_text,
 )
 from repro.telemetry import Telemetry
 
@@ -196,6 +204,88 @@ class TestPersistentTier:
         assert store.counters()["misses"] == {"fallback.persistent": 1}
         store.put("module", "k", ("c",), 1)  # still works in memory
         assert store.get("module", "k") == 1
+
+    def test_open_retries_a_locked_journal_switch(
+        self, tmp_path, locked_journal_switch
+    ):
+        """A second process opening the same fresh file can make the
+        WAL switch fail at once; the store retries it instead of
+        dropping to its memory tiers."""
+        injected = locked_journal_switch(1)
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        assert len(injected) == 1
+        assert store.persistent
+        assert "fallback.persistent" not in store.counters()["misses"]
+        store.put("module", "k", ("c",), 7)
+        store.close()
+        reader = SynthesisStore(cache_dir=str(tmp_path))
+        assert reader.fetch("module", "k", ("c",)) == 7
+        reader.close()
+
+    def test_open_falls_back_when_the_lock_lasts(
+        self, tmp_path, locked_journal_switch
+    ):
+        injected = locked_journal_switch(100)
+        with pytest.warns(RuntimeWarning, match="does not open"):
+            store = SynthesisStore(cache_dir=str(tmp_path))
+        assert len(injected) == store_module._WRITE_RETRIES
+        assert not store.persistent
+        assert store.counters()["misses"] == {"fallback.persistent": 1}
+
+
+class TestModuleTexts:
+    """Cached ``repr`` s of module signatures: exact, and never pickled."""
+
+    @pytest.fixture
+    def module_setup(self, mixed_design, mixed_library, mixed_sim):
+        env = SynthesisEnv(mixed_design, mixed_library, "power")
+        solution = initial_solution(
+            env, mixed_design.top, mixed_sim, 10.0, 5.0, 2000.0
+        )
+        module = next(
+            inst.module
+            for inst in solution.instances.values()
+            if inst.module is not None and inst.module.internal is not None
+        )
+        return module, mixed_design
+
+    def test_texts_are_the_signatures_reprs(self, module_setup):
+        module, design = module_setup
+        assert module_content_text(module, design) == repr(
+            module_content_signature(module, design)
+        )
+        assert module_pricing_text(module, design) == repr(
+            module_pricing_signature(module, design)
+        )
+
+    def test_pricing_text_follows_added_behaviors(self, module_setup):
+        module, design = module_setup
+        before = module_pricing_text(module, design)
+        module.add_behavior(
+            "zz_alias", module.profile(), module.cap_internal()
+        )
+        after = module_pricing_text(module, design)
+        assert after != before
+        assert after == repr(module_pricing_signature(module, design))
+        # The content text does not read behaviors.
+        assert module_content_text(module, design) == repr(
+            module_content_signature(module, design)
+        )
+
+    def test_pickles_carry_no_text_cache(self, module_setup):
+        module, design = module_setup
+        module_content_signature(module, design)  # memoized on the module
+        blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        module_content_text(module, design)
+        module_pricing_text(module, design)
+        assert module in store_module._MODULE_TEXTS
+        assert pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL) == blob
+        copy = pickle.loads(blob)
+        assert copy not in store_module._MODULE_TEXTS
+        assert vars(copy).keys() == vars(module).keys()
+        assert module_pricing_text(copy, design) == module_pricing_text(
+            module, design
+        )
 
 
 #: A pickle naming a class that does not exist (any more).
