@@ -4,7 +4,9 @@ Generates random hierarchical designs (a couple of random sub-behaviors
 plus a top level mixing simple operations with hierarchical calls),
 builds an initial architecture, and then hammers it with randomly chosen
 candidates from the real move generators — type A/B replacements,
-sharing/embedding (move C) and splitting (move D).  Every applied
+sharing/embedding (move C) and splitting (move D), discovered as the
+improvement loop discovers them, through one relational view of the
+current solution per step.  Every applied
 candidate's RTL is executed by the cycle-accurate interpreter and
 cross-checked against the behavioral simulation via
 :func:`repro.verify.verify_solution`.
@@ -41,6 +43,7 @@ from repro.synthesis.moves import (
     splitting_candidates,
     type_a_b_candidates,
 )
+from repro.synthesis.relational import RelationalView
 from repro.verify import verify_solution
 
 BINARY_OPS = (Operation.ADD, Operation.SUB, Operation.MULT)
@@ -148,10 +151,11 @@ def fuzz_one(
         return checks, failures, reports
 
     for _step in range(steps):
+        view = RelationalView(env, solution, frozenset())
         candidates = []
-        candidates.extend(type_a_b_candidates(env, solution, sim, frozenset()))
-        candidates.extend(sharing_candidates(env, solution, sim, frozenset()))
-        candidates.extend(splitting_candidates(env, solution, sim, frozenset()))
+        for discover in (type_a_b_candidates, sharing_candidates,
+                         splitting_candidates):
+            candidates.extend(discover(env, solution, sim, frozenset(), view=view))
         if not candidates:
             break
         chosen = rng.choice(candidates)

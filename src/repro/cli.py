@@ -114,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--no-prune", action="store_true",
                        help="disable dominance/feasibility pruning of "
                             "candidates before pricing")
-    synth.add_argument("--saturate", action="store_true",
-                       help="before synthesis, saturate each non-top "
-                            "behavior with bit-true algebraic rewrites "
-                            "(commutativity, sub->add+neg, associativity) "
-                            "to a bounded fixpoint, enlarging the move-A "
-                            "anisomorphic-variant space; every discovered "
-                            "variant is verified bit-true before use")
     synth.add_argument("--corners", action="store_true",
                        help="after synthesis, re-price every explored "
                             "architecture across the ±10%% supply × "
@@ -364,16 +357,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.priors and not args.cache_dir:
         print("note: --priors without --cache-dir starts from empty priors "
               "and persists nothing", file=sys.stderr)
-    if args.saturate:
-        # Saturation runs before the library build: every verified
-        # variant registers as an anisomorphic alternative of its
-        # behavior, and build_complex_library then characterizes it
-        # into the complex-module library move A draws from.
-        from .synthesis.saturate import saturate_design
-
-        n_new = saturate_design(design)
-        print(f"equivalence saturation: {n_new} new bit-true variant(s)",
-              file=sys.stderr)
     library = default_library()
     built_library = False
     if not args.no_library and not args.flatten and any(

@@ -332,7 +332,6 @@ _EXECUTION_ONLY_FIELDS = frozenset(
         "n_workers",
         "validate_incremental",
         "batch_activity",
-        "relational",
         "trace",
         "trace_timings",
         "trace_evals",

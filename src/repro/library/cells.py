@@ -74,6 +74,21 @@ class LibraryCell:
     #: multi-cycled, and pipelined functional units" (Section 1).
     pipelined: bool = False
 
+    def __getstate__(self) -> dict:
+        """Pickled state, with ``ops`` as a tuple in a fixed order.
+
+        A frozenset pickles in iteration order, which follows the
+        operations' hashes and so ``PYTHONHASHSEED``; a sorted tuple
+        keeps stored blobs byte-identical across processes.
+        """
+        state = self.__dict__.copy()
+        state["ops"] = tuple(sorted(self.ops, key=lambda op: op.value))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled cell (older blobs carry ``ops`` as a frozenset)."""
+        self.__dict__.update(state, ops=frozenset(state["ops"]))
+
     def supports(self, op: Operation) -> bool:
         """True if the cell can execute *op*."""
         return op in self.ops

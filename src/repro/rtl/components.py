@@ -141,23 +141,26 @@ class DatapathNetlist:
 
         The caches are cheap to rebuild, and the area cache would drag
         a copy of every library it was asked about into the pickle.
+        Connections are stored as the sorted :meth:`connections` list:
+        the set's iteration order follows string hashes, so pickling it
+        would make stored blobs differ between processes.
         """
         return {
             "name": self.name,
             "_components": self._components,
-            "_connections": self._connections,
+            "_connections": self.connections(),
         }
 
     def __setstate__(self, state: dict) -> None:
         """Restore a pickled netlist with empty caches.
 
         Netlists pickled before :meth:`__getstate__` existed carry their
-        whole ``__dict__``, caches included; only the three fields above
-        are taken from it.
+        whole ``__dict__``, caches included, and older blobs carry the
+        connections as a set; only the three fields above are taken.
         """
         self.name = state["name"]
         self._components = state["_components"]
-        self._connections = state["_connections"]
+        self._connections = set(state["_connections"])
         self._invalidate()
 
     # ------------------------------------------------------------------

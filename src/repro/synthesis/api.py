@@ -541,9 +541,9 @@ def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
     """Search-shaping knobs recorded in a trace's ``run_start`` event.
 
     Execution-only fields are excluded: ``n_workers``,
-    ``validate_incremental``, ``batch_activity``, ``relational``, the
-    ``trace_*`` family and the store knobs (``cache_dir``,
-    ``persistent_cache``, ``run_cache_size``) do not change what the
+    ``validate_incremental``, ``batch_activity``, the ``trace_*``
+    family and the store knobs (``cache_dir``, ``persistent_cache``,
+    ``run_cache_size``) do not change what the
     search does (or what its trace records), and keeping them out is
     what lets a 1-worker and a 4-worker run — or a cold and a
     warm-cache run — produce byte-identical traces.  ``incremental`` and
@@ -552,8 +552,7 @@ def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
     must run them the same way.  ``trace_meta`` rides separately as the
     provenance field.
     """
-    skip = {"n_workers", "validate_incremental",
-            "batch_activity", "relational",
+    skip = {"n_workers", "validate_incremental", "batch_activity",
             "trace", "trace_timings", "trace_evals",
             "trace_max_events", "trace_meta",
             "cache_dir", "persistent_cache", "run_cache_size",

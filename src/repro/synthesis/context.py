@@ -100,14 +100,6 @@ class SynthesisConfig:
     #: before pricing (counted per family in telemetry as
     #: ``moves_pruned``).  Outcome-preserving by construction.
     prune: bool = True
-    #: Discover each KL round's candidate set through the relational
-    #: engine (:mod:`repro.synthesis.relational`): batched SQL joins
-    #: emitting lazy candidate descriptors, with ``Solution.clone()``
-    #: deferred past pruning.  Execution knob only — the candidate
-    #: multiset, final solutions, goldens and traces are bit-identical
-    #: to the legacy per-pair loops (``relational=False``), which stay
-    #: as the engine's test reference.
-    relational: bool = True
     #: Record the search as structured trace events (run → point → pass
     #: → move, with gain attribution); surfaced on
     #: ``SynthesisResult.trace_events`` and the CLI's ``--trace`` flag.

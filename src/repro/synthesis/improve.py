@@ -77,12 +77,10 @@ def _tally_discovered(
     """Count freshly generated candidates (pre-pruning), by kind.
 
     Feeds both the run telemetry and the per-step ``discovered`` trace
-    field.  Eager candidates (legacy loops and the shared module/chain
-    helpers) count as materialized right here; lazy (relational)
-    candidates report materialization through their build callback, so
-    the discovered/materialized gap measures the clones laziness
-    avoided.  The counts themselves are engine-independent: both
-    discovery paths emit identical candidate multisets.
+    field.  Eager candidates (the module, chain and move-B helpers)
+    count as materialized right here; lazy (relational) candidates
+    report materialization through their build callback, so the
+    discovered/materialized gap measures the clones laziness avoided.
     """
     for cand in candidates:
         kind = cand.kind
@@ -156,7 +154,7 @@ def _discover_family(
     work: Solution,
     sim: SimTrace,
     locked: frozenset[str],
-    view: RelationalView | None,
+    view: RelationalView,
     discovered: dict[str, int],
     pass_idx: int,
     step_idx: int,
@@ -230,9 +228,7 @@ def improve_solution(
             # (evicted) simply means candidates price from scratch.
             base = ctx.breakdown_of(work) if config.incremental else None
             discovered: dict[str, int] = {}
-            view = (
-                RelationalView(env, work, locked) if config.relational else None
-            )
+            view = RelationalView(env, work, locked)
             groups: dict[str, list[Candidate]] = {}
             scored: dict[str, ScoredMove | None] = {}
             for family in plan:
@@ -364,9 +360,9 @@ def _emit_step(
         d_power=after.power - before.power,
         d_area=after.area - before.area,
         d_cycles=after.schedule_length - before.schedule_length,
-        # Pre-pruning generation counts by full kind: identical between
-        # the relational and legacy discovery engines (equal candidate
-        # multisets), so the field is safe for trace byte-identity.
+        # Pre-pruning generation counts by full kind: they depend on
+        # the candidate multiset only, never on emission order, so the
+        # field is safe for trace byte-identity.
         discovered=dict(sorted(discovered.items())),
         tried=dict(sorted(tried.items())),
         eval=evals,

@@ -18,11 +18,13 @@
 Every generator returns *candidates* that the iterative-improvement
 driver prices with the cost function (by delta against the current
 solution for local moves; see :mod:`repro.synthesis.incremental`).
-A :class:`Candidate` either carries an eagerly mutated clone or — when
-discovered by the relational engine
-(:mod:`repro.synthesis.relational`) — a lazy *descriptor*: an edit
+The solution-bounded families (cell swaps, FU and register sharing and
+splitting) are discovered by the relational engine
+(:mod:`repro.synthesis.relational`) as lazy *descriptors*: an edit
 recipe plus a precomputed structural fingerprint, with the
 ``Solution.clone()`` deferred until the candidate is actually priced.
+The library- and DFG-bounded families below carry an eagerly mutated
+clone.
 Generators respect the KL *locked* set so a pass cannot ping-pong on
 the same resources.  :func:`prune_candidates` discards provably
 dominated or structurally hopeless candidates before any of them are
@@ -61,7 +63,7 @@ class Candidate:
     Two construction modes:
 
     * **eager** — ``solution=`` carries the already-mutated clone (the
-      legacy generators' idiom);
+      module, chain and move-B helpers' idiom);
     * **lazy** — ``build=`` is a zero-argument callable producing the
       clone on first access to :attr:`solution`, and ``fingerprint=``
       is the precomputed :class:`~repro.synthesis.caching.HashedKey`
@@ -72,9 +74,8 @@ class Candidate:
 
     The precomputed fingerprint must equal the built solution's
     ``fingerprint_key()`` exactly — pruning and cost-cache decisions
-    key on it, and the bit-identity of the relational and legacy paths
-    rests on that equality (asserted by the test suite against a key
-    derived from scratch).  Building a lazy candidate therefore installs
+    key on it, and the equality is asserted by the test suite against a
+    key derived from scratch.  Building a lazy candidate therefore installs
     the precomputed key into the clone
     (:meth:`~repro.synthesis.solution.Solution.adopt_fingerprint`)
     instead of deriving it again.
@@ -189,10 +190,10 @@ def register_lifetimes(
 ) -> dict[str, list[tuple[int, int]]]:
     """Interval index: register id → sorted half-open signal lifetimes.
 
-    The shared basis of register-sharing discovery on both engines: the
-    legacy loop checks pairwise disjointness over these intervals, and
-    the relational engine loads the same rows into its ``life`` table
-    for the interval-overlap anti-join.  Intervals are half-open
+    The basis of register-sharing discovery: the relational engine
+    loads these rows into its ``life`` table for the interval-overlap
+    anti-join (and the per-pair test reference checks disjointness over
+    the same intervals).  Intervals are half-open
     ``[birth, death)`` cycles — two overlap iff
     ``b1 < d2 and b2 < d1``.
     """
@@ -200,25 +201,6 @@ def register_lifetimes(
         r: sorted(solution.signal_lifetime(s) for s in solution.reg_signals[r])
         for r in regs
     }
-
-
-def _ops_of_instance(solution: Solution, inst_id: str) -> set[Operation]:
-    ops: set[Operation] = set()
-    for group in solution.executions[inst_id]:
-        for node_id in group:
-            node = solution.dfg.node(node_id)
-            if node.op is not None:
-                ops.add(node.op)
-    return ops
-
-
-def _max_chain(solution: Solution, inst_id: str) -> int:
-    execs = solution.executions[inst_id]
-    return max((len(g) for g in execs), default=1)
-
-
-def _cell_fits(cell: LibraryCell, ops: set[Operation], chain: int) -> bool:
-    return all(cell.supports(op) for op in ops) and cell.chain_length >= chain
 
 
 def _instance_weight(env: SynthesisEnv, solution: Solution, inst_id: str) -> float:
@@ -392,6 +374,17 @@ def _bound_behaviors(solution: Solution, inst_id: str) -> list[str]:
     return behaviors
 
 
+def _view_of(
+    env: SynthesisEnv, solution: Solution, locked: frozenset[str], view
+):
+    """*view*, or a fresh relational view of *solution* when it is None."""
+    if view is not None:
+        return view
+    from .relational import RelationalView  # lazy: relational imports moves
+
+    return RelationalView(env, solution, locked)
+
+
 # ----------------------------------------------------------------------
 # Type A and B
 # ----------------------------------------------------------------------
@@ -405,11 +398,11 @@ def type_a_b_candidates(
 ) -> list[Candidate]:
     """Module-selection moves (Figure 5): replacement and resynthesis.
 
-    *view* — a :class:`~repro.synthesis.relational.RelationalView` of
-    *solution* — routes the ``A-cell`` family through one batched
-    capability join instead of a per-instance library rescan; module
-    replacement/re-embedding and move B stay on the shared Python
-    helpers in both modes (their candidate counts are bounded by the
+    The ``A-cell`` family comes from *view* — a
+    :class:`~repro.synthesis.relational.RelationalView` of *solution*,
+    built here when the caller passes none — as one batched capability
+    join.  Module replacement/re-embedding and move B stay on the
+    Python helpers below (their candidate counts are bounded by the
     library, not by the solution size).
     """
     config = env.config
@@ -438,41 +431,12 @@ def type_a_b_candidates(
                 if resynth is not None:
                     candidates.append(resynth)
                     resynth_budget -= 1
-        elif view is not None:
-            simple_targets.append(inst_id)
         else:
-            candidates.extend(_cell_replacements(env, solution, inst_id))
-    if view is not None and simple_targets:
+            simple_targets.append(inst_id)
+    if simple_targets:
+        view = _view_of(env, solution, locked, view)
         candidates.extend(view.cell_replacements(simple_targets))
     return candidates
-
-
-def _cell_replacements(
-    env: SynthesisEnv, solution: Solution, inst_id: str
-) -> list[Candidate]:
-    inst = solution.instances[inst_id]
-    assert inst.cell is not None
-    ops = _ops_of_instance(solution, inst_id)
-    chain = _max_chain(solution, inst_id)
-    out: list[Candidate] = []
-    for cell in env.library.cells():
-        if cell.name == inst.cell.name:
-            continue
-        if not _cell_fits(cell, ops, chain):
-            continue
-        clone = solution.clone()
-        clone.set_cell(inst_id, cell)
-        out.append(
-            Candidate(
-                kind="A-cell",
-                description=f"{inst_id}: {inst.cell.name} -> {cell.name}",
-                solution=clone,
-                touched=frozenset({inst_id}),
-                footprint=frozenset({inst_id}),
-                replacement_cell=cell,
-            )
-        )
-    return out
 
 
 def _module_replacements(
@@ -647,123 +611,20 @@ def sharing_candidates(
     ``telemetry.moves_discovered`` (kind-keyed), making the
     apportionment observable.
 
-    With *view* set (a :class:`~repro.synthesis.relational.
-    RelationalView` of *solution*), the FU and register families come
-    from batched SQL joins emitting lazy candidates; module sharing and
-    chain formation are library-/DFG-bounded and stay on the shared
-    Python helpers in both modes.
+    The FU and register families come from *view* (a :class:`~repro.
+    synthesis.relational.RelationalView` of *solution*, built here when
+    the caller passes none) as batched SQL joins emitting lazy
+    candidates; module sharing and chain formation are library-/DFG-
+    bounded and stay on the Python helpers below.
     """
-    out: list[Candidate] = []
-    if view is not None:
-        out.extend(view.fu_sharing())
-        out.extend(view.register_sharing())
-    else:
-        out.extend(_fu_sharing(env, solution, locked))
-        out.extend(_register_sharing(env, solution, locked))
+    view = _view_of(env, solution, locked, view)
+    out = view.fu_sharing() + view.register_sharing()
     out.extend(
         _module_sharing(
             env, solution, locked, max(1, env.config.max_share_pairs // 2)
         )
     )
     out.extend(_chain_formation(env, solution, locked))
-    return out
-
-
-def _unlocked_simple(solution: Solution, locked: frozenset[str]) -> list[str]:
-    return [
-        inst_id
-        for inst_id, inst in solution.instances.items()
-        if not inst.is_module
-        and inst_id not in locked
-        and solution.executions[inst_id]
-    ]
-
-
-def _fu_sharing(
-    env: SynthesisEnv, solution: Solution, locked: frozenset[str]
-) -> list[Candidate]:
-    simple = _unlocked_simple(solution, locked)
-    pairs: list[tuple[float, str, str, LibraryCell]] = []
-    for i, a in enumerate(simple):
-        for b in simple[i + 1 :]:
-            ops = _ops_of_instance(solution, a) | _ops_of_instance(solution, b)
-            chain = max(_max_chain(solution, a), _max_chain(solution, b))
-            cell_a = solution.instances[a].cell
-            cell_b = solution.instances[b].cell
-            assert cell_a is not None and cell_b is not None
-            target: LibraryCell | None = None
-            if _cell_fits(cell_a, ops, chain):
-                target = cell_a
-            elif _cell_fits(cell_b, ops, chain):
-                target = cell_b
-            else:
-                fits = [
-                    c for c in env.library.cells() if _cell_fits(c, ops, chain)
-                ]
-                if fits:
-                    target = min(fits, key=lambda c: c.area)
-            if target is None:
-                continue
-            saved = min(cell_a.area, cell_b.area)
-            pairs.append((saved, a, b, target))
-    pairs.sort(key=lambda p: -p[0])
-
-    out: list[Candidate] = []
-    for _saved, a, b, target in pairs[: env.config.max_share_pairs]:
-        clone = solution.clone()
-        if clone.instances[a].cell.name != target.name:  # type: ignore[union-attr]
-            clone.set_cell(a, target)
-        clone.merge_instances(a, b)
-        out.append(
-            Candidate(
-                kind="C-share-fu",
-                description=f"share: {b} -> {a} ({target.name})",
-                solution=clone,
-                touched=frozenset({a, b}),
-                footprint=frozenset({a, b}),
-            )
-        )
-    return out
-
-
-def _register_sharing(
-    env: SynthesisEnv, solution: Solution, locked: frozenset[str]
-) -> list[Candidate]:
-    regs = [r for r in solution.reg_signals if r not in locked]
-    lifetimes = register_lifetimes(solution, regs)
-
-    def disjoint(a: str, b: str) -> bool:
-        merged = sorted(lifetimes[a] + lifetimes[b])
-        return all(
-            b2 >= d1 for (_b1, d1), (b2, _d2) in zip(merged, merged[1:])
-        )
-
-    # Sort by end-of-life (left-edge flavour: early-dying registers pair
-    # first) and enumerate *all* pairs in that order up to the family
-    # cap — the old 4-wide window missed valid disjoint pairs whenever
-    # a compatible partner sorted more than four slots away.
-    regs.sort(key=lambda r: lifetimes[r][-1][1])
-    out: list[Candidate] = []
-    for i, a in enumerate(regs):
-        for b in regs[i + 1 :]:
-            if len(out) >= env.config.max_share_pairs // 2:
-                return out
-            if not disjoint(a, b):
-                continue
-            # Register moves leave tasks and schedule untouched, so the
-            # clone carries the parent's timing caches (no rescheduling
-            # when the candidate is priced).
-            clone = solution.clone(carry_timing=True)
-            clone.merge_registers(a, b)
-            out.append(
-                Candidate(
-                    kind="C-share-reg",
-                    description=f"share registers: {b} -> {a}",
-                    solution=clone,
-                    touched=frozenset({a, b}),
-                    footprint=frozenset({a, b}),
-                )
-            )
     return out
 
 
@@ -937,57 +798,12 @@ def splitting_candidates(
 ) -> list[Candidate]:
     """Splitting moves: un-share instances, registers and chains.
 
-    With *view* set, the FU-split and register-split families come from
-    the relational engine as lazy candidates (one ordered scan each);
-    chain dissolution stays on the shared Python helper below.
+    The FU-split and register-split families come from *view* (built
+    here when the caller passes none) as lazy candidates, one ordered
+    scan each; chain dissolution stays on the Python helper below.
     """
-    out: list[Candidate] = []
-
-    if view is not None:
-        out.extend(view.fu_splits())
-        out.extend(view.register_splits())
-    else:
-        shared = [
-            inst_id
-            for inst_id in solution.instances
-            if inst_id not in locked and len(solution.executions[inst_id]) >= 2
-        ]
-        shared.sort(key=lambda i: -len(solution.executions[i]))
-        for inst_id in shared[: env.config.max_split_candidates]:
-            execs = solution.executions[inst_id]
-            half = max(1, len(execs) // 2)
-            moved = execs[half:]
-            clone = solution.clone()
-            twin = clone.split_instance(inst_id, list(moved))
-            out.append(
-                Candidate(
-                    kind="D-split-fu",
-                    description=f"split {inst_id} ({len(execs)} execs) -> {twin}",
-                    solution=clone,
-                    touched=frozenset({inst_id, twin}),
-                    footprint=frozenset({inst_id, twin}),
-                )
-            )
-
-        shared_regs = [
-            reg_id
-            for reg_id, signals in solution.reg_signals.items()
-            if reg_id not in locked and len(signals) >= 2
-        ]
-        for reg_id in shared_regs[: env.config.max_split_candidates // 2]:
-            signals = solution.reg_signals[reg_id]
-            moved = signals[len(signals) // 2 :]
-            clone = solution.clone(carry_timing=True)
-            twin = clone.split_register(reg_id, list(moved))
-            out.append(
-                Candidate(
-                    kind="D-split-reg",
-                    description=f"split register {reg_id} -> {twin}",
-                    solution=clone,
-                    touched=frozenset({reg_id, twin}),
-                    footprint=frozenset({reg_id, twin}),
-                )
-            )
+    view = _view_of(env, solution, locked, view)
+    out = view.fu_splits() + view.register_splits()
 
     # Chain dissolution: break a chained execution into singletons.
     for inst_id, inst in solution.instances.items():

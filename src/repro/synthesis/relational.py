@@ -1,47 +1,44 @@
 """Set-at-a-time candidate discovery over an in-memory relational view.
 
-The legacy generators in :mod:`repro.synthesis.moves` discover
-candidates with nested per-pair Python loops — FU sharing is O(n²) with
-a library rescan per pair — and eagerly ``Solution.clone()`` every
-candidate before :func:`~repro.synthesis.moves.prune_candidates` sees
-it.  This module replaces the *discovery* step with relational algebra:
-each KL step projects the current :class:`~repro.synthesis.solution.
-Solution` into in-memory SQL tables (instances, capability masks,
-register lifetimes) and regenerates whole candidate families with one
-batched join each, emitting **lazy** :class:`~repro.synthesis.moves.
-Candidate` descriptors whose clones are built only if the candidate
-survives pruning and reaches pricing.
+Discovering candidates with nested per-pair Python loops costs O(n²)
+for FU sharing, with a library rescan per pair, plus an eager
+``Solution.clone()`` of every candidate before
+:func:`~repro.synthesis.moves.prune_candidates` sees it.  This module
+does the *discovery* step with relational algebra instead: each KL
+step projects the current :class:`~repro.synthesis.solution.Solution`
+into in-memory SQL tables (instances, capability masks, register
+lifetimes) and regenerates whole candidate families with one batched
+join each, emitting **lazy** :class:`~repro.synthesis.moves.Candidate`
+descriptors whose clones are built only if the candidate survives
+pruning and reaches pricing.
 
 Backend choice — SQLite (stdlib ``sqlite3``) over indexed numpy
 structured arrays: the joins here are small but *irregular* (a
 capability anti-join with a correlated min-area subquery, an interval
 anti-join with an existential negation), which SQL expresses directly
 and evaluates with its own index machinery, whereas numpy would need
-hand-rolled broadcasting for each shape.  It also mirrors the
-``emap-sqlite`` design ROADMAP item 2 names — netlist-as-relational-
-tables with ``INSERT OR IGNORE … SELECT`` batch rewrite steps — which
-:mod:`repro.synthesis.saturate` reuses for move-A equivalence
-saturation.  Connections are ``:memory:`` and thread-local; a view
-rebuilds only the tables a query family actually touches.
+hand-rolled broadcasting for each shape.  Connections are ``:memory:``
+and thread-local; a view rebuilds only the tables a query family
+actually touches.
 
-Bit-identity contract
----------------------
-For every family this module takes over (``A-cell``, ``C-share-fu``,
+Discovery contract
+------------------
+For every family this module serves (``A-cell``, ``C-share-fu``,
 ``C-share-reg``, ``D-split-fu``, ``D-split-reg``) the emitted candidate
 *multiset* — ``(kind, touched, description)`` triples and therefore
-solution fingerprints — equals the legacy generators' output exactly:
-each ``ORDER BY`` reproduces the corresponding Python sort (including
-stable-sort tie-breaks via original positions) and each ``LIMIT``
-reproduces the corresponding cap.  Since both pruning and
-:func:`~repro.synthesis.improve._best` are order-independent given the
-deterministic :func:`~repro.synthesis.moves.candidate_order_key`
-tie-break, equal multisets imply byte-identical search trajectories —
-which is what lets the legacy loops (``relational=False``) serve as a
-bit-exact test reference.
-The remaining families (module replacement/sharing/embedding, move B,
-chain formation/dissolution) are bounded by the library or the DFG
-rather than the solution size and stay on the shared Python helpers in
-both modes.
+solution fingerprints — is fixed by the documented sort and cap of
+each family: each ``ORDER BY`` states the ranking (with stable-sort
+tie-breaks via original positions) and each ``LIMIT`` the cap.  Both
+pruning and :func:`~repro.synthesis.improve._best` are
+order-independent given the deterministic
+:func:`~repro.synthesis.moves.candidate_order_key` tie-break, so equal
+multisets imply byte-identical search trajectories.  The test suite
+holds the engine to a per-pair reference implementation
+(``tests/reference_discovery.py``) family by family and end to end
+against the golden traces.  The remaining families (module
+replacement/sharing/embedding, move B, chain formation/dissolution)
+are bounded by the library or the DFG rather than the solution size
+and stay on the Python helpers in :mod:`repro.synthesis.moves`.
 
 Every lazy candidate carries a *precomputed* fingerprint, derived by
 editing the base solution's cached fingerprint tuple instead of
@@ -260,8 +257,8 @@ class RelationalView:
     def _ensure_simple(self) -> None:
         """``inst``: unlocked simple instances with executions.
 
-        ``pos`` is the instance's rank in binding insertion order (the
-        legacy ``_unlocked_simple`` enumeration order); capability data
+        ``pos`` is the instance's rank in binding insertion order;
+        capability data
         of both the requirement side (``opmask``/``chain``) and the
         currently bound cell (``cellmask``/``cellchain``) is
         denormalized in so the pair join never leaves the table.
@@ -272,10 +269,10 @@ class RelationalView:
             self._n_simple = state["n_simple"]
             return
         # Decode table for merge targets: library cells by position,
-        # extended with any bound cell the library does not list (the
-        # legacy path keeps such a cell object directly; positions past
-        # the library never enter the SQL ``cells`` table, so the
-        # min-area fallback subquery still scans exactly the library).
+        # extended with any bound cell the library does not list (a
+        # merge may keep such a cell; positions past the library never
+        # enter the SQL ``cells`` table, so the min-area fallback
+        # subquery still scans exactly the library).
         lookup = list(self._ensure_cells())
         cell_pos = {c.name: i for i, c in enumerate(lookup)}
         solution = self._solution
@@ -321,11 +318,11 @@ class RelationalView:
     def _ensure_registers(self) -> None:
         """``reg``/``life``: unlocked registers and lifetime intervals.
 
-        ``reg.pos`` ranks registers in the legacy left-edge order;
-        ``reg.ok`` precomputes whether the register's *own* intervals
-        are already pairwise disjoint (the merged-interval check the
-        legacy loop runs degenerates to cross-register overlap exactly
-        when both sides are self-consistent).  ``life`` holds one row
+        ``reg.pos`` ranks registers in left-edge order (earliest end
+        of life first); ``reg.ok`` precomputes whether the register's
+        *own* intervals are already pairwise disjoint (a merged-interval
+        disjointness check degenerates to cross-register overlap
+        exactly when both sides are self-consistent).  ``life`` holds one row
         per (register, interval); ``ovl`` materializes the overlapping
         register pairs once — half-open semantics, ``[b1, d1)`` and
         ``[b2, d2)`` overlap iff ``b1 < d2 and b2 < d1`` — so the
@@ -369,9 +366,9 @@ class RelationalView:
     def cell_replacements(self, targets: list[str]) -> list[Candidate]:
         """``A-cell`` swaps for all *targets* via one capability join.
 
-        The legacy path rescans ``library.cells()`` per target; here a
-        single join against ``cells`` yields every (target, fitting
-        cell) pair at once.  When *targets* covers every unlocked
+        Instead of a ``library.cells()`` rescan per target, a single
+        join against ``cells`` yields every (target, fitting cell) pair
+        at once.  When *targets* covers every unlocked
         simple instance — the common case, ``max_ab_targets`` rarely
         bites — the join runs straight off the ``inst`` table; a capped
         subset stages into ``tgt`` first.  Emission order differs
@@ -450,8 +447,7 @@ class RelationalView:
         if it fits the union of requirements, else b's, else the
         min-area fitting library cell (first by library position on
         area ties, matching ``min()``) — and ranks pairs by saved area
-        descending with enumeration order as the stable tie-break,
-        exactly the legacy sort.
+        descending with enumeration order as the stable tie-break.
         """
         self._ensure_simple()
         cells = self._cell_lookup
@@ -520,8 +516,8 @@ class RelationalView:
         All pairs, not a 4-wide window: the overlap test is an
         anti-join against the materialized ``ovl`` pair table (built
         once per solution in :meth:`_ensure_registers`), with the
-        legacy's first-``cap``-pairs-in-rank-order truncation expressed
-        as ``LIMIT``.
+        first-``cap``-pairs-in-rank-order truncation expressed as
+        ``LIMIT``.
         """
         self._ensure_registers()
         cap = self._env.config.max_share_pairs // 2
@@ -574,7 +570,7 @@ class RelationalView:
         """``D-split-fu``: busiest shared instances, halved.
 
         One ordered scan (executions descending, binding order as the
-        stable tie-break) replaces the legacy sort + slice; the twin's
+        stable tie-break) takes the first ``cap`` instances; the twin's
         id is precomputed with :meth:`Solution.peek_fresh_id` so the
         descriptor fingerprint matches the clone that would be built.
         """

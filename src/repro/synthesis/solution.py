@@ -380,14 +380,22 @@ class Solution:
         self._epoch += 1
 
     #: Derived caches left out of the pickled state.
-    _UNPICKLED = ("_tasks", "_task_index", "_blocks", "_netlist")
+    _UNPICKLED = (
+        "_tasks", "_task_index", "_blocks", "_netlist",
+        "_fingerprint", "_fingerprint_key", "_sched_key",
+    )
 
     def __getstate__(self) -> dict:
-        """Pickled state, without the task and netlist-block caches.
+        """Pickled state, without the task, netlist-block and key caches.
 
         Blocks may describe instances and registers the solution no
         longer has (they survive :meth:`invalidate`), and the task list
         and index are cheap to re-derive, so none of them is stored.
+        The fingerprint and the schedule key embed ``id(self.dfg)``,
+        which means nothing in another process, and a
+        :class:`~repro.synthesis.caching.HashedKey` holds a hash that
+        follows ``PYTHONHASHSEED``; storing them would make blobs differ
+        between processes.
         """
         state = self.__dict__.copy()
         for name in self._UNPICKLED:
@@ -402,13 +410,18 @@ class Solution:
         possibly a task index an older :meth:`invalidate` left stale;
         one pickled before netlist blocks existed has no netlist
         blocks.  Dropping all of them keeps :meth:`task_blocks` from
-        taking a present task list to mean its blocks match it.
+        taking a present task list to mean its blocks match it.  Older
+        blobs also carry the writer's fingerprint and schedule key,
+        whose ``id(dfg)`` is stale here; both are re-derived.
         """
         self.__dict__.update(state)
         self._tasks = None
         self._task_index = None
         self._blocks = {}
         self._netlist = None
+        self._fingerprint = None
+        self._fingerprint_key = None
+        self._sched_key = None
 
     def invalidate(self) -> None:
         """Drop cached schedule/tasks/fingerprint after any mutation."""

@@ -53,16 +53,16 @@ class Telemetry:
     #: (``"A-cell"``, ``"C-share-fu"``, ...) rather than collapsed
     #: family: the per-family cap apportionment in
     #: :func:`~repro.synthesis.moves.sharing_candidates` is only
-    #: observable at kind granularity.  Counted before pruning, and
-    #: identical whichever discovery engine (relational or legacy
-    #: loops) produced the set.
+    #: observable at kind granularity.  Counted before pruning; the
+    #: counts depend on the candidate multiset only, not on the order
+    #: discovery emitted it in.
     moves_discovered: dict[str, int] = field(default_factory=dict)
     #: Discovered candidates whose :class:`~repro.synthesis.moves.
     #: Candidate` actually materialized a mutated ``Solution`` clone,
-    #: keyed by kind.  The legacy loops materialize eagerly (equal to
-    #: ``moves_discovered``); the relational engine defers cloning
-    #: until pricing, so the gap between the two counters is the
-    #: number of clones lazy materialization avoided.
+    #: keyed by kind.  Module, chain and move-B candidates materialize
+    #: eagerly; the relational engine defers cloning until pricing, so
+    #: the gap between the two counters is the number of clones lazy
+    #: materialization avoided.
     moves_materialized: dict[str, int] = field(default_factory=dict)
     #: ``merge_modules`` calls (RTL embeddings) made by discovery, keyed
     #: by the kind of candidate they were made for (``"C-embed"``,

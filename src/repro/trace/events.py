@@ -27,8 +27,8 @@ __all__ = ["SCHEMA_VERSION", "span_kinds"]
 #: Version 2 added the optional ``store`` field (tiered synthesis-store
 #: counters) to ``run_end``.  Version 3 added ``discovered`` to
 #: ``step``: pre-pruning candidate-generation counts keyed by full move
-#: kind (``"A-cell"``, ``"C-share-fu"``, ...), identical whichever
-#: discovery engine (relational or legacy loops) produced the set —
+#: kind (``"A-cell"``, ``"C-share-fu"``, ...), which depend on the
+#: candidate multiset only, not on its emission order —
 #: and, later, the optional ``policy`` header field on ``run_start``
 #: (the non-default search-policy name; absent for default-policy runs,
 #: which therefore serialize exactly as before the field existed).

@@ -1,15 +1,16 @@
-"""Relational engine ≡ legacy loops, from generated corpus to traces.
+"""Relational engine ≡ per-pair reference loops, from corpus to traces.
 
-Two layers of evidence that the legacy loops (``relational=False``)
-are a bit-exact reference for the relational engine:
+Two layers of evidence that the relational engine discovers exactly
+what the per-pair loops of ``tests/reference_discovery.py`` do:
 
 * a property test over the :mod:`repro.gen` corpus asserting the two
-  engines discover identical candidate multisets (ordered by
+  views yield identical candidate multisets (ordered by
   :func:`~repro.synthesis.moves.candidate_order_key`, the total order
   the improvement loop breaks ties with) and that every lazy
   descriptor's precomputed fingerprint equals its materialized clone's;
-* an end-to-end traced run asserting byte-identical trace JSONL and
-  equal final metrics across engines — equal multisets per step imply
+* an end-to-end traced run, once as shipped and once with the reference
+  patched over the improvement loop's view, asserting byte-identical
+  trace JSONL and equal final metrics — equal multisets per step imply
   equal trajectories, and the trace is the step-by-step witness.
 """
 
@@ -32,8 +33,10 @@ from repro.synthesis.moves import (
 )
 from repro.synthesis.relational import RelationalView
 from repro.trace import dumps_trace
+from tests.reference_discovery import ReferenceView
 
 NONE_LOCKED = frozenset()
+DISCOVER = (type_a_b_candidates, sharing_candidates, splitting_candidates)
 
 #: Flat and hierarchical shapes; discovery equivalence must hold for
 #: both (module instances exercise the families that *stay* on the
@@ -59,19 +62,17 @@ class TestGeneratedCorpus:
         env = SynthesisEnv(design, default_library(), "power", SynthesisConfig())
         solution = initial_solution(env, top, sim, 10.0, 5.0, 2000.0)
 
-        view = RelationalView(env, solution, NONE_LOCKED)
-        relational = (
-            list(type_a_b_candidates(env, solution, sim, NONE_LOCKED, view=view))
-            + sharing_candidates(env, solution, sim, NONE_LOCKED, view=view)
-            + splitting_candidates(env, solution, sim, NONE_LOCKED, view=view)
-        )
-        legacy = (
-            list(type_a_b_candidates(env, solution, sim, NONE_LOCKED, view=None))
-            + sharing_candidates(env, solution, sim, NONE_LOCKED, view=None)
-            + splitting_candidates(env, solution, sim, NONE_LOCKED, view=None)
-        )
+        def discover_all(view) -> list:
+            return [
+                cand
+                for discover in DISCOVER
+                for cand in discover(env, solution, sim, NONE_LOCKED, view=view)
+            ]
+
+        relational = discover_all(RelationalView(env, solution, NONE_LOCKED))
+        expected = discover_all(ReferenceView(env, solution, NONE_LOCKED))
         assert sorted(candidate_order_key(c) for c in relational) == sorted(
-            candidate_order_key(c) for c in legacy
+            candidate_order_key(c) for c in expected
         ), f"discovery diverged on generated seed {seed}"
 
         for cand in relational:
@@ -85,7 +86,7 @@ class TestGeneratedCorpus:
                 )
 
 
-def _traced(circuit: str, relational: bool):
+def _traced(circuit: str):
     design = get_benchmark(circuit)
     traces = speech_traces(design.top, n=24, seed=3)
     config = SynthesisConfig(
@@ -100,7 +101,6 @@ def _traced(circuit: str, relational: bool):
         n_workers=1,
         trace=True,
         trace_timings=False,
-        relational=relational,
     )
     return synthesize(
         design,
@@ -114,13 +114,14 @@ def _traced(circuit: str, relational: bool):
 
 class TestEndToEndBitIdentity:
     @pytest.mark.parametrize("circuit", ["paulin", "test1"])
-    def test_trace_and_costs_identical(self, circuit):
-        default = _traced(circuit, relational=True)
-        fallback = _traced(circuit, relational=False)
+    def test_trace_and_costs_identical(self, circuit, monkeypatch):
+        default = _traced(circuit)
+        monkeypatch.setattr("repro.synthesis.improve.RelationalView", ReferenceView)
+        fallback = _traced(circuit)
         assert default.trace_events, "tracing enabled but no events recorded"
         assert dumps_trace(default.trace_events) == dumps_trace(
             fallback.trace_events
-        ), f"legacy-engine trace diverges from default on {circuit}"
+        ), f"reference-discovery trace diverges from default on {circuit}"
         assert default.metrics == fallback.metrics
         assert default.vdd == fallback.vdd
         assert default.clk_ns == fallback.clk_ns

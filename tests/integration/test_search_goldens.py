@@ -8,8 +8,10 @@ pre-refactor engine **byte for byte** — same moves, same telemetry-fed
 eval counters, same trace JSONL.  These goldens were generated from the
 engine as it stood before the seam existed (timings disabled, so the
 traces are deterministic).  Each case keeps one golden,
-``<name>.jsonl``, and runs on both discovery engines (``relational`` on
-and off): the two engines must emit the same bytes.
+``<name>.jsonl``, and runs twice: as shipped (``relational``, the SQLite
+discovery engine) and with the per-pair reference loops of
+``tests/reference_discovery.py`` patched over the improvement loop's
+view (``legacy``).  Both must emit the same bytes.
 
 When a change *intentionally* moves the search (a new move family, a
 cost-model fix), regenerate with::
@@ -18,7 +20,7 @@ cost-model fix), regenerate with::
         --update-goldens
 
 The relational run writes each golden; the legacy run of the same case
-still compares against it, so an update fails if the engines disagree.
+still compares against it, so an update fails if the two disagree.
 Commit the refreshed JSONL files under
 ``tests/integration/goldens/traces/``.
 """
@@ -35,6 +37,7 @@ from repro.gen import GenConfig, generate_design
 from repro.power import speech_traces
 from repro.synthesis import SynthesisConfig, synthesize
 from repro.trace import dumps_trace
+from tests.reference_discovery import ReferenceView
 
 GOLDEN_DIR = Path(__file__).parent / "goldens" / "traces"
 
@@ -56,7 +59,7 @@ GEN_CONFIG = dataclasses.replace(
 GEN_LAXITY = 2.0
 
 
-def _trace_config(relational: bool) -> SynthesisConfig:
+def _trace_config() -> SynthesisConfig:
     return SynthesisConfig(
         max_moves=6,
         max_passes=2,
@@ -66,13 +69,12 @@ def _trace_config(relational: bool) -> SynthesisConfig:
         n_clocks=2,
         resynth_passes=1,
         resynth_moves=4,
-        relational=relational,
         trace=True,
         trace_timings=False,
     )
 
 
-def _run_benchmark(name: str, relational: bool) -> str:
+def _run_benchmark(name: str) -> str:
     design = get_benchmark(name)
     traces = speech_traces(design.top, n=TRACE_SAMPLES, seed=TRACE_SEED)
     result = synthesize(
@@ -80,42 +82,42 @@ def _run_benchmark(name: str, relational: bool) -> str:
         laxity_factor=LAXITY,
         objective="power",
         traces=traces,
-        config=_trace_config(relational),
+        config=_trace_config(),
         n_samples=TRACE_SAMPLES,
     )
     return dumps_trace(result.trace_events)
 
 
-def _run_generated(seed: int, relational: bool) -> str:
+def _run_generated(seed: int) -> str:
     generated = generate_design(seed, GEN_CONFIG)
     result = synthesize(
         generated.design,
         laxity_factor=GEN_LAXITY,
         objective="power",
         traces=generated.traces,
-        config=_trace_config(relational),
+        config=_trace_config(),
         n_samples=GEN_CONFIG.n_samples,
     )
     return dumps_trace(result.trace_events)
 
 
 CASES: dict[str, object] = {
-    "paulin": lambda relational: _run_benchmark("paulin", relational),
-    "test1": lambda relational: _run_benchmark("test1", relational),
+    "paulin": lambda: _run_benchmark("paulin"),
+    "test1": lambda: _run_benchmark("test1"),
 }
 for _seed in GEN_SEEDS:
-    CASES[f"gen{_seed:02d}"] = (
-        lambda relational, seed=_seed: _run_generated(seed, relational)
-    )
+    CASES[f"gen{_seed:02d}"] = lambda seed=_seed: _run_generated(seed)
 
 
 @pytest.mark.parametrize("relational", (True, False),
                          ids=("relational", "legacy"))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_default_policy_trace_matches_pre_refactor_golden(
-    name, relational, update_goldens
+    name, relational, update_goldens, monkeypatch
 ):
-    observed = CASES[name](relational)
+    if not relational:
+        monkeypatch.setattr("repro.synthesis.improve.RelationalView", ReferenceView)
+    observed = CASES[name]()
     path = GOLDEN_DIR / f"{name}.jsonl"
     # The parametrization runs each case's relational engine before its
     # legacy one, so in update mode the legacy run checks the fresh file.
@@ -128,12 +130,12 @@ def test_default_policy_trace_matches_pre_refactor_golden(
     )
     expected = path.read_text()
     assert observed == expected, (
-        f"default-policy trace for {name} ({'relational' if relational else 'legacy'} "
-        f"engine) diverged from the pre-refactor golden {path.name}"
+        f"default-policy trace for {name} ({'relational' if relational else 'reference'} "
+        f"discovery) diverged from the pre-refactor golden {path.name}"
     )
 
 
 def test_golden_dir_holds_one_file_per_case():
-    """Both engines share one golden, so no per-engine twins linger."""
+    """Both discovery views share one golden, so no per-view twins linger."""
     on_disk = {path.name for path in GOLDEN_DIR.iterdir()}
     assert on_disk == {f"{name}.jsonl" for name in CASES}

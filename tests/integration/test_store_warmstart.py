@@ -21,6 +21,7 @@ from repro.power import speech_traces
 from repro.rtl import DatapathNetlist, emit_netlist
 from repro.synthesis import Solution, SynthesisConfig, synthesize
 
+from tests.unit.test_blob_determinism import _EarlierFormPickler
 from tests.unit.test_store import _GONE_CLASS, _overwrite_blobs
 
 SEED = 11
@@ -110,7 +111,7 @@ class TestColdVsWarm:
 
 
 class TestExecutionKnobSharing:
-    @pytest.mark.parametrize("knob", ["batch_activity", "relational"])
+    @pytest.mark.parametrize("knob", ["batch_activity"])
     def test_knob_off_run_warms_from_default_run(self, tmp_path, knob):
         """Execution knobs leave the store signature alone, so a run with
         the knob off reuses what a default run stored, bit for bit."""
@@ -265,6 +266,34 @@ class TestOlderStoreFormat:
         assert warm.telemetry.store_hits.get("persistent.module", 0) > 0
         assert legacy
         assert all(caches == (None, {}, None) for caches in legacy)
+
+
+    def test_modules_pickled_before_fixed_blob_order(self, tmp_path, monkeypatch):
+        """Modules stored with their solutions' fingerprints and schedule
+        keys (holding another process's ``id(dfg)``), netlist connection
+        sets and cell ops frozensets serve a warm run bit-identically to
+        the cold run, and load without those keys."""
+        cold = _run("test1", tmp_path)
+        assert _rewrite_modules(tmp_path, _EarlierFormPickler) > 0
+
+        dropped = []
+        setstate = Solution.__setstate__
+
+        def tracking_setstate(self, state):
+            setstate(self, state)
+            if state.get("_fingerprint") is not None:
+                dropped.append(
+                    (self._fingerprint, self._fingerprint_key, self._sched_key)
+                )
+
+        monkeypatch.setattr(Solution, "__setstate__", tracking_setstate)
+        warm = _run("test1", tmp_path)
+
+        assert _identity(warm) == _identity(cold)
+        assert warm.trace_events == cold.trace_events
+        assert warm.telemetry.store_hits.get("persistent.module", 0) > 0
+        assert dropped
+        assert all(keys == (None, None, None) for keys in dropped)
 
 
 class TestMetricsSharing:

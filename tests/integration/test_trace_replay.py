@@ -1,10 +1,13 @@
-"""The PR's acceptance contract: report + bit-identical replay on paulin.
+"""Report + bit-identical replay of traced runs on paulin and test1.
 
-A power-mode paulin run is traced; the report must print per-pass gain
-attribution by move type, and replaying the recorded committed move
-sequence — with inputs reconstructed purely from the trace's provenance
-— must reproduce the final committed cost **bit-identically** and pass
-the differential RTL verification oracle.
+A power-mode run of each benchmark is traced; the report must print
+per-pass gain attribution by move type, and replaying the recorded
+committed move sequence — with inputs reconstructed purely from the
+trace's provenance — must reproduce the final committed cost
+**bit-identically** and pass the differential RTL verification oracle.
+Replay rediscovers each step's candidates through the relational
+engine; paulin is flat, test1 is hierarchical (module moves and move-B
+resynthesis).
 """
 
 import pytest
@@ -17,7 +20,7 @@ from repro.trace.cli import main as trace_main
 from repro.trace.report import render_report
 
 
-def _config() -> SynthesisConfig:
+def _config(benchmark: str) -> SynthesisConfig:
     return SynthesisConfig(
         max_moves=6,
         max_passes=2,
@@ -32,7 +35,7 @@ def _config() -> SynthesisConfig:
         # Provenance equivalent to the CLI's --trace metadata: lets
         # replay_trace rebuild design/library/stimulus standalone.
         trace_meta={
-            "benchmark": "paulin",
+            "benchmark": benchmark,
             "design_path": None,
             "traces": "speech",
             "seed": 3,
@@ -42,25 +45,25 @@ def _config() -> SynthesisConfig:
     )
 
 
-@pytest.fixture(scope="module")
-def paulin_run():
-    design = get_benchmark("paulin")
+@pytest.fixture(scope="module", params=["paulin", "test1"])
+def traced_run(request):
+    design = get_benchmark(request.param)
     traces = speech_traces(design.top, n=24, seed=3)
     result = synthesize(
         design,
         laxity_factor=2.2,
         objective="power",
         traces=traces,
-        config=_config(),
+        config=_config(request.param),
         n_samples=24,
     )
     return design, traces, result
 
 
-def test_report_attributes_gain_by_move_type(paulin_run):
-    _design, _traces, result = paulin_run
+def test_report_attributes_gain_by_move_type(traced_run):
+    design, _traces, result = traced_run
     text = render_report(result.trace_events)
-    assert "trace: paulin — objective power" in text
+    assert f"trace: {design.name} — objective power" in text
     assert "winner: point" in text
     assert "committed prefix" in text
     assert "gain attribution by move family" in text
@@ -70,8 +73,8 @@ def test_report_attributes_gain_by_move_type(paulin_run):
         assert column in text
 
 
-def test_replay_reproduces_cost_bit_identically(paulin_run):
-    design, traces, result = paulin_run
+def test_replay_reproduces_cost_bit_identically(traced_run):
+    design, traces, result = traced_run
     replayed = replay_trace(
         result.trace_events, design=design, traces=traces, verify=True
     )
@@ -84,8 +87,8 @@ def test_replay_reproduces_cost_bit_identically(paulin_run):
     assert (replayed.vdd, replayed.clk_ns) == (result.vdd, result.clk_ns)
 
 
-def test_replay_standalone_from_provenance(paulin_run):
-    _design, _traces, result = paulin_run
+def test_replay_standalone_from_provenance(traced_run):
+    _design, _traces, result = traced_run
     # No design/library/traces passed: everything is reconstructed from
     # the run_start provenance — the `repro-trace replay file` path.
     replayed = replay_trace(result.trace_events, verify=False)
@@ -93,9 +96,9 @@ def test_replay_standalone_from_provenance(paulin_run):
     assert replayed.cost == replayed.recorded_cost
 
 
-def test_trace_cli_round_trip(paulin_run, tmp_path, capsys):
-    _design, _traces, result = paulin_run
-    path = tmp_path / "paulin.jsonl"
+def test_trace_cli_round_trip(traced_run, tmp_path, capsys):
+    design, _traces, result = traced_run
+    path = tmp_path / f"{design.name}.jsonl"
     path.write_text(dumps_trace(result.trace_events))
     assert load_trace(path) == result.trace_events
 

@@ -5,7 +5,9 @@ candidate's metrics content key from text cached on task blocks and
 modules, which clones share.  This walks random move sequences on the
 move fuzzer's random hierarchical designs (``benchmarks/fuzz_moves.py``;
 module instances, module sharing, RTL embedding and move-B
-resynthesis), on both discovery engines, prices every candidate through
+resynthesis), discovering through the relational engine and through
+the per-pair reference loops (``tests/reference_discovery.py``), prices
+every candidate through
 a context that shares metrics with a persistent store, and requires of
 each one that:
 
@@ -47,6 +49,7 @@ from repro.synthesis.store import (  # noqa: E402
     solution_pricing_signature,
 )
 from tests.designs import make_mixed_module_design, sim_for  # noqa: E402
+from tests.reference_discovery import ReferenceView  # noqa: E402
 
 DISCOVER = (type_a_b_candidates, sharing_candidates, splitting_candidates)
 
@@ -94,8 +97,8 @@ def price_and_check(env, candidates, sim) -> int:
 def walk(env, solution, sim, steps, rng, relational: bool) -> int:
     checked = 0
     for _step in range(steps):
-        view = (
-            RelationalView(env, solution, frozenset()) if relational else None
+        view = (RelationalView if relational else ReferenceView)(
+            env, solution, frozenset()
         )
         candidates = []
         for discover in DISCOVER:
@@ -139,7 +142,9 @@ def test_module_swaps_and_remerge(mixed_library, tmp_path):
     solution = initial_solution(env, design.top, sim, 10.0, 5.0, 2000.0)
     kinds: set[str] = set()
     for relational in (False, True):
-        view = RelationalView(env, solution, frozenset()) if relational else None
+        view = (RelationalView if relational else ReferenceView)(
+            env, solution, frozenset()
+        )
         candidates = []
         for discover in DISCOVER:
             candidates += discover(env, solution, sim, frozenset(), view=view)

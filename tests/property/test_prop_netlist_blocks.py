@@ -3,8 +3,10 @@
 :func:`~repro.synthesis.build_netlist` reuses the per-register and
 per-instance netlist blocks a clone inherits from its parent.  This
 walks random move sequences on the move fuzzer's random designs
-(``benchmarks/fuzz_moves.py``), materializes every candidate of both
-discovery engines, and requires each one's netlist to equal the eager
+(``benchmarks/fuzz_moves.py``), materializes every candidate of the
+relational engine (lazy clones) and of the per-pair reference loops
+(``tests/reference_discovery.py``, eager clones), and requires each
+one's netlist to equal the eager
 reference builder's (``tests/reference_netlist.py``): the component map
 with its insertion order, the connection set, the fan-in map, the
 connection count, the mux legs and the area, bit for bit.  Every
@@ -40,6 +42,7 @@ from repro.synthesis.moves import (  # noqa: E402
     type_a_b_candidates,
 )
 from repro.synthesis.relational import RelationalView  # noqa: E402
+from tests.reference_discovery import ReferenceView  # noqa: E402
 from tests.reference_netlist import eager_build_netlist  # noqa: E402
 
 DISCOVER = (type_a_b_candidates, sharing_candidates, splitting_candidates)
@@ -83,7 +86,9 @@ def _setup(seed: int, mixed_widths: bool = False):
 
 
 def _candidates(env, solution, sim, relational: bool) -> list:
-    view = RelationalView(env, solution, frozenset()) if relational else None
+    view = (RelationalView if relational else ReferenceView)(
+        env, solution, frozenset()
+    )
     candidates = []
     for discover in DISCOVER:
         candidates += discover(env, solution, sim, frozenset(), view=view)

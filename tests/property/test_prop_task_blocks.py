@@ -5,8 +5,9 @@
 parent, and with them the tasks' cached scheduler wiring and the
 blocks' cached schedule-key parts and signature texts.  This walks
 random move sequences on the move fuzzer's random designs
-(``benchmarks/fuzz_moves.py``), materializes every candidate of both
-discovery engines, and requires of each one:
+(``benchmarks/fuzz_moves.py``), materializes every candidate of the
+relational engine and of the per-pair reference loops
+(``tests/reference_discovery.py``), and requires of each one:
 
 * its tasks, task signature and schedule-length bound equal a
   derivation from scratch;
@@ -48,6 +49,7 @@ from repro.synthesis.moves import (  # noqa: E402
 )
 from repro.synthesis.relational import RelationalView  # noqa: E402
 from repro.synthesis.store import digest_content  # noqa: E402
+from tests.reference_discovery import ReferenceView  # noqa: E402
 from tests.reference_scheduler import stepped_schedule_tasks  # noqa: E402
 
 DISCOVER = (type_a_b_candidates, sharing_candidates, splitting_candidates)
@@ -170,7 +172,9 @@ def test_candidate_tasks_match_fresh_derivation(seed, walk, vdd, clk_ns):
     census = KeyCensus()
     assert_fresh(solution, census)
     for relational, pick in walk:
-        view = RelationalView(env, solution, frozenset()) if relational else None
+        view = (RelationalView if relational else ReferenceView)(
+            env, solution, frozenset()
+        )
         candidates = []
         for discover in DISCOVER:
             candidates += discover(env, solution, sim, frozenset(), view=view)

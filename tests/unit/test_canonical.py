@@ -214,9 +214,7 @@ class TestContextSignatures:
             if comment and ":" in stripped and "Execution knob only" in words:
                 documented.append(stripped.split(":", 1)[0])
             comment = []
-        assert {"batch_activity", "relational", "store_shards"} <= set(
-            documented
-        )
+        assert {"batch_activity", "store_shards"} <= set(documented)
         base = SynthesisConfig()
         for name in documented:
             default = getattr(base, name)

@@ -64,7 +64,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "flag",
         ["--portfolio=3", "--score-workers=2", "--no-batch-activity",
-         "--no-incremental", "--no-relational"],
+         "--no-incremental", "--no-relational", "--saturate"],
     )
     def test_removed_synth_flags_are_rejected(self, flag, capsys):
         """Search extras and bit-identity knobs are gone from ``synth``."""

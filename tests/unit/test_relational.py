@@ -1,8 +1,9 @@
 """Unit tests for the relational discovery engine and lazy candidates.
 
 The contract under test (see :mod:`repro.synthesis.relational`): for
-every family the engine takes over, the emitted candidate *multiset*
-equals the legacy generators' output, each lazy descriptor's
+every family the engine serves, the emitted candidate *multiset*
+equals the per-pair reference loops' output
+(``tests/reference_discovery.py``), each lazy descriptor's
 precomputed fingerprint equals the fingerprint of the solution its
 ``build`` recipe produces, and no clone is built until the candidate's
 ``solution`` is first accessed.
@@ -24,6 +25,7 @@ from repro.synthesis.moves import (
     type_a_b_candidates,
 )
 from repro.synthesis.relational import OP_BIT, RelationalView, op_mask
+from tests.reference_discovery import ReferenceView
 
 NONE_LOCKED = frozenset()
 
@@ -66,16 +68,18 @@ class TestOpMask:
 
 
 class TestEquivalence:
-    """Relational and legacy engines discover the same multiset."""
+    """The engine and the reference loops discover the same multiset."""
 
     @pytest.mark.parametrize("circuit", ["paulin", "test1"])
     def test_same_multiset(self, circuit):
         env, solution, sim = _env_for(circuit)
         view = RelationalView(env, solution, NONE_LOCKED)
         relational = _families(env, solution, sim, view)
-        legacy = _families(env, solution, sim, None)
+        expected = _families(
+            env, solution, sim, ReferenceView(env, solution, NONE_LOCKED)
+        )
         assert sorted(candidate_order_key(c) for c in relational) == sorted(
-            candidate_order_key(c) for c in legacy
+            candidate_order_key(c) for c in expected
         )
 
     def test_descriptor_fingerprint_matches_materialized(self):
@@ -104,16 +108,72 @@ class TestEquivalence:
             + sharing_candidates(env, solution, sim, locked, view=view)
             + splitting_candidates(env, solution, sim, locked, view=view)
         )
-        legacy = (
-            list(type_a_b_candidates(env, solution, sim, locked, view=None))
-            + sharing_candidates(env, solution, sim, locked, view=None)
-            + splitting_candidates(env, solution, sim, locked, view=None)
+        reference = ReferenceView(env, solution, locked)
+        expected = (
+            list(type_a_b_candidates(env, solution, sim, locked, view=reference))
+            + sharing_candidates(env, solution, sim, locked, view=reference)
+            + splitting_candidates(env, solution, sim, locked, view=reference)
         )
         assert sorted(candidate_order_key(c) for c in relational) == sorted(
-            candidate_order_key(c) for c in legacy
+            candidate_order_key(c) for c in expected
         )
         for cand in relational:
             assert not (cand.touched & locked)
+
+
+class TestPerFamily:
+    """Each query method matches its reference loop on its own."""
+
+    FAMILIES = (
+        "fu_sharing", "register_sharing", "fu_splits", "register_splits",
+    )
+
+    @pytest.mark.parametrize("method", FAMILIES + ("cell_replacements",))
+    def test_family_matches_reference(self, method):
+        config = SynthesisConfig(max_share_pairs=6, max_split_candidates=4)
+        env, solution, sim = _env_for("paulin", config)
+        # Share two unit pairs and two register pairs first, so the
+        # split families have shared resources to offer.
+        for _ in range(2):
+            view = RelationalView(env, solution, NONE_LOCKED)
+            solution = view.fu_sharing()[0].solution
+            view = RelationalView(env, solution, NONE_LOCKED)
+            solution = view.register_sharing()[0].solution
+        # Lock two unshared instances and registers so the family's
+        # lock filter is exercised too.
+        locked = frozenset(
+            [i for i, e in solution.executions.items() if len(e) == 1][:2]
+            + [r for r, s in solution.reg_signals.items() if len(s) == 1][:2]
+        )
+        args = ()
+        if method == "cell_replacements":
+            args = ([i for i in solution.instances if i not in locked],)
+        got = getattr(RelationalView(env, solution, locked), method)(*args)
+        want = getattr(ReferenceView(env, solution, locked), method)(*args)
+        assert got, f"{method}: expected candidates on paulin"
+        assert sorted(candidate_order_key(c) for c in got) == sorted(
+            candidate_order_key(c) for c in want
+        )
+
+
+class TestDefaultView:
+    def test_generators_default_to_the_engine(self):
+        """With no view given, discovery runs on the relational engine:
+        its families come back as lazy, not yet cloned, candidates."""
+        env, solution, sim = _env_for("paulin")
+        candidates = _families(env, solution, sim, None)
+        lazy = {c.kind for c in candidates if not c.is_materialized}
+        assert {"A-cell", "C-share-fu", "C-share-reg"} <= lazy
+        assert sorted(candidate_order_key(c) for c in candidates) == sorted(
+            candidate_order_key(c)
+            for c in _families(
+                env, solution, sim, RelationalView(env, solution, NONE_LOCKED)
+            )
+        )
+
+    def test_config_has_no_engine_switch(self):
+        with pytest.raises(TypeError):
+            SynthesisConfig(relational=False)
 
 
 class TestLazyCandidate:
@@ -209,8 +269,7 @@ class TestRegisterSharingWindow:
         rel = {c.description for c in view.register_sharing()}
         leg = {
             c.description
-            for c in sharing_candidates(env, solution, sim, NONE_LOCKED, view=None)
-            if c.kind == "C-share-reg"
+            for c in ReferenceView(env, solution, NONE_LOCKED).register_sharing()
         }
         assert rel == leg
 
@@ -221,7 +280,10 @@ class TestFamilyApportionment:
     def test_tiny_budget_still_reaches_registers(self):
         config = SynthesisConfig(max_share_pairs=2)
         env, solution, sim = _env_for("paulin", config)
-        for view in (RelationalView(env, solution, NONE_LOCKED), None):
+        for view in (
+            RelationalView(env, solution, NONE_LOCKED),
+            ReferenceView(env, solution, NONE_LOCKED),
+        ):
             cands = sharing_candidates(env, solution, sim, NONE_LOCKED, view=view)
             kinds = {c.kind for c in cands}
             n_fu = sum(1 for c in cands if c.kind == "C-share-fu")
@@ -237,9 +299,10 @@ class TestFamilyApportionment:
         rel = sharing_candidates(
             env, solution, sim, NONE_LOCKED, view=view
         ) + splitting_candidates(env, solution, sim, NONE_LOCKED, view=view)
+        reference = ReferenceView(env, solution, NONE_LOCKED)
         leg = sharing_candidates(
-            env, solution, sim, NONE_LOCKED, view=None
-        ) + splitting_candidates(env, solution, sim, NONE_LOCKED, view=None)
+            env, solution, sim, NONE_LOCKED, view=reference
+        ) + splitting_candidates(env, solution, sim, NONE_LOCKED, view=reference)
         assert sorted(candidate_order_key(c) for c in rel) == sorted(
             candidate_order_key(c) for c in leg
         )
