@@ -130,6 +130,12 @@ def render_stats(
         if evictions:
             value += f" / {evictions} evicted"
         rows.append((f"store {key}", value))
+    if telemetry.store_writes:
+        rows.append((
+            "store persistent writes",
+            f"{telemetry.store_writes.get('rows', 0)} in "
+            f"{telemetry.store_writes.get('commits', 0)} commits",
+        ))
     if history:
         rows.extend(_history_rows(history))
     for stage, seconds in sorted(telemetry.stage_s.items()):

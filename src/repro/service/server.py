@@ -427,6 +427,9 @@ class SynthesisService:
                     )
                     self.stats.jobs_failed += 1
                 else:
+                    # Outside any operating point, so the write commits
+                    # at once: the result is durable before the job is
+                    # marked done.
                     self.store.put(
                         "service", fingerprint,
                         ("service", STORE_SCHEMA_VERSION, fingerprint),

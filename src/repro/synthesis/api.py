@@ -304,7 +304,15 @@ def _point_worker(
     (design, library, objective, config, sim, sampling_ns, vdd, clk_ns,
      point_index) = payload
     env = SynthesisEnv(design, library, objective, config)
-    outcome = _run_point(env, sim, sampling_ns, vdd, clk_ns, point_index)
+    try:
+        with env.store.buffered():
+            outcome = _run_point(
+                env, sim, sampling_ns, vdd, clk_ns, point_index
+            )
+    finally:
+        # The point's persistent writes are committed before the
+        # outcome (and its telemetry's write counts) leaves the worker.
+        env.store.close()
     if env.trace is not None:
         outcome.events = env.trace.events
         outcome.events_dropped = env.trace.dropped
@@ -359,7 +367,11 @@ def _sweep_points(
     outcomes: list[_PointOutcome] = []
     for idx, (vdd, clk_ns) in enumerate(points):
         env.reset_point_caches()
-        outcomes.append(_run_point(env, sim, sampling_ns, vdd, clk_ns, idx))
+        # One batch of persistent writes per point, committed at its end.
+        with env.store.buffered():
+            outcomes.append(
+                _run_point(env, sim, sampling_ns, vdd, clk_ns, idx)
+            )
     return outcomes
 
 

@@ -65,6 +65,10 @@ __all__ = [
 #: one entry holds a Metrics record).
 DEFAULT_COST_CACHE_SIZE = 4096
 
+#: Bound on an evaluation context's table of rendered register rows
+#: (see :func:`metrics_digest`); the table is emptied when full.
+_REG_TEXT_ROWS = 4096
+
 Objective = Literal["area", "power"]
 
 #: Weight of the secondary metric in the objective, used only to break
@@ -101,6 +105,37 @@ class Metrics:
         if objective == "power":
             return self.power + _TIEBREAK * self.area
         return self.area + _TIEBREAK * self.power
+
+    def __reduce__(self):
+        """Pickle as one flat tuple of field values, report included.
+
+        A stored metrics blob then carries no field names: on dct it is
+        less than half the size of the dataclass form, which still
+        loads (it restores ``__dict__`` and never calls this).
+        """
+        report = self.report
+        return _metrics_from_fields, (
+            self.area, self.energy_per_sample, self.power,
+            self.schedule_length, self.feasible, self.violation,
+            report.fu_energy, report.register_energy, report.mux_energy,
+            report.wire_energy, report.extra_energy,
+            report.sampling_period_ns, report.vdd, report.controller_energy,
+        )
+
+
+def _metrics_from_fields(
+    area, energy_per_sample, power, schedule_length, feasible, violation,
+    *report,
+) -> Metrics:
+    """Rebuild a :class:`Metrics` from :meth:`Metrics.__reduce__`'s tuple.
+
+    Every stored metrics blob names this function: renaming it turns
+    them into counted ``corrupt.metrics`` misses.
+    """
+    return Metrics(
+        area, energy_per_sample, power, schedule_length, feasible,
+        PowerReport(*report), violation,
+    )
 
 
 def area_of(solution: Solution, netlist: DatapathNetlist | None = None) -> float:
@@ -140,7 +175,11 @@ def schedule_digest(solution: Solution) -> str:
 
 
 def metrics_digest(
-    solution: Solution, design, prefix: str | None, level_digest: str
+    solution: Solution,
+    design,
+    prefix: str | None,
+    level_digest: str,
+    reg_texts: dict[tuple, str] | None = None,
 ) -> str:
     """Store address of *solution*'s metrics, composed from cached text.
 
@@ -150,10 +189,12 @@ def metrics_digest(
     objects a move leaves alone: each task block's instance row
     (:meth:`~repro.synthesis.solution.TaskBlock.row_text`) and each
     module's pricing signature (:func:`~repro.synthesis.store.
-    module_pricing_text`).  Only the register rows and the scalar
-    fields are rendered afresh.  The blocks come in instance order,
-    because a solution's instance and execution maps share their keys
-    and order.
+    module_pricing_text`).  Each register row ``(reg_id,
+    tuple(signals))`` is rendered once per distinct row into
+    *reg_texts* (an evaluation context keeps one, bounded by
+    ``_REG_TEXT_ROWS``); only the scalar fields are rendered afresh.
+    The blocks come in instance order, because a solution's instance
+    and execution maps share their keys and order.
     """
     rows: list[str] = []
     modules: list[str] = []
@@ -165,16 +206,21 @@ def metrics_digest(
                 f"({block.instance.inst_id!r}, "
                 f"{module_pricing_text(module, design)})"
             )
-    regs = tuple(
-        [
-            (reg_id, tuple(signals))
-            for reg_id, signals in solution.reg_signals.items()
-        ]
-    )
+    if reg_texts is None:
+        reg_texts = {}
+    regs: list[str] = []
+    for reg_id, signals in solution.reg_signals.items():
+        row = (reg_id, tuple(signals))
+        text = reg_texts.get(row)
+        if text is None:
+            if len(reg_texts) >= _REG_TEXT_ROWS:
+                reg_texts.clear()
+            text = reg_texts[row] = repr(row)
+        regs.append(text)
     signature = (
         f"(({design_fingerprint(design, solution.dfg)!r}, "
         f"{solution.clk_ns!r}, {solution.vdd!r}, {solution.sampling_ns!r}, "
-        f"{_tuple_text(rows)}, {regs!r}), "
+        f"{_tuple_text(rows)}, {_tuple_text(regs)}), "
         f"{solution.deadline_cycles!r}, {_tuple_text(modules)})"
     )
     text = f"('metrics', {prefix!r}, {signature}, {level_digest!r})"
@@ -242,10 +288,12 @@ class EvaluationContext:
         #: Metrics store addresses (hex digests, see
         #: :func:`metrics_digest`), memoized per fingerprint.  One
         #: candidate's address is needed up to three times (the
-        #: batch-pricing ``contains`` filter, then ``fetch`` and ``put``
-        #: in :meth:`evaluate`), and each composition still renders the
-        #: register rows and hashes a few KB of text.
+        #: batch-pricing ``contains`` probe, then ``fetch`` and ``put``
+        #: in :meth:`evaluate`), and each composition still joins and
+        #: hashes a few KB of text.
         self._content_memo: LRUCache[HashedKey, str] = LRUCache(cache_size)
+        #: Rendered register rows of those addresses, by row.
+        self._reg_texts: dict[tuple, str] = {}
         #: Tiered synthesis store carrying the shared schedule memo
         #: (namespace ``"schedule"``); ``None`` for bare contexts
         #: (voltage scaling, module characterization), which fall back
@@ -442,6 +490,7 @@ class EvaluationContext:
                 self.design,
                 self._store_prefix,
                 sim_level_digest(self.sim, self.path),
+                self._reg_texts,
             )
             self._content_memo.put(key, digest)
         return digest
@@ -481,14 +530,20 @@ class EvaluationContext:
                 or self._cost_cache.peek(key) is not None
             ):
                 continue
-            if self._share_metrics and self.store.contains(
-                "metrics", self._metrics_content(solution, key)
-            ):
-                # The serial accounting pass will answer this candidate
-                # from the store; planning it here would waste the work.
-                continue
             seen.add(key)
             jobs.append((key, solution, base))
+        if jobs and self._share_metrics:
+            # One probe for the whole set: the serial accounting pass
+            # answers the candidates the store holds (from the blobs the
+            # probe read), so planning them here would waste the work.
+            held = self.store.contains(
+                "metrics",
+                [
+                    self._metrics_content(solution, key)
+                    for key, solution, _base in jobs
+                ],
+            )
+            jobs = [job for job, found in zip(jobs, held) if not found]
         if not jobs:
             return
         plans = [

@@ -20,7 +20,14 @@ resynthesis memo, and schedule memoization) with three tiers:
   with the same addressing, shared across runs and across worker
   processes.  Writes are ``INSERT OR IGNORE``: content-addressed
   entries are immutable, so concurrent writers at ``n_workers > 1``
-  can only race to store the same bytes.  For multi-tenant keyspaces
+  can only race to store the same bytes.  Inside an operating point
+  (:meth:`SynthesisStore.buffered`) writes collect in a per-store
+  batch that reaches the database with one ``executemany`` and one
+  commit per shard when the point ends, when ``_BATCH_ROWS`` rows are
+  pending, when the store closes and before the maintenance calls
+  read or delete rows; writes made outside a point commit at once.
+  An entry lost with its unfinished point is only recomputed later.
+  For multi-tenant keyspaces
   (the job server's shared cache) the tier can be **sharded** across
   several database files by digest prefix, spreading writer contention
   and letting eviction run shard by shard; see :meth:`SynthesisStore.
@@ -30,12 +37,16 @@ The lookup protocol is two-step to mirror the legacy control flow
 exactly: :meth:`get` probes only the point tier (the legacy fast path,
 requiring no content key), and :meth:`fetch` — called only after a
 point miss — builds on the caller-supplied content key to probe the run
-and persistent tiers.  A content key is a tuple, hashed with
+and persistent tiers, the pending batch before SQL.  Batch pricing
+first asks :meth:`contains` about a whole candidate set: one
+``SELECT ... key IN (...)`` per shard, whose blobs answer the following
+:meth:`fetch` calls, so a persistent hit costs at most one query.  A
+content key is a tuple, hashed with
 :func:`digest_content` on every call, or that digest as a ``str``.  The
 two hot namespaces pass a ``str`` composed from text cached on what a
 move leaves alone: ``schedule`` from per-task-block rows
 (:func:`repro.synthesis.costs.schedule_digest`) and ``metrics`` from
-per-block instance rows and per-module texts
+per-block instance rows, per-module texts and register rows
 (:func:`repro.synthesis.costs.metrics_digest`).  The other callers
 (``module``, ``resynth``, ``priors``, ``service`` and the corner
 sweep's metrics) pass tuples, a few dozen per run.
@@ -51,15 +62,19 @@ so populating it cannot perturb a default run's lookup sequence.
 
 Per-tier hit/miss/eviction counters are written into the bound
 :class:`~repro.telemetry.Telemetry` (``store_hits``/``store_misses``/
-``store_evictions``, keyed ``"{tier}.{namespace}"``) and surface in
-``--stats`` and trace reports.
+``store_evictions``, keyed ``"{tier}.{namespace}"``), and the persistent
+tier's rows written and commits made into ``store_writes``; all of them
+surface in ``--stats`` and trace reports.
 
 A damaged store never breaks synthesis.  A blob that does not unpickle
 (garbage bytes, a class that no longer exists) is a miss counted under
 ``corrupt.{namespace}``: it is dropped from the run and persistent
 tiers, so the recomputed value takes its place.  A database that does
 not open leaves the store on its memory tiers, counted as one
-``fallback.persistent`` miss.  Each of the two warns once per store.
+``fallback.persistent`` miss.  A write that fails for another reason
+than a transient lock (retried with a back-off) is dropped and counted
+as a ``failed.persistent`` miss.  Each of the three warns once per
+store.
 """
 
 from __future__ import annotations
@@ -72,8 +87,9 @@ import threading
 import time
 import warnings
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..dfg.canonical import (
     config_signature,
@@ -123,6 +139,16 @@ _SHARD_RE = re.compile(r"synthesis_store\.shard(\d{2})\.sqlite$")
 #: fleet can exceed even a generous busy timeout under checkpointing.
 _WRITE_RETRIES = 5
 _WRITE_RETRY_SLEEP_S = 0.02
+
+#: Pending rows that trigger a write inside an operating point.  One
+#: commit costs about ten single-row inserts, so a point's batch is
+#: written in few commits, and the batch holds only references to blobs
+#: the run tier keeps anyway.
+_BATCH_ROWS = 1024
+
+#: Keys per ``key IN (...)`` probe query: with the namespace parameter
+#: it stays under SQLite's host-parameter limit (999 before 3.32).
+_PROBE_CHUNK = 900
 
 
 def digest_content(content: tuple) -> str:
@@ -356,10 +382,21 @@ class SynthesisStore:
         #: tier is disabled or unusable).
         self._dbs: list[sqlite3.Connection] = []
         self.shards = 1
+        #: Rows not yet written to the persistent tier, in put order
+        #: (``INSERT OR IGNORE``: the first blob put under a key wins).
+        self._pending: dict[tuple[str, str], bytes] = {}
+        #: Open :meth:`buffered` blocks; writes commit at once at zero.
+        self._buffering = 0
+        #: Blobs the last :meth:`contains` probe read from the database,
+        #: kept to answer the :meth:`fetch` that follows without SQL.
+        self._probed: dict[tuple[str, str], bytes] = {}
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._evictions: dict[str, int] = {}
-        #: Damage kinds ("corrupt", "fallback") already warned about.
+        #: Persistent-tier rows written and commits made.
+        self._writes: dict[str, int] = {}
+        #: Damage kinds ("corrupt", "fallback", "failed") already warned
+        #: about.
         self._warned: set[str] = set()
         if self.persistent:
             try:
@@ -430,12 +467,14 @@ class SynthesisStore:
             (self._hits, telemetry.store_hits),
             (self._misses, telemetry.store_misses),
             (self._evictions, telemetry.store_evictions),
+            (self._writes, telemetry.store_writes),
         ):
             for key, n in mine.items():
                 theirs[key] = theirs.get(key, 0) + n
         self._hits = telemetry.store_hits
         self._misses = telemetry.store_misses
         self._evictions = telemetry.store_evictions
+        self._writes = telemetry.store_writes
 
     # ------------------------------------------------------------------
     # Lookup protocol
@@ -450,8 +489,8 @@ class SynthesisStore:
             self._point[ns] = tier
         return tier
 
-    def _tick(self, counters: dict[str, int], key: str) -> None:
-        counters[key] = counters.get(key, 0) + 1
+    def _tick(self, counters: dict[str, int], key: str, n: int = 1) -> None:
+        counters[key] = counters.get(key, 0) + n
 
     def _warn_once(self, kind: str, message: str) -> None:
         if kind not in self._warned:
@@ -473,6 +512,8 @@ class SynthesisStore:
             with self._lock:
                 self._tick(self._misses, f"corrupt.{blob_key[0]}")
                 self._run.discard(blob_key)
+                if self._pending.get(blob_key) == blob:
+                    del self._pending[blob_key]
                 # Delete only these bytes: a concurrent writer's good
                 # blob under the same key is left alone.
                 self._db_write(
@@ -544,38 +585,90 @@ class SynthesisStore:
             self._point_put(ns, key, value)
         return value
 
-    def contains(self, ns: str, content: tuple | str) -> bool:
-        """Whether the run or persistent tier holds *content*.
+    def contains(self, ns: str, contents: Iterable[tuple | str]) -> list[bool]:
+        """Whether the run or persistent tier holds each of *contents*.
 
-        A pure probe — no counters, no point-tier install: batch pricing
-        (:meth:`~repro.synthesis.costs.EvaluationContext.evaluate_batch`)
-        uses it to skip candidates the accounting pass will answer from
-        the store anyway.
+        One probe for a whole candidate set — no counters, no point-tier
+        install: batch pricing (:meth:`~repro.synthesis.costs.
+        EvaluationContext.evaluate_batch`) uses it to skip candidates
+        the accounting pass will answer from the store anyway.  Keys the
+        run tier and the pending batch do not hold are looked up with
+        one ``key IN (...)`` query per shard (chunked), and the blobs
+        found are kept until the next probe: the :meth:`fetch` of such
+        a key then reads no second query, and counts as before.
         """
-        blob_key = (ns, self._digest(content))
+        blob_keys = [(ns, self._digest(content)) for content in contents]
         with self._lock:
-            if self._run.peek(blob_key) is not None:
-                return True
-            db = self._shard_for(blob_key[1])
-            if db is None:
-                return False
-            try:
-                row = db.execute(
-                    "SELECT 1 FROM store WHERE ns = ? AND key = ?", blob_key
-                ).fetchone()
-            except sqlite3.Error:
-                return False
-            return row is not None
+            held = [
+                blob_key in self._pending
+                or self._run.peek(blob_key) is not None
+                for blob_key in blob_keys
+            ]
+            by_shard: dict[int, list[str]] = {}
+            if self._dbs:
+                for blob_key, found in zip(blob_keys, held):
+                    if not found:
+                        by_shard.setdefault(
+                            self._shard_index(blob_key[1]), []
+                        ).append(blob_key[1])
+            probed: dict[tuple[str, str], bytes] = {}
+            for index, digests in by_shard.items():
+                db = self._dbs[index]
+                for lo in range(0, len(digests), _PROBE_CHUNK):
+                    chunk = digests[lo:lo + _PROBE_CHUNK]
+                    marks = ", ".join("?" * len(chunk))
+                    try:
+                        rows = db.execute(
+                            "SELECT key, value FROM store WHERE ns = ?"
+                            f" AND key IN ({marks})",
+                            (ns, *chunk),
+                        ).fetchall()
+                    except sqlite3.Error:
+                        continue
+                    for digest, blob in rows:
+                        probed[(ns, digest)] = blob
+            self._probed = probed
+            return [
+                found or blob_key in probed
+                for blob_key, found in zip(blob_keys, held)
+            ]
 
     def put(self, ns: str, key, content: tuple | str, value: Any) -> None:
-        """Store a freshly computed value in every tier."""
+        """Store a freshly computed value in every tier.
+
+        The persistent row joins the pending batch, which is written at
+        once outside a :meth:`buffered` block.
+        """
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob_key = (ns, self._digest(content))
         with self._lock:
             self._point_put(ns, key, value)
             self._run_put(blob_key, blob)
-            self._db_put(blob_key, blob)
             self._fresh.append((ns, blob_key[1], blob))
+            if self._dbs:
+                self._pending.setdefault(blob_key, blob)
+                if not self._buffering or len(self._pending) >= _BATCH_ROWS:
+                    self._flush()
+
+    @contextmanager
+    def buffered(self) -> Iterator["SynthesisStore"]:
+        """Buffer persistent writes until the block ends.
+
+        The sweep runs each operating point inside one, so the point's
+        entries reach the database with one ``executemany`` and one
+        commit per shard when it ends (and every ``_BATCH_ROWS``
+        pending rows), not with one commit each.  The block flushes
+        however it ends; entries are content-addressed and immutable,
+        so one lost to a crash before then is only recomputed later.
+        """
+        with self._lock:
+            self._buffering += 1
+        try:
+            yield self
+        finally:
+            with self._lock:
+                self._buffering -= 1
+                self._flush()
 
     def load(self, ns: str, content: tuple | str) -> Any:
         """Content-only probe of the run and persistent tiers.
@@ -645,6 +738,7 @@ class SynthesisStore:
             for tier in self._point.values():
                 tier.clear()
             self._fresh.clear()
+            self._probed = {}
 
     def export_fresh(self) -> list[tuple[str, str, bytes]]:
         """Drain the blobs written since the last export (worker side)."""
@@ -671,6 +765,7 @@ class SynthesisStore:
                 "hits": dict(sorted(self._hits.items())),
                 "misses": dict(sorted(self._misses.items())),
                 "evictions": dict(sorted(self._evictions.items())),
+                "writes": dict(sorted(self._writes.items())),
             }
 
     # ------------------------------------------------------------------
@@ -750,65 +845,121 @@ class SynthesisStore:
             )
         db.commit()
 
-    def _shard_for(self, digest: str) -> sqlite3.Connection | None:
-        """Connection owning *digest*, or ``None`` when the tier is off.
+    def _shard_index(self, digest: str) -> int:
+        """Index of the shard owning *digest* (the tier must be on).
 
         Digests are uniform SHA-256 hex, so routing on the leading 32
         bits spreads the keyspace evenly; single-shard stores skip the
         arithmetic entirely.
         """
+        if len(self._dbs) == 1:
+            return 0
+        return int(digest[:8], 16) % len(self._dbs)
+
+    def _shard_for(self, digest: str) -> sqlite3.Connection | None:
+        """Connection owning *digest*, or ``None`` when the tier is off."""
         if not self._dbs:
             return None
-        if len(self._dbs) == 1:
-            return self._dbs[0]
-        return self._dbs[int(digest[:8], 16) % len(self._dbs)]
+        return self._dbs[self._shard_index(digest)]
 
     def _db_get(self, blob_key: tuple[str, str]) -> bytes | None:
+        """The persistent tier's blob under *blob_key*, counted.
+
+        The pending batch and the last probe's blobs answer before SQL.
+        """
         db = self._shard_for(blob_key[1])
         if db is None:
             return None
+        blob = self._pending.get(blob_key)
+        if blob is None:
+            blob = self._probed.pop(blob_key, None)
+        if blob is None:
+            try:
+                row = db.execute(
+                    "SELECT value FROM store WHERE ns = ? AND key = ?",
+                    blob_key,
+                ).fetchone()
+            except sqlite3.Error:
+                return None
+            blob = row[0] if row is not None else None
         ns = blob_key[0]
-        try:
-            row = db.execute(
-                "SELECT value FROM store WHERE ns = ? AND key = ?", blob_key
-            ).fetchone()
-        except sqlite3.Error:
-            return None
-        if row is not None:
+        if blob is not None:
             self._tick(self._hits, f"persistent.{ns}")
-            return row[0]
+            return blob
         self._tick(self._misses, f"persistent.{ns}")
         return None
 
-    def _db_put(self, blob_key: tuple[str, str], blob: bytes) -> None:
-        self._db_write(
-            "INSERT OR IGNORE INTO store VALUES (?, ?, ?)", blob_key, blob
-        )
+    def _flush(self) -> None:
+        """Write the pending batch: one ``executemany`` and one commit
+        per shard.  The caller holds the lock."""
+        if not self._pending:
+            return
+        rows: dict[int, list[tuple[str, str, bytes]]] = {}
+        for (ns, digest), blob in self._pending.items():
+            rows.setdefault(self._shard_index(digest), []).append(
+                (ns, digest, blob)
+            )
+        self._pending = {}
+        for index, shard_rows in sorted(rows.items()):
+            self._write(
+                self._dbs[index],
+                "INSERT OR IGNORE INTO store VALUES (?, ?, ?)",
+                shard_rows,
+            )
 
     def _db_write(
         self, sql: str, blob_key: tuple[str, str], blob: bytes
     ) -> None:
+        """Run one single-row write statement and commit it at once."""
         db = self._shard_for(blob_key[1])
-        if db is None:
-            return
+        if db is not None:
+            self._write(db, sql, [(blob_key[0], blob_key[1], blob)])
+
+    def _write(
+        self,
+        db: sqlite3.Connection,
+        sql: str,
+        rows: list[tuple[str, str, bytes]],
+    ) -> None:
+        """Run *sql* over *rows* in one transaction, counted.
+
+        Transient writer contention (WAL serializes writers) is retried
+        with a back-off: ignore-writes are immutable and replace-writes
+        are last-writer-wins aggregates, so retrying is sound.  Any
+        other failure, or contention that outlasts the retries, drops
+        the rows — they are recomputed when next needed — and counts
+        one ``failed.persistent`` miss.
+        """
         for attempt in range(_WRITE_RETRIES):
             try:
-                db.execute(sql, (blob_key[0], blob_key[1], blob))
+                db.executemany(sql, rows)
                 db.commit()
-                return
             except sqlite3.OperationalError as exc:
-                # Transient writer contention (WAL serializes writers);
-                # ignore-writes are immutable and replace-writes are
-                # last-writer-wins aggregates, so retrying is sound.
-                if "locked" not in str(exc) and "busy" not in str(exc):
-                    return
+                transient = "locked" in str(exc) or "busy" in str(exc)
+                if not transient or attempt == _WRITE_RETRIES - 1:
+                    break
                 try:
                     db.rollback()
                 except sqlite3.Error:
                     pass
                 time.sleep(_WRITE_RETRY_SLEEP_S * (attempt + 1))
             except sqlite3.Error:
+                break
+            else:
+                self._tick(self._writes, "rows", len(rows))
+                self._tick(self._writes, "commits")
                 return
+        try:
+            db.rollback()
+        except sqlite3.Error:
+            pass
+        self._tick(self._misses, "failed.persistent")
+        self._warn_once(
+            "failed",
+            "synthesis store: a write to the database under the cache "
+            "directory failed; its entries are recomputed when next "
+            "needed (see the failed.persistent store counter)",
+        )
 
     def persistent_stats(self) -> dict[str, Any]:
         """Entry counts and on-disk size of the persistent tier.
@@ -821,14 +972,16 @@ class SynthesisStore:
                     "bytes": 0, "shards": 0}
         entries: dict[str, int] = {}
         size = 0
-        for db, file in zip(self._dbs, self._db_files()):
-            rows = db.execute(
-                "SELECT ns, COUNT(*), SUM(LENGTH(value)) FROM store"
-                " GROUP BY ns ORDER BY ns"
-            ).fetchall()
-            for ns, n, _sz in rows:
-                entries[ns] = entries.get(ns, 0) + n
-            size += file.stat().st_size if file.exists() else 0
+        with self._lock:
+            self._flush()
+            for db, file in zip(self._dbs, self._db_files()):
+                rows = db.execute(
+                    "SELECT ns, COUNT(*), SUM(LENGTH(value)) FROM store"
+                    " GROUP BY ns ORDER BY ns"
+                ).fetchall()
+                for ns, n, _sz in rows:
+                    entries[ns] = entries.get(ns, 0) + n
+                size += file.stat().st_size if file.exists() else 0
         path = (
             Path(self.cache_dir) / _DB_NAME
             if len(self._dbs) == 1
@@ -855,6 +1008,7 @@ class SynthesisStore:
         """Delete every persistent entry; returns the number removed."""
         removed = 0
         with self._lock:
+            self._flush()
             for db in self._dbs:
                 n = db.execute("SELECT COUNT(*) FROM store").fetchone()[0]
                 db.execute("DELETE FROM store")
@@ -883,6 +1037,7 @@ class SynthesisStore:
         base, extra = divmod(max_entries, k)
         evicted = 0
         with self._lock:
+            self._flush()
             for index, db in enumerate(self._dbs):
                 quota = base + (1 if index < extra else 0)
                 try:
@@ -906,10 +1061,14 @@ class SynthesisStore:
         return evicted
 
     def close(self) -> None:
-        """Close the persistent connections (idempotent)."""
-        for db in self._dbs:
-            db.close()
-        self._dbs = []
+        """Write the pending batch, then close the persistent
+        connections (idempotent)."""
+        with self._lock:
+            self._flush()
+            for db in self._dbs:
+                db.close()
+            self._dbs = []
+            self._probed = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tiers = ", ".join(

@@ -89,6 +89,9 @@ class Telemetry:
     store_hits: dict[str, int] = field(default_factory=dict)
     store_misses: dict[str, int] = field(default_factory=dict)
     store_evictions: dict[str, int] = field(default_factory=dict)
+    #: Persistent-tier traffic of the bound store: ``"rows"`` written
+    #: and ``"commits"`` made.
+    store_writes: dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def count_move_tried(self, kind: str, n: int = 1) -> None:
@@ -169,6 +172,7 @@ class Telemetry:
             (self.store_hits, other.store_hits),
             (self.store_misses, other.store_misses),
             (self.store_evictions, other.store_evictions),
+            (self.store_writes, other.store_writes),
         ):
             for key, n in theirs.items():
                 mine[key] = mine.get(key, 0) + n
@@ -201,4 +205,5 @@ class Telemetry:
             "store_hits": dict(sorted(self.store_hits.items())),
             "store_misses": dict(sorted(self.store_misses.items())),
             "store_evictions": dict(sorted(self.store_evictions.items())),
+            "store_writes": dict(sorted(self.store_writes.items())),
         }

@@ -127,3 +127,37 @@ def locked_journal_switch(monkeypatch):
         return injected
 
     return install
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """Make the next *n* write statements of new connections fail.
+
+    Each ``executemany`` of an ``INSERT`` or ``DELETE`` (every write the
+    synthesis store makes) raises ``OperationalError(message)`` instead
+    of running.  Call the fixture's value with *n* and *message*; it
+    returns the list of injected failures, which grows as they happen.
+    """
+    real_connect = sqlite3.connect
+    remaining = [0]
+    message = [""]
+    injected: list[str] = []
+
+    class FailingWrites(sqlite3.Connection):
+        def executemany(self, sql, *args):
+            if sql.startswith(("INSERT", "DELETE")) and remaining[0] > 0:
+                remaining[0] -= 1
+                injected.append(sql)
+                raise sqlite3.OperationalError(message[0])
+            return super().executemany(sql, *args)
+
+    def connect(*args, **kwargs):
+        return real_connect(*args, factory=FailingWrites, **kwargs)
+
+    def install(n: int, error: str) -> list[str]:
+        remaining[0] = n
+        message[0] = error
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        return injected
+
+    return install

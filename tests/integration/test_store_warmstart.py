@@ -9,8 +9,15 @@ only, never results.
 
 import copyreg
 import io
+import json
+import os
 import pickle
+import signal
 import sqlite3
+import subprocess
+import sys
+import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -20,6 +27,7 @@ from repro.bench_suite import get_benchmark
 from repro.power import speech_traces
 from repro.rtl import DatapathNetlist, emit_netlist
 from repro.synthesis import Solution, SynthesisConfig, synthesize
+from repro.synthesis.store import SynthesisStore
 
 from tests.unit.test_blob_determinism import _EarlierFormPickler
 from tests.unit.test_store import _GONE_CLASS, _overwrite_blobs
@@ -102,6 +110,24 @@ class TestColdVsWarm:
         assert _identity(parallel_cold) == _identity(serial_cold)
         assert _identity(parallel_warm) == _identity(serial_cold)
         assert parallel_warm.trace_events == serial_cold.trace_events
+        # Untraced runs share top-level metrics as well.
+        _run("test1", tmp_path / "untraced", n_workers=2, trace=False)
+        untraced_warm = _run(
+            "test1", tmp_path / "untraced", n_workers=2, trace=False
+        )
+        assert _identity(untraced_warm) == _identity(serial_cold)
+        # Every sweep worker's writes reached the database before it
+        # returned: the warm workers answer their lookups from disk and
+        # miss none there.
+        for warm, namespaces in (
+            (parallel_warm, ("module", "resynth", "schedule")),
+            (untraced_warm, ("metrics", "module", "resynth")),
+        ):
+            hits = warm.telemetry.store_hits
+            for ns in namespaces:
+                assert hits.get(f"persistent.{ns}", 0) > 0, ns
+            misses = warm.telemetry.store_misses
+            assert not [k for k in misses if k.startswith("persistent.")]
 
     def test_warm_result_verifies(self, tmp_path):
         _run("test1", tmp_path)
@@ -367,6 +393,122 @@ class TestDamagedStore:
             assert misses["fallback.persistent"] == 1
         else:
             assert {"corrupt.module", "corrupt.schedule"} <= set(misses)
+
+
+    def test_failed_writes_match_uncached_run(self, tmp_path, failing_writes):
+        """A database that refuses every write: the run still finishes
+        with the uncached result, counts each dropped batch and warns
+        once."""
+        uncached = _run("test1", None, trace=False)
+        injected = failing_writes(10**6, "attempt to write a readonly database")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            failed = _run("test1", tmp_path, trace=False)
+        assert _identity(failed) == _identity(uncached)
+        assert injected
+        telemetry = failed.telemetry
+        assert telemetry.store_misses["failed.persistent"] == len(injected)
+        assert telemetry.store_writes == {}
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "failed" in messages[0]
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        assert store.persistent_stats()["total_entries"] == 0
+        store.close()
+
+
+#: Runs ``repro synth`` with the store's point blocks wrapped: when the
+#: first one ends (its batch committed), list the committed keys into
+#: the marker file and wait to be killed.
+_STOP_AFTER_FIRST_POINT = """
+import contextlib, json, sqlite3, sys, time
+from repro.cli import main
+from repro.synthesis.store import SynthesisStore
+
+marker, cache_dir = sys.argv[1], sys.argv[2]
+buffered = SynthesisStore.buffered
+
+@contextlib.contextmanager
+def first_point_then_wait(self):
+    with buffered(self):
+        yield self
+    db = sqlite3.connect(f"{cache_dir}/synthesis_store.sqlite")
+    keys = db.execute("SELECT ns, key FROM store").fetchall()
+    db.close()
+    with open(marker, "w") as out:
+        json.dump(keys, out)
+    print("point ended", flush=True)
+    time.sleep(600)
+
+SynthesisStore.buffered = first_point_then_wait
+sys.exit(main(["synth", "--benchmark", "test1", "--laxity", "2.2",
+               "--cache-dir", cache_dir]))
+"""
+
+
+def _cli_env() -> dict[str, str]:
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[2]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
+def _metric_lines(args: list[str]) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "synth", "--benchmark", "test1",
+         "--laxity", "2.2", *args],
+        env=_cli_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [
+        line for line in proc.stdout.splitlines()
+        if line.split(":")[0] in ("objective", "area", "power", "supply",
+                                  "clock", "schedule", "sampling")
+    ]
+
+
+class TestKilledRun:
+    def test_sigkill_after_first_point_leaves_a_usable_store(self, tmp_path):
+        """A run killed once its first point committed: the store opens,
+        every blob loads, that point's entries are there, and a rerun
+        gives the uncached result."""
+        cache_dir = tmp_path / "store"
+        marker = tmp_path / "first-point.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _STOP_AFTER_FIRST_POINT, str(marker),
+             str(cache_dir)],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        guard = threading.Timer(600, proc.kill)
+        guard.start()
+        try:
+            line = proc.stdout.readline()
+            proc.kill()
+            _out, err = proc.communicate(timeout=60)
+        finally:
+            guard.cancel()
+        assert line.strip() == "point ended", err[-2000:]
+        assert proc.returncode == -signal.SIGKILL
+
+        committed = {tuple(key) for key in json.loads(marker.read_text())}
+        assert committed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = SynthesisStore(cache_dir=str(cache_dir))
+        assert store.persistent
+        rows = store._dbs[0].execute(
+            "SELECT ns, key, value FROM store"
+        ).fetchall()
+        store.close()
+        assert committed <= {(ns, key) for ns, key, _value in rows}
+        for _ns, _key, value in rows:
+            pickle.loads(value)
+
+        rerun = _metric_lines(["--cache-dir", str(cache_dir)])
+        assert rerun
+        assert rerun == _metric_lines([])
 
 
 @pytest.mark.slow

@@ -89,7 +89,8 @@ def price_and_check(env, candidates, sim) -> int:
             solution, env.design, env.store_signature, sim_level_digest(sim, ())
         ) == want, cand.description
         assert ctx._metrics_content(solution) == want, cand.description
-        assert env.store.contains("metrics", content), cand.description
+        assert env.store.contains("metrics", [content]) == [True], \
+            cand.description
     ctx.discard_batched()
     return len(candidates)
 

@@ -1,13 +1,15 @@
 """Stored blobs are byte-reproducible across interpreter hash seeds.
 
-The persistent store keeps pickled modules and resynthesis results.
-String hashing, and with it the iteration order of sets and frozensets,
-changes with ``PYTHONHASHSEED``, and ``id()`` changes with every
-process, so nothing a module pickles may depend on either: a netlist's
-connections and a cell's operations pickle in a fixed order, and a
-solution's fingerprint and schedule key (which embed ``id(dfg)`` and
-hold seed-dependent hashes) are not pickled at all.  Blobs stored in
-the earlier form still load, with those caches dropped.
+The persistent store keeps pickled modules, resynthesis results and
+metrics.  String hashing, and with it the iteration order of sets and
+frozensets, changes with ``PYTHONHASHSEED``, and ``id()`` changes with
+every process, so nothing a module pickles may depend on either: a
+netlist's connections and a cell's operations pickle in a fixed order,
+and a solution's fingerprint and schedule key (which embed ``id(dfg)``
+and hold seed-dependent hashes) are not pickled at all.  Blobs stored
+in the earlier form still load, with those caches dropped.  Metrics
+pickle as one flat tuple of values, and load from the dataclass form
+they were stored in before.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ from repro.dfg.ops import Operation
 from repro.library import default_library
 from repro.library.cells import LibraryCell
 from repro.rtl import DatapathNetlist
-from repro.synthesis import Solution, SynthesisConfig
+from repro.synthesis import EvaluationContext, Solution, SynthesisConfig
+from repro.synthesis.context import SynthesisEnv
+from repro.synthesis.costs import Metrics
+from repro.synthesis.initial import initial_solution
 from repro.synthesis.library_gen import build_complex_library
-from tests.designs import make_butterfly_design
+from tests.designs import make_butterfly_design, make_flat_design, sim_for
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -53,13 +58,32 @@ sys.stdout.buffer.write(pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL))
 """
 
 
-def _pickle_in_subprocess(hash_seed: str) -> bytes:
+#: Prices a small design's initial solution and writes the pickle of
+#: its metrics to stdout.
+_PRICE = """
+import pickle, sys
+from tests.unit.test_blob_determinism import _priced_metrics
+
+metrics = _priced_metrics()
+sys.stdout.buffer.write(pickle.dumps(metrics, protocol=pickle.HIGHEST_PROTOCOL))
+"""
+
+
+def _priced_metrics() -> Metrics:
+    design = make_flat_design()
+    sim = sim_for(design)
+    env = SynthesisEnv(design, default_library(), "power")
+    solution = initial_solution(env, design.top, sim, 10.0, 5.0, 500.0)
+    return EvaluationContext(sim, (), "power").evaluate(solution)
+
+
+def _pickle_in_subprocess(hash_seed: str, script: str = _CHARACTERIZE) -> bytes:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _CHARACTERIZE],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
@@ -179,3 +203,33 @@ class TestFixedOrderState:
         state = solution.__getstate__()
         for name in ("_fingerprint", "_fingerprint_key", "_sched_key"):
             assert name not in state
+
+
+class _DataclassFormPickler(pickle.Pickler):
+    """Metrics as stored before they pickled as a flat tuple: the
+    dataclass's own state dict, field names included."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Metrics:
+            return copyreg.__newobj__, (Metrics,), dict(obj.__dict__)
+        return NotImplemented
+
+
+class TestMetricsBlobs:
+    def test_metrics_pickle_identical_across_hash_seeds(self):
+        first = _pickle_in_subprocess("1", _PRICE)
+        second = _pickle_in_subprocess("2", _PRICE)
+        assert first
+        assert first == second
+        assert pickle.loads(first) == _priced_metrics()
+
+    def test_dataclass_form_loads_equal(self):
+        metrics = _priced_metrics()
+        buf = io.BytesIO()
+        _DataclassFormPickler(buf, pickle.HIGHEST_PROTOCOL).dump(metrics)
+        earlier = buf.getvalue()
+        blob = pickle.dumps(metrics, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < len(earlier) / 2
+        loaded = pickle.loads(earlier)
+        assert loaded == metrics
+        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == blob

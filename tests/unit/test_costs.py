@@ -8,6 +8,7 @@ from repro.dfg import Design, GraphBuilder, Operation
 from repro.dfg.canonical import graph_signature
 from repro.synthesis import EvaluationContext, Solution, area_of
 from repro.synthesis.context import SynthesisEnv
+from repro.synthesis import costs as costs_module
 from repro.synthesis.costs import metrics_digest, schedule_digest
 from repro.synthesis.initial import initial_solution
 from repro.synthesis.store import digest_content, solution_pricing_signature
@@ -264,6 +265,28 @@ class TestMetricsDigest:
         # Again from the blocks' cached rows, and from a clone's.
         assert self._composed(solution, design) == want
         assert self._composed(solution.clone(), design) == want
+
+    def test_register_rows_through_a_shared_bounded_table(
+        self, library, monkeypatch
+    ):
+        """Rows rendered once serve every solution holding them, and a
+        full table is emptied, never consulted stale."""
+        first, design = self._hand_bound(library, 3, 2, 3)
+        merged = first.clone()
+        merged.merge_registers(*list(merged.reg_signals)[:2])
+        table: dict = {}
+        for solution in (first, merged, first):
+            assert metrics_digest(
+                solution, design, self.PREFIX, self.LEVEL, table
+            ) == self._oracle(solution, design)
+        assert len(table) == 4
+        monkeypatch.setattr(costs_module, "_REG_TEXT_ROWS", 2)
+        bounded: dict = {}
+        for solution in (first, merged, first):
+            assert metrics_digest(
+                solution, design, self.PREFIX, self.LEVEL, bounded
+            ) == self._oracle(solution, design)
+            assert len(bounded) <= 2
 
     @staticmethod
     def _one_module(library):

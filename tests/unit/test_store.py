@@ -233,6 +233,235 @@ class TestPersistentTier:
         assert store.counters()["misses"] == {"fallback.persistent": 1}
 
 
+def _stored_keys(cache_dir) -> set[tuple[str, str]]:
+    """``(ns, key)`` rows committed to a one-shard store, read through
+    a connection of their own."""
+    db = sqlite3.connect(cache_dir / "synthesis_store.sqlite")
+    try:
+        return set(db.execute("SELECT ns, key FROM store"))
+    finally:
+        db.close()
+
+
+def _count_queries(store) -> list[str]:
+    """Every statement *store*'s connections run from now on."""
+    seen: list[str] = []
+    for db in store._dbs:
+        db.set_trace_callback(seen.append)
+    return seen
+
+
+class TestWriteBatching:
+    """Writes inside a point wait for its end; lookups see them first."""
+
+    def test_writes_commit_when_the_block_ends(self, tmp_path):
+        store = SynthesisStore(cache_dir=str(tmp_path), run_cache_size=0)
+        with store.buffered():
+            for i in range(3):
+                store.put("schedule", f"k{i}", (f"c{i}",), i)
+            assert _stored_keys(tmp_path) == set()
+            # The run tier holds nothing, so the pending batch answers.
+            store.reset_point()
+            assert store.fetch("schedule", "k", ("c1",)) == 1
+            assert store.contains("schedule", [("c2",), ("c9",)]) == [
+                True, False,
+            ]
+        assert len(_stored_keys(tmp_path)) == 3
+        counters = store.counters()
+        assert counters["hits"]["persistent.schedule"] == 1
+        assert counters["writes"] == {"commits": 1, "rows": 3}
+        store.close()
+
+    def test_writes_outside_a_block_commit_at_once(self, tmp_path):
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        store.put("service", "k", ("c",), {"power": 1.0})
+        assert _stored_keys(tmp_path) == {("service", digest_content(("c",)))}
+        store.put("service", "k2", ("c2",), {"power": 2.0})
+        assert store.counters()["writes"] == {"commits": 2, "rows": 2}
+        store.close()
+
+    def test_a_full_batch_is_written_inside_the_block(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "_BATCH_ROWS", 3)
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with store.buffered():
+            for i in range(7):
+                store.put("schedule", f"k{i}", (f"c{i}",), i)
+            assert len(_stored_keys(tmp_path)) == 6
+        assert len(_stored_keys(tmp_path)) == 7
+        assert store.counters()["writes"] == {"commits": 3, "rows": 7}
+        store.close()
+
+    def test_block_flushes_when_the_point_raises(self, tmp_path):
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.raises(RuntimeError):
+            with store.buffered():
+                store.put("module", "k", ("c",), 1)
+                raise RuntimeError("point failed")
+        assert len(_stored_keys(tmp_path)) == 1
+        store.close()
+
+    def test_close_and_maintenance_write_the_batch_first(self, tmp_path):
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with store.buffered():
+            for i in range(4):
+                store.put("module", f"k{i}", (f"c{i}",), i)
+            assert store.persistent_stats()["total_entries"] == 4
+            store.put("module", "k4", ("c4",), 4)
+            assert store.prune_persistent(2) == 3
+            store.put("module", "k5", ("c5",), 5)
+            assert store.clear_persistent() == 3
+            store.put("module", "k6", ("c6",), 6)
+            store.close()
+        assert _stored_keys(tmp_path) == {("module", digest_content(("c6",)))}
+
+    def test_sharded_batch_commits_once_per_shard(self, tmp_path):
+        store = SynthesisStore(cache_dir=str(tmp_path), shards=3)
+        keys = _corpus_keys(12)
+        with store.buffered():
+            for i, (fp, content) in enumerate(keys):
+                store.put("module", fp, content, i)
+        assert store.counters()["writes"] == {"commits": 3, "rows": 12}
+        store.close()
+        reader = SynthesisStore(cache_dir=str(tmp_path))
+        assert reader.contains("module", [c for _fp, c in keys]) == [True] * 12
+        reader.close()
+
+    def test_writes_are_counted_in_bound_telemetry(self, tmp_path):
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        store.put("module", "k", ("c",), 1)
+        telemetry = Telemetry()
+        store.bind(telemetry)
+        with store.buffered():
+            store.put("module", "k2", ("c2",), 2)
+            store.put("module", "k3", ("c3",), 3)
+        assert telemetry.store_writes == {"commits": 2, "rows": 3}
+        store.close()
+
+
+class TestBatchedProbe:
+    """One ``contains`` query per shard answers the fetches after it."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        writer = SynthesisStore(cache_dir=str(tmp_path))
+        for i in range(5):
+            writer.put("metrics", f"k{i}", (f"c{i}",), {"i": i})
+        writer.close()
+        return tmp_path
+
+    def test_probe_answers_the_fetch_without_a_query(self, written):
+        store = SynthesisStore(cache_dir=str(written))
+        queries = _count_queries(store)
+        found = store.contains(
+            "metrics", [("c0",), ("missing",), ("c3",), ("c0",)]
+        )
+        assert found == [True, False, True, True]
+        assert len(queries) == 1
+        assert store.fetch("metrics", "k0", ("c0",)) == {"i": 0}
+        assert store.fetch("metrics", "k3", ("c3",)) == {"i": 3}
+        assert len(queries) == 1
+        # Counted as the fetch alone would count it.
+        counters = store.counters()
+        assert counters["misses"]["run.metrics"] == 2
+        assert counters["hits"]["persistent.metrics"] == 2
+        # A key the probe did not read still costs its own query.
+        assert store.fetch("metrics", "k4", ("c4",)) == {"i": 4}
+        assert len(queries) == 2
+        store.close()
+
+    def test_probe_is_chunked(self, written, monkeypatch):
+        monkeypatch.setattr(store_module, "_PROBE_CHUNK", 2)
+        store = SynthesisStore(cache_dir=str(written))
+        queries = _count_queries(store)
+        contents = [(f"c{i}",) for i in range(6)]
+        assert store.contains("metrics", contents) == [True] * 5 + [False]
+        assert len(queries) == 3
+        store.close()
+
+    def test_probe_skips_what_memory_holds(self, written):
+        store = SynthesisStore(cache_dir=str(written))
+        assert store.fetch("metrics", "k1", ("c1",)) == {"i": 1}
+        queries = _count_queries(store)
+        assert store.contains("metrics", [("c1",)]) == [True]
+        assert queries == []
+        store.close()
+
+    def test_next_probe_drops_unused_blobs(self, written):
+        store = SynthesisStore(cache_dir=str(written))
+        store.contains("metrics", [("c0",)])
+        store.contains("metrics", [("c1",)])
+        queries = _count_queries(store)
+        assert store.fetch("metrics", "k0", ("c0",)) == {"i": 0}
+        assert len(queries) == 1
+        store.close()
+
+
+class TestFailedWrites:
+    """A write that fails is dropped, counted and warned once."""
+
+    def test_non_transient_failure_is_counted(self, tmp_path, failing_writes):
+        injected = failing_writes(1, "attempt to write a readonly database")
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="failed"):
+            with store.buffered():
+                store.put("module", "k", ("c",), 1)
+                store.put("module", "k2", ("c2",), 2)
+        assert len(injected) == 1
+        assert _stored_keys(tmp_path) == set()
+        counters = store.counters()
+        assert counters["misses"] == {"failed.persistent": 1}
+        assert counters["writes"] == {}
+        # The values still answer from memory; later writes go through.
+        assert store.get("module", "k") == 1
+        store.put("module", "k3", ("c3",), 3)
+        assert len(_stored_keys(tmp_path)) == 1
+        store.close()
+
+    def test_warns_once_per_store(self, tmp_path, failing_writes):
+        failing_writes(3, "attempt to write a readonly database")
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i in range(3):
+                store.put("module", f"k{i}", (f"c{i}",), i)
+        assert len(caught) == 1
+        assert store.counters()["misses"]["failed.persistent"] == 3
+        store.close()
+
+    def test_single_row_writes_are_counted_too(self, tmp_path, failing_writes):
+        failing_writes(1, "disk I/O error")
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="failed"):
+            store.replace("priors", ("p",), {"table": 1})
+        assert store.counters()["misses"] == {"failed.persistent": 1}
+        store.close()
+
+    @pytest.mark.parametrize("error", ["database is locked",
+                                       "database is busy"])
+    def test_lock_contention_is_retried(self, tmp_path, failing_writes, error):
+        injected = failing_writes(2, error)
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with store.buffered():
+            store.put("module", "k", ("c",), 1)
+        assert len(injected) == 2
+        assert len(_stored_keys(tmp_path)) == 1
+        counters = store.counters()
+        assert "failed.persistent" not in counters["misses"]
+        assert counters["writes"] == {"commits": 1, "rows": 1}
+        store.close()
+
+    def test_lasting_contention_gives_up(self, tmp_path, failing_writes):
+        injected = failing_writes(100, "database is locked")
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="failed"):
+            store.put("module", "k", ("c",), 1)
+        assert len(injected) == store_module._WRITE_RETRIES
+        assert store.counters()["misses"] == {"failed.persistent": 1}
+        store.close()
+
+
 class TestModuleTexts:
     """Cached ``repr`` s of module signatures: exact, and never pickled."""
 
@@ -316,7 +545,7 @@ class TestDamagedStore:
             assert store.fetch("schedule", "k", ("c",)) is MISSING
         assert store.counters()["misses"]["corrupt.schedule"] == 1
         # Dropped from both tiers: the recomputed value takes its place.
-        assert not store.contains("schedule", ("c",))
+        assert store.contains("schedule", [("c",)]) == [False]
         store.put("schedule", "k", ("c",), (1, 2, 3))
         store.close()
         fresh = SynthesisStore(cache_dir=str(tmp_path))

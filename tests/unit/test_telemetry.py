@@ -92,6 +92,19 @@ class TestEmbeddedCounter:
         assert "moves embedded" not in render_stats(Telemetry())
 
 
+class TestStoreWrites:
+    def test_merged_exported_and_rendered(self):
+        a = Telemetry(store_writes={"rows": 300, "commits": 2})
+        b = Telemetry(store_writes={"rows": 45, "commits": 1})
+        a.merge(b)
+        assert a.store_writes == {"rows": 345, "commits": 3}
+        assert a.as_dict()["store_writes"] == {"commits": 3, "rows": 345}
+        assert "345 in 3 commits" in render_stats(a)
+
+    def test_render_omits_row_without_writes(self):
+        assert "store persistent writes" not in render_stats(Telemetry())
+
+
 class TestAsDict:
     def test_plain_data(self):
         t = Telemetry(evaluations=4, cache_hits=1, cache_misses=3)

@@ -3,7 +3,8 @@
 Two cold runs of the same synthesis must store byte-identical results
 whatever the interpreter's hash seed.  This lists, per namespace, the
 ``(ns, key)`` entries whose blobs differ or exist on one side only, and
-exits non-zero when any of them is a ``module`` or ``resynth`` entry::
+exits non-zero when any of them is a ``metrics``, ``module``,
+``resynth`` or ``schedule`` entry::
 
     PYTHONHASHSEED=1 python -m repro synth --benchmark dct --laxity 2.2 \\
         --objective power --cache-dir run1
@@ -11,7 +12,8 @@ exits non-zero when any of them is a ``module`` or ``resynth`` entry::
         --objective power --cache-dir run2
     python tools/compare_store_blobs.py run1 run2
 
-Differences in other namespaces are printed but do not fail the check.
+Differences in other namespaces (``priors``, ``service``) are printed
+but do not fail the check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from pathlib import Path
 
 #: Namespaces whose blobs must be byte-identical (and present).
-REQUIRED = ("module", "resynth")
+REQUIRED = ("metrics", "module", "resynth", "schedule")
 
 
 def read_blobs(cache_dir: Path) -> dict[tuple[str, str], bytes]:
