@@ -46,6 +46,7 @@ from .rtl import emit_controller, emit_netlist
 from .search import available_policies
 from .synthesis import SynthesisConfig, synthesize, synthesize_flat, voltage_scale
 from .synthesis.library_gen import build_complex_library
+from .telemetry import Telemetry
 
 __all__ = ["main", "build_parser"]
 
@@ -89,10 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the paper's fixed scheme; see "
                             "docs/SEARCH.md; choices: "
                             f"{', '.join(available_policies())})")
-    synth.add_argument("--priors", action="store_true",
-                       help="search with trace-mined move priors and, after "
-                            "the run, mine this run's trace back into the "
-                            "priors store (persists with --cache-dir)")
     synth.add_argument("--flatten", action="store_true",
                        help="run the flattened baseline instead of hierarchical")
     synth.add_argument("--no-library", action="store_true",
@@ -271,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="NAME",
                         help="search policy biasing the improvement driver "
                              "(see docs/SEARCH.md)")
-    submit.add_argument("--priors", action="store_true",
-                        help="search with the server's trace-mined move "
-                             "priors and mine this run back into them")
     submit.add_argument("--verify", action="store_true",
                         help="differentially verify the winning RTL on the "
                              "server (a failing check fails the job)")
@@ -352,11 +346,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config.persistent_cache = not args.no_persistent_cache
     if args.policy:
         config.search_policy = args.policy
-    elif args.priors:
-        config.search_policy = "priors"
-    if args.priors and not args.cache_dir:
-        print("note: --priors without --cache-dir starts from empty priors "
-              "and persists nothing", file=sys.stderr)
+    # Store traffic outside the main run (library build, corner sweep):
+    # --stats counts the whole process's store use.
+    side_stores = Telemetry()
     library = default_library()
     built_library = False
     if not args.no_library and not args.flatten and any(
@@ -365,7 +357,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print("building complex-module library...", file=sys.stderr)
         # Library preparation is untraced: only the main run's search
         # belongs in the trace (config.trace is still False here).
-        library = build_complex_library(design, library, config=config)
+        library = build_complex_library(
+            design, library, config=config, telemetry=side_stores
+        )
         built_library = True
 
     if args.trace:
@@ -381,10 +375,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             "samples": args.samples,
             "built_library": built_library,
         }
-    elif args.priors:
-        # Priors are mined from the structured trace, so record it even
-        # when no trace file was requested.
-        config.trace = True
 
     trace_gen = _TRACE_GENERATORS[args.traces]
     traces = trace_gen(design.top, n=args.samples, seed=args.seed)
@@ -441,6 +431,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             from .synthesis.store import SynthesisStore, context_signature
 
             store = SynthesisStore.from_config(config)
+            store.bind(side_stores)
             prefix = context_signature(library, config)
         try:
             report = evaluate_corners(result, store=store, store_prefix=prefix)
@@ -451,33 +442,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print(render_corner_report(report))
     if args.stats:
         print()
-        print(render_stats(result.telemetry, history=result.history))
+        telemetry = result.telemetry.merge_store(side_stores)
+        print(render_stats(telemetry, history=result.history))
     if args.trace:
         from .trace import write_trace
 
         n_events = write_trace(result.trace_events, args.trace)
         print(f"trace written to {args.trace} ({n_events} events)")
-    if args.priors:
-        from .dfg.canonical import design_fingerprint
-        from .search.priors import mine_events, save_priors
-
-        table = mine_events(result.trace_events or [])
-        if config.cache_dir:
-            from .synthesis.store import SynthesisStore
-
-            store = SynthesisStore.from_config(config)
-            try:
-                fingerprint = design_fingerprint(
-                    result.design, result.design.top
-                )
-                save_priors(store, fingerprint, table)
-            finally:
-                store.close()
-            print(f"priors: mined {len(table.stats)} (regime, kind) "
-                  f"statistics into {args.cache_dir}")
-        else:
-            print(f"priors: mined {len(table.stats)} (regime, kind) "
-                  f"statistics (not persisted; no --cache-dir)")
     if args.profile:
         print(f"profile written to {args.profile}")
 
@@ -629,7 +600,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         verify=args.verify,
         trace=args.trace,
         policy=args.policy,
-        priors=args.priors,
     )
     client = ServiceClient(args.url)
     receipt = client.submit(request)

@@ -345,10 +345,9 @@ _EXECUTION_ONLY_FIELDS = frozenset(
         # search reaches, but every *stored* sub-result is policy-
         # independent: nested move-B resynthesis always runs the
         # default scheme, and schedules/metrics are pure evaluation.
-        # Excluding these lets runs under different policies share one
+        # Excluding it lets runs under different policies share one
         # cache.
         "search_policy",
-        "policy_params",
     }
 )
 

@@ -3,9 +3,9 @@
 A *corpus* is a directory of textual designs plus ``manifest.json``
 describing how each was produced (seed + generator config) and what it
 contains (canonical fingerprint, size metrics, stimulus spec).  The
-manifest is the hand-off format for the synthesis-service load tests
-and cross-design transfer-learning work: fingerprints key learned move
-priors, seeds make every entry regenerable without shipping bytes.
+manifest is the hand-off format for the synthesis-service load tests:
+fingerprints identify each design as the synthesis store does, and
+seeds make every entry regenerable without shipping bytes.
 
 Layout::
 
@@ -50,7 +50,7 @@ class CorpusEntry:
     file: str
     #: Iso-invariant fingerprint of the top level, resolved through the
     #: design (:func:`repro.dfg.canonical.design_fingerprint`) — the key
-    #: the synthesis store and transfer-learning priors address by.
+    #: the synthesis store addresses by.
     fingerprint: str
     #: Simple operations in the fully expanded top level.
     n_ops: int

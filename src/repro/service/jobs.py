@@ -75,9 +75,6 @@ class JobRequest:
     #: Search policy biasing the improvement driver (``None`` = the
     #: paper's default scheme; see :mod:`repro.search.policy`).
     policy: str | None = None
-    #: Search with trace-mined move priors and mine this run's trace
-    #: back into the server's priors store after it finishes.
-    priors: bool = False
 
     def validate(self) -> None:
         """Reject structurally invalid requests before any work starts."""
@@ -187,7 +184,6 @@ def request_fingerprint(
             request.verify,
             request.trace,
             request.policy,
-            request.priors,
         )
     )
 

@@ -354,16 +354,11 @@ class SynthesisService:
                 "served_from_store": False,
             })
 
-        # 2. Serve a completed identical request from the store.  Not
-        # for priors jobs: their result depends on the priors the store
-        # has accumulated so far, so an old answer would pin the search
-        # to priors that have since been refined.
-        cached = MISSING
-        if not request.priors:
+        # 2. Serve a completed identical request from the store.
+        cached = self.store.get("service", fingerprint)
+        if cached is MISSING:
             content = ("service", STORE_SCHEMA_VERSION, fingerprint)
-            cached = self.store.get("service", fingerprint)
-            if cached is MISSING:
-                cached = self.store.fetch("service", fingerprint, content)
+            cached = self.store.fetch("service", fingerprint, content)
         if cached is not MISSING:
             record = self.registry.create(
                 request.to_dict(), fingerprint, state="done",

@@ -71,14 +71,8 @@ def job_config(request: JobRequest, payload: dict[str, Any]) -> SynthesisConfig:
             "samples": request.samples,
             "built_library": not request.flatten,
         }
-    elif request.priors:
-        # Priors are mined from the structured trace, so record it even
-        # when the client did not ask for a trace artifact.
-        config.trace = True
     if request.policy is not None:
         config.search_policy = request.policy
-    elif request.priors:
-        config.search_policy = "priors"
     return config
 
 
@@ -168,24 +162,6 @@ def run_job(payload: dict[str, Any]) -> dict[str, Any]:
         payload_out["design"] = design.name
         payload_out["netlist"] = emit_netlist(result.netlist())
         payload_out["controller_states"] = result.controller().n_states
-
-        if request.priors and result.trace_events is not None:
-            from ..dfg.canonical import design_fingerprint
-            from ..search.priors import mine_events, save_priors
-            from ..synthesis.store import SynthesisStore
-
-            table = mine_events(result.trace_events)
-            if config.cache_dir:
-                priors_store = SynthesisStore.from_config(config)
-                try:
-                    save_priors(
-                        priors_store,
-                        design_fingerprint(design, design.top),
-                        table,
-                    )
-                finally:
-                    priors_store.close()
-            progress.emit("priors_mined", stats=len(table.stats))
 
         if request.verify:
             check = result.verify()

@@ -162,16 +162,12 @@ def synthesize(
     traces: TraceSet | None = None,
     config: SynthesisConfig | None = None,
     n_samples: int = 48,
-    store: "Any | None" = None,
 ) -> SynthesisResult:
     """Synthesize a hierarchical design under a throughput constraint.
 
     Exactly one of ``sampling_ns`` (absolute period) or ``laxity_factor``
     (multiple of the minimum achievable period, as in Table 3) must be
-    given.  *store* optionally supplies an externally owned
-    :class:`~repro.synthesis.store.SynthesisStore` shared across several
-    runs (e.g. a priors run reusing a cold run's memos); the caller
-    keeps responsibility for closing it.
+    given.
     """
     return _synthesize(
         design,
@@ -183,7 +179,6 @@ def synthesize(
         config=config,
         n_samples=n_samples,
         flatten_input=False,
-        store=store,
     )
 
 
@@ -385,7 +380,6 @@ def _synthesize(
     config: SynthesisConfig | None,
     n_samples: int,
     flatten_input: bool,
-    store: "Any | None" = None,
 ) -> SynthesisResult:
     started = time.perf_counter()
     library = library or default_library()
@@ -403,7 +397,7 @@ def _synthesize(
     top = design.top
     traces = _prepare_traces(design, traces, n_samples)
     input_streams = [traces[name] for name in top.inputs]
-    env = SynthesisEnv(design, library, objective, config, store=store)
+    env = SynthesisEnv(design, library, objective, config)
     try:
         return _synthesize_in_env(
             env, design, top, traces, input_streams, sampling_ns, objective,
@@ -415,13 +409,10 @@ def _synthesize(
         # server worker, REPL) that survives a SynthesisError must not
         # retain them, nor keep the run's persistent-store connections
         # open.  Post-processing (voltage scaling, corner sweeps) simply
-        # repopulates the memos from the result's own sim.  An
-        # externally supplied store outlives the run by contract — its
-        # owner closes it after the last run.
+        # repopulates the memos from the result's own sim.
         reset_activity_caches()
         _reset_energy_memos()
-        if store is None:
-            env.store.close()
+        env.store.close()
 
 
 def _synthesize_in_env(
@@ -574,7 +565,7 @@ def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
             # default-policy traces byte-identical to pre-policy ones;
             # replay re-executes recorded committed moves, which is
             # policy-independent.
-            "search_policy", "policy_params"}
+            "search_policy"}
     return {
         f.name: getattr(config, f.name)
         for f in dataclasses.fields(config)

@@ -136,15 +136,12 @@ class SynthesisConfig:
     #: fleet — do not serialize on one writer lock.  Execution knob
     #: only: results are bit-identical at any count.
     store_shards: int | None = None
-    #: Search policy driving the improvement loop's discretionary
-    #: decisions (family order, candidate ranking, restarts, early
-    #: termination).  ``"default"`` reproduces the paper's fixed scheme
-    #: byte-identically; see :mod:`repro.search.policy` for the biased
-    #: alternatives (``repro synth --policy``).
+    #: Search policy steering the improvement loop's pass budget,
+    #: candidate ranking and early termination.  ``"default"``
+    #: reproduces the paper's fixed scheme byte-identically; see
+    #: :mod:`repro.search.policy` for the biased alternatives
+    #: (``repro synth --policy``).
     search_policy: str = "default"
-    #: Keyword parameters of the selected policy (e.g. a mined priors
-    #: table).  Plain JSON-able values only.
-    policy_params: dict | None = None
 
 
 class SynthesisEnv:
@@ -156,7 +153,6 @@ class SynthesisEnv:
         library: ModuleLibrary,
         objective: Objective,
         config: SynthesisConfig | None = None,
-        store: SynthesisStore | None = None,
     ):
         self.design = design
         self.library = library
@@ -177,22 +173,16 @@ class SynthesisEnv:
         #: The tiered synthesis store (point / run / persistent); every
         #: memoized module, resynthesis result and schedule routes
         #: through it.  See :mod:`repro.synthesis.store`.
-        self.store = store if store is not None else SynthesisStore.from_config(
-            self.config
-        )
+        self.store = SynthesisStore.from_config(self.config)
         self.store.bind(self.telemetry)
         #: Invalidation signature shared by every content key this env
         #: writes: schema version + library + search-shaping config.
         self.store_signature = context_signature(library, self.config)
-        #: The search policy steering the improvement driver.  Resolved
-        #: from the registry *after* the store exists: a priors policy
-        #: loads its mined table from the store at bind time.  Store
+        #: The search policy steering the improvement driver.  Store
         #: content keys stay policy-independent (nested resynthesis
         #: always runs the default scheme), so differently-biased envs
         #: can share one store.
-        self.policy = make_policy(
-            self.config.search_policy, self.config.policy_params
-        ).bind(self)
+        self.policy = make_policy(self.config.search_policy)
         #: Modules synthesized on demand, keyed by (behavior, clk, vdd).
         #: This *is* the store's point tier for the "module" namespace —
         #: the attribute is kept for its legacy name.

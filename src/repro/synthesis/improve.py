@@ -10,14 +10,14 @@ committed; passes repeat while they improve the solution.  This is the
 classic Kernighan–Lin / variable-depth scheme the paper cites ([11]),
 and it is what lets the algorithm climb out of local minima.
 
-Every discretionary decision in that loop — the family plan, candidate
-ranking, the splitting fallback, step termination, and seeding — is
-delegated to the env's :class:`~repro.search.policy.SearchPolicy`.
-The default policy's hooks are exact no-ops, which keeps this driver
-byte-identical to the pre-policy monolith (golden-trace tested);
-nested move-B resynthesis always runs the default scheme regardless of
-the configured policy, because its result is memoized in the store and
-must not vary with the outer search's bias.
+The family order is the paper's and fixed; the pass/step budget,
+candidate ranking and step termination are delegated to the env's
+:class:`~repro.search.policy.SearchPolicy`.  The default policy's hooks
+are exact no-ops, which keeps this driver byte-identical to the
+pre-policy monolith (golden-trace tested); nested move-B resynthesis
+always runs the default scheme regardless of the configured policy,
+because its result is memoized in the store and must not vary with the
+outer search's bias.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _best(
     return best
 
 
-#: Candidate generator of each policy family tag.
+#: Candidate generator of each move family tag.
 _DISCOVER = {
     "ab": type_a_b_candidates,
     "share": sharing_candidates,
@@ -142,7 +142,7 @@ _DISCOVER = {
 #: Shared fallback policy for nested resynthesis: move-B results are
 #: memoized in the store under policy-independent content keys, so the
 #: nested driver must run the fixed default scheme no matter how the
-#: outer search is biased.  Never bound to an env (no hook needs one).
+#: outer search is biased.
 _DEFAULT_POLICY = DefaultPolicy()
 
 
@@ -181,9 +181,10 @@ def improve_solution(
 
     Returns the best solution found (the input solution if nothing
     improved).  ``history`` — when supplied — receives one
-    :class:`PassRecord` per executed pass.  Discretionary decisions
-    route through ``env.policy`` (see :mod:`repro.search.policy`); the
-    default policy reproduces the paper's fixed scheme exactly.
+    :class:`PassRecord` per executed pass.  Budgets, candidate ranking
+    and step termination route through ``env.policy`` (see
+    :mod:`repro.search.policy`); the default policy reproduces the
+    paper's fixed scheme exactly.
     """
     config = env.config
     max_passes = max_passes if max_passes is not None else config.max_passes
@@ -197,11 +198,9 @@ def improve_solution(
     rec = env.trace if not nested else None
     policy = env.policy if not nested else _DEFAULT_POLICY
     max_passes, max_moves = policy.budgets(max_passes, max_moves)
-    plan = policy.family_order()
 
     current = solution
     current_cost = ctx.cost(current)
-    current, current_cost = policy.seed_solution(ctx, current, current_cost)
 
     for _pass in range(max_passes):
         locked: frozenset[str] = frozenset()
@@ -229,37 +228,37 @@ def improve_solution(
             base = ctx.breakdown_of(work) if config.incremental else None
             discovered: dict[str, int] = {}
             view = RelationalView(env, work, locked)
-            groups: dict[str, list[Candidate]] = {}
-            scored: dict[str, ScoredMove | None] = {}
-            for family in plan:
-                groups[family] = _discover_family(
+            groups = {
+                family: _discover_family(
                     env, ctx, policy, family, work, sim, locked, view,
                     discovered, _pass, _step,
                 )
-            for family in plan:
-                scored[family] = _best(ctx, groups[family], base=base)
+                for family in ("ab", "share")
+            }
+            best_ab = _best(ctx, groups["ab"], base=base)
+            best_share = _best(ctx, groups["share"], base=base)
             work_cost = sequence[-1][1] if sequence else current_cost
-            if "split" not in plan and policy.try_split(
-                scored.get("share"), work_cost
-            ):
+            if best_share is None or work_cost - best_share.cost_after < 0:
+                # The paper's rule: splitting is tried only when no
+                # sharing move has non-negative gain, and its winner
+                # competes in the sharing slot — it substitutes for a
+                # failed sharing move, it does not outrank type A/B on
+                # ties.
                 groups["split"] = _discover_family(
                     env, ctx, policy, "split", work, sim, locked, view,
                     discovered, _pass, _step,
                 )
-                m4 = _best(ctx, groups["split"], base=base)
-                # The split winner competes in the sharing slot — the
-                # paper's rule: splitting substitutes for a failed
-                # sharing move, it does not outrank type A/B on ties.
-                m3 = scored.get("share")
-                if m4 is not None and (m3 is None or m4.cost_after < m3.cost_after):
-                    scored["share"] = m4
-            chosen = None
-            for family in scored:
-                move = scored[family]
-                if move is None:
-                    continue
-                if chosen is None or move.cost_after < chosen.cost_after:
-                    chosen = move
+                best_split = _best(ctx, groups["split"], base=base)
+                if best_split is not None and (
+                    best_share is None
+                    or best_split.cost_after < best_share.cost_after
+                ):
+                    best_share = best_split
+            chosen = best_ab
+            if best_share is not None and (
+                chosen is None or best_share.cost_after < chosen.cost_after
+            ):
+                chosen = best_share
             if chosen is None:
                 break
             if policy.stop_step(chosen, work_cost, _step):

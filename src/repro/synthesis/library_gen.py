@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from ..dfg.hierarchy import Design
 from ..library.library import ModuleLibrary, default_library
+from ..telemetry import Telemetry
 from .api import synthesize
 from .context import SynthesisConfig
 from .costs import Objective
@@ -29,13 +30,16 @@ def build_complex_library(
     laxity_factors: tuple[float, ...] = (1.2, 2.4),
     config: SynthesisConfig | None = None,
     n_samples: int = 48,
+    telemetry: Telemetry | None = None,
 ) -> ModuleLibrary:
     """Synthesize and register complex modules for every sub-behavior.
 
     Each DFG *variant* of each non-top behavior is synthesized once per
     (objective, laxity factor) corner; the corners give the library the
     spread the paper's Figure 2 shows (fast/parallel modules next to
-    compact shared ones and low-power slow ones).
+    compact shared ones and low-power slow ones).  *telemetry*, when
+    given, receives the store counters of every nested run
+    (:meth:`~repro.telemetry.Telemetry.merge_store`).
     """
     library = library if library is not None else default_library()
     config = config or SynthesisConfig()
@@ -60,6 +64,8 @@ def build_complex_library(
                         config=config,
                         n_samples=n_samples,
                     )
+                    if telemetry is not None:
+                        telemetry.merge_store(result.telemetry)
                     module = characterize_module(
                         f"{variant.name}_{objective}_lf{laxity:g}",
                         behavior,

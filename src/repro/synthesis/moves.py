@@ -279,7 +279,7 @@ def prune_candidates(
     shares every block its move did not touch.  Under the default
     policy pricing materializes every survivor anyway; a policy whose
     :meth:`~repro.search.policy.SearchPolicy.rank_candidates` drops
-    some (``deep``, ``priors``) has those cloned for rule 3 alone.
+    some (``deep``) has those cloned for rule 3 alone.
     """
     if len(candidates) < 2:
         return candidates

@@ -48,17 +48,12 @@ move leaves alone: ``schedule`` from per-task-block rows
 (:func:`repro.synthesis.costs.schedule_digest`) and ``metrics`` from
 per-block instance rows, per-module texts and register rows
 (:func:`repro.synthesis.costs.metrics_digest`).  The other callers
-(``module``, ``resynth``, ``priors``, ``service`` and the corner
-sweep's metrics) pass tuples, a few dozen per run.
-:data:`MISSING` distinguishes "absent" from a stored ``None`` (the
-resynthesis memo stores ``None`` for infeasible budgets).
-
-One namespace holds **mutable aggregates** rather than immutable
-results: ``priors`` (trace-mined move statistics, see
-:mod:`repro.search.priors`).  It uses the content-only
-:meth:`load`/:meth:`replace` pair — replace-semantics writes, no point
-tier — and is only ever read by the search policy that opts into it,
-so populating it cannot perturb a default run's lookup sequence.
+(``module``, ``resynth``, ``service`` and the corner sweep's metrics)
+pass tuples, a few dozen per run.  :data:`MISSING` distinguishes
+"absent" from a stored ``None`` (the resynthesis memo stores ``None``
+for infeasible budgets).  Rows of a namespace no caller reads any more
+stay inert: nothing addresses them, and the maintenance calls count and
+remove them like any other row.
 
 Per-tier hit/miss/eviction counters are written into the bound
 :class:`~repro.telemetry.Telemetry` (``store_hits``/``store_misses``/
@@ -514,12 +509,17 @@ class SynthesisStore:
                 self._run.discard(blob_key)
                 if self._pending.get(blob_key) == blob:
                     del self._pending[blob_key]
-                # Delete only these bytes: a concurrent writer's good
-                # blob under the same key is left alone.
-                self._db_write(
-                    "DELETE FROM store WHERE ns = ? AND key = ? AND value = ?",
-                    blob_key, blob,
-                )
+                # Delete only these bytes, committed at once: a
+                # concurrent writer's good blob under the same key is
+                # left alone.
+                db = self._shard_for(blob_key[1])
+                if db is not None:
+                    self._write(
+                        db,
+                        "DELETE FROM store WHERE ns = ? AND key = ?"
+                        " AND value = ?",
+                        [(*blob_key, blob)],
+                    )
             self._warn_once(
                 "corrupt",
                 "synthesis store: a stored entry does not load; it is "
@@ -669,50 +669,6 @@ class SynthesisStore:
             with self._lock:
                 self._buffering -= 1
                 self._flush()
-
-    def load(self, ns: str, content: tuple | str) -> Any:
-        """Content-only probe of the run and persistent tiers.
-
-        For namespaces addressed purely by content (no per-point live
-        key), such as ``priors`` tables.  Returns a fresh unpickled
-        copy, or :data:`MISSING` — without installing anything into a
-        point tier, so these reads can never perturb the point-keyed
-        namespaces' hit sequences.
-        """
-        blob_key = (ns, self._digest(content))
-        with self._lock:
-            blob = self._run.get(blob_key)
-            if blob is not None:
-                self._tick(self._hits, f"run.{ns}")
-            else:
-                self._tick(self._misses, f"run.{ns}")
-                blob = self._db_get(blob_key)
-                if blob is not None:
-                    self._run_put(blob_key, blob)
-        if blob is None:
-            return MISSING
-        return self._unpickle(blob_key, blob)
-
-    def replace(self, ns: str, content: tuple | str, value: Any) -> None:
-        """Store *value* under *content*, overwriting any previous value.
-
-        The mutable-aggregate counterpart of :meth:`put`: most
-        namespaces hold immutable content-addressed results (``INSERT
-        OR IGNORE``), but priors tables are *updated in place* under a
-        stable address, so this path writes ``INSERT OR REPLACE`` and
-        overwrites the run-tier blob.  Last-writer-wins under
-        concurrency — acceptable for advisory aggregates, never used
-        for priced results.
-        """
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        blob_key = (ns, self._digest(content))
-        with self._lock:
-            self._run_put(blob_key, blob)
-            self._db_write(
-                "INSERT OR REPLACE INTO store VALUES (?, ?, ?)",
-                blob_key, blob,
-            )
-            self._fresh.append((ns, blob_key[1], blob))
 
     def _point_put(self, ns: str, key, value: Any) -> None:
         tier = self.point_tier(ns)
@@ -907,14 +863,6 @@ class SynthesisStore:
                 shard_rows,
             )
 
-    def _db_write(
-        self, sql: str, blob_key: tuple[str, str], blob: bytes
-    ) -> None:
-        """Run one single-row write statement and commit it at once."""
-        db = self._shard_for(blob_key[1])
-        if db is not None:
-            self._write(db, sql, [(blob_key[0], blob_key[1], blob)])
-
     def _write(
         self,
         db: sqlite3.Connection,
@@ -924,11 +872,11 @@ class SynthesisStore:
         """Run *sql* over *rows* in one transaction, counted.
 
         Transient writer contention (WAL serializes writers) is retried
-        with a back-off: ignore-writes are immutable and replace-writes
-        are last-writer-wins aggregates, so retrying is sound.  Any
-        other failure, or contention that outlasts the retries, drops
-        the rows — they are recomputed when next needed — and counts
-        one ``failed.persistent`` miss.
+        with a back-off: entries are immutable (``INSERT OR IGNORE``)
+        and a deletion names the exact bytes it removes, so retrying is
+        sound.  Any other failure, or contention that outlasts the
+        retries, drops the rows — they are recomputed when next needed
+        — and counts one ``failed.persistent`` miss.
         """
         for attempt in range(_WRITE_RETRIES):
             try:

@@ -168,6 +168,14 @@ class Telemetry:
         self.verify_failures += other.verify_failures
         for stage, s in other.stage_s.items():
             self.add_time(stage, s)
+        return self.merge_store(other)
+
+    def merge_store(self, other: "Telemetry") -> "Telemetry":
+        """Fold only *other*'s store counters into this instance.
+
+        The CLI's ``--stats`` adds the library build's store traffic to
+        the run's this way: its nested runs' evaluations stay out.
+        """
         for mine, theirs in (
             (self.store_hits, other.store_hits),
             (self.store_misses, other.store_misses),

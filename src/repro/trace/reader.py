@@ -2,8 +2,8 @@
 
 :mod:`repro.trace.report` and :mod:`repro.trace.replay` each used to
 open the JSONL stream themselves and refuse anything but the current
-:data:`~repro.trace.events.SCHEMA_VERSION`; :mod:`repro.search.priors`
-made a third consumer, so the parsing and version policy moved here.
+:data:`~repro.trace.events.SCHEMA_VERSION`; the parsing and version
+policy live here so every consumer reads every version alike.
 
 Version policy
 --------------

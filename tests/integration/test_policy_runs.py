@@ -1,7 +1,7 @@
 """Integration tests for non-default search policies.
 
 Runs the real engine end to end on a small benchmark under the biased
-built-in policies and the priors policy, pins the ``policy`` run_start
+built-in policies, pins their results and the ``policy`` run_start
 trace field, and checks which policy hooks the driver consults.
 """
 
@@ -34,8 +34,16 @@ def _config(**overrides) -> SynthesisConfig:
     return dataclasses.replace(base, **overrides)
 
 
+#: (area, power, Vdd, clock, evaluations) of each biased policy on
+#: paulin under ``_config()``.
+PINNED = {
+    "deep": (1274.6, 0.41333246972424775, 2.4, 16.538, 918),
+    "greedy": (1165.6, 0.3831904355556584, 2.4, 16.538, 1062),
+}
+
+
 class TestPolicyRuns:
-    @pytest.mark.parametrize("policy", ["share-first", "greedy", "priors"])
+    @pytest.mark.parametrize("policy", ["deep", "greedy"])
     def test_biased_policies_produce_feasible_results(self, policy):
         result = synthesize(
             get_benchmark("paulin"),
@@ -47,6 +55,9 @@ class TestPolicyRuns:
         assert result.metrics.objective_value(result.objective) > 0
         assert result.solution.schedule().length \
             <= result.solution.deadline_cycles
+        assert (result.area, result.power, result.vdd, result.clk_ns,
+                result.telemetry.evaluations) \
+            == pytest.approx(PINNED[policy], rel=1e-9)
 
     def test_run_start_carries_nondefault_policy_name(self):
         result = synthesize(
@@ -76,7 +87,7 @@ class TestPolicyRuns:
         default policy that only watches the calls changes nothing."""
         hooks = tuple(
             name for name, value in vars(SearchPolicy).items()
-            if callable(value) and not name.startswith("_") and name != "bind"
+            if callable(value) and not name.startswith("_")
         )
         assert "stop_step" in hooks
         called: set[str] = set()

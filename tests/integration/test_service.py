@@ -161,6 +161,21 @@ class TestStoreServed:
         assert json.dumps(cold, sort_keys=True) == \
             json.dumps(warm, sort_keys=True)
 
+    @pytest.mark.parametrize("policy", ["deep", "greedy"])
+    def test_policy_job_repeat_is_served_from_store(self, harness, policy):
+        """Every job can be answered from the store, whatever its
+        policy; the policy is part of the job's identity."""
+        first = harness.client.submit(_request(policy=policy))
+        harness.drain()
+        repeat = harness.client.submit(_request(policy=policy))
+        assert repeat["served_from_store"]
+        assert not harness.client.submit(_request())["served_from_store"]
+        harness.drain()
+        cold = harness.client.result(first["job_id"])["result"]
+        warm = harness.client.result(repeat["job_id"])["result"]
+        assert json.dumps(cold, sort_keys=True) == \
+            json.dumps(warm, sort_keys=True)
+
     def test_store_serving_survives_service_restart(self, tmp_path):
         first = ServiceHarness(tmp_path / "svc")
         try:
@@ -210,6 +225,23 @@ class TestHTTPContract:
     def test_unknown_request_field_is_400(self, harness):
         with pytest.raises(ServiceError, match="400"):
             harness.client.submit(_request(laxity=2.0))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_priors_field_is_400(self, harness, value):
+        with pytest.raises(
+            ServiceError,
+            match=r"\(400\): unknown job request field\(s\): priors",
+        ):
+            harness.client.submit(_request(priors=value))
+
+    @pytest.mark.parametrize("policy", ["share-first", "split-eager",
+                                        "priors"])
+    def test_deleted_policy_is_400(self, harness, policy):
+        with pytest.raises(
+            ServiceError,
+            match=r"\(400\): unknown search policy .*deep, default, greedy",
+        ):
+            harness.client.submit(_request(policy=policy))
 
     def test_malformed_body_is_400(self, harness):
         with pytest.raises(ServiceError, match="400"):
@@ -279,42 +311,6 @@ class TestWorkerTeardown:
         assert activity_cache_sizes() == (0, 0), (
             "the infeasible path must tear caches down too"
         )
-
-
-class TestPriorsJob:
-    def test_priors_job_mines_into_shared_store(self, tmp_path):
-        """A priors job records its trace, mines it and saves the table
-        where the next job's priors policy will look for it."""
-        from repro.dfg.canonical import design_fingerprint
-        from repro.search.priors import load_priors
-        from repro.service import resolve_job_design
-        from repro.service.worker import job_config
-        from repro.synthesis.store import SynthesisStore
-
-        payload = {
-            "job_id": "p1",
-            "request": _request(design_text=_design_text(extra_adds=4),
-                                priors=True),
-            "fingerprint": "fp-priors",
-            "cache_dir": str(tmp_path / "cache"),
-            "store_shards": 1,
-            "persistent_cache": True,
-            "jobs_dir": str(tmp_path / "jobs"),
-        }
-        assert run_job(payload)["power"] > 0
-        progress = (tmp_path / "jobs" / "p1.progress.jsonl").read_text()
-        assert [json.loads(line)["k"] for line in progress.splitlines()] == [
-            "job_start", "design_resolved", "synthesized", "priors_mined",
-            "job_end",
-        ]
-        request = JobRequest.from_dict(payload["request"])
-        design = resolve_job_design(request)
-        store = SynthesisStore.from_config(job_config(request, payload))
-        try:
-            table = load_priors(store, design_fingerprint(design, design.top))
-        finally:
-            store.close()
-        assert table is not None and table.stats
 
 
 class TestBitIdentity:

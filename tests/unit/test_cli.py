@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.dfg import write_design
+from tests.designs import make_butterfly_design
+from tests.unit.test_store import add_legacy_priors_rows
 
 DESIGN_TEXT = """
 design tiny
@@ -64,18 +67,48 @@ class TestParser:
     @pytest.mark.parametrize(
         "flag",
         ["--portfolio=3", "--score-workers=2", "--no-batch-activity",
-         "--no-incremental", "--no-relational", "--saturate"],
+         "--no-incremental", "--no-relational", "--saturate", "--priors"],
     )
     def test_removed_synth_flags_are_rejected(self, flag, capsys):
         """Search extras and bit-identity knobs are gone from ``synth``."""
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
                 ["synth", "--benchmark", "paulin", "--laxity", "2.2", flag]
             )
+        assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(["synth", "--help"])
         assert flag.split("=")[0] not in capsys.readouterr().out
+
+
+class TestPolicyChoices:
+    """``--policy`` offers the kept policies and nothing else."""
+
+    @pytest.mark.parametrize("command", ["synth", "submit"])
+    @pytest.mark.parametrize("policy", ["share-first", "split-eager",
+                                        "priors"])
+    def test_deleted_policies_are_rejected(self, command, policy, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--benchmark", "lat", "--laxity", "2.2",
+                  "--policy", policy])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "submit"])
+    def test_kept_policies_parse(self, command):
+        for policy in ("default", "deep", "greedy"):
+            args = build_parser().parse_args(
+                [command, "--benchmark", "lat", "--laxity", "2.2",
+                 "--policy", policy]
+            )
+            assert args.policy == policy
+
+    def test_synth_help_lists_the_kept_policies(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["synth", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "choices: deep, default, greedy)" in help_text
 
 
 class TestInfo:
@@ -204,6 +237,27 @@ class TestSynth:
         assert "evaluations" in out
         assert "cost-cache hit rate" in out
 
+    def test_stats_store_lines_cover_the_library_build(self, tmp_path,
+                                                       capsys):
+        """The store lines count the whole process: on an empty cache
+        directory, the rows a hierarchical run reports writing are the
+        entries the directory holds afterwards, library build included."""
+        path = tmp_path / "bf.dfg"
+        path.write_text(write_design(make_butterfly_design()))
+        cache = tmp_path / "store"
+        assert main(["synth", str(path), "--laxity", "2.2",
+                     "--samples", "16", "--cache-dir", str(cache),
+                     "--stats"]) == 0
+        out = capsys.readouterr().out
+        written = re.search(
+            r"store persistent writes\s+(\d+) in (\d+) commits", out
+        )
+        assert written is not None, out
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
+        entries = re.search(r"^entries: (\d+)$", capsys.readouterr().out,
+                            re.MULTILINE)
+        assert int(written.group(1)) == int(entries.group(1))
+
     def test_workers_flag(self, design_file, capsys):
         code = main(
             [
@@ -304,6 +358,42 @@ class TestCachePrune:
         assert "no usable store" in capsys.readouterr().err
 
 
+class TestCacheLegacyPriorsRows:
+    """``priors`` rows of earlier versions are counted and removed like
+    any other row."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path):
+        from repro.synthesis.store import SynthesisStore
+
+        SynthesisStore(cache_dir=str(tmp_path)).close()
+        add_legacy_priors_rows(tmp_path)
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        store.put("schedule", "k", ("c",), (1, 2, 3))
+        store.close()
+        return tmp_path
+
+    def test_stats_counts_them(self, cache_dir, capsys):
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 3" in out
+        assert "  priors: 2" in out and "  schedule: 1" in out
+
+    def test_prune_removes_them_oldest_first(self, cache_dir, capsys):
+        assert main(["cache", "prune", "--cache-dir", str(cache_dir),
+                     "--max-entries", "1"]) == 0
+        assert "pruned 2 entries" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 1" in out and "priors" not in out
+
+    def test_clear_removes_them(self, cache_dir, capsys):
+        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert "cleared 3 entries" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "entries: 0" in capsys.readouterr().out
+
+
 class TestSourceContext:
     def test_parse_errors_name_the_file(self, tmp_path, capsys):
         path = tmp_path / "broken.dfg"
@@ -365,16 +455,17 @@ class TestServiceParsers:
         assert args.gen_seed == 5 and args.objective == "area"
         assert args.trace is True and args.wait and args.timeout == 30.0
 
-    def test_submit_has_no_portfolio_flag(self, capsys):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("flag", ["--portfolio=3", "--priors"])
+    def test_removed_submit_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
-                ["submit", "--benchmark", "lat", "--laxity", "2.0",
-                 "--portfolio=3"]
+                ["submit", "--benchmark", "lat", "--laxity", "2.0", flag]
             )
+        assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "--help"])
-        assert "--portfolio" not in capsys.readouterr().out
+        assert flag.split("=")[0] not in capsys.readouterr().out
 
     def test_status_job_id_is_optional(self):
         args = build_parser().parse_args(["status"])

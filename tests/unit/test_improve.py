@@ -1,10 +1,12 @@
 """Unit tests for variable-depth iterative improvement."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.synthesis import EvaluationContext, improve_solution
+from repro.synthesis import EvaluationContext, improve, improve_solution
 from repro.synthesis.context import SynthesisConfig, SynthesisEnv
-from repro.synthesis.improve import PassRecord
+from repro.synthesis.improve import PassRecord, ScoredMove
 from repro.synthesis.initial import initial_solution
 
 
@@ -101,3 +103,63 @@ class TestInfeasibleRescue:
             # mult1+add1 cannot beat 4 cycles; rescue legitimately fails,
             # but the engine must not crash and must not claim success.
             assert not improved.is_feasible() or improved.schedule().length <= 3
+
+
+class TestFamilyOrder:
+    """The paper's family order: type A/B, then sharing; splitting only
+    when no sharing move has non-negative gain, and the split winner
+    takes the sharing slot, losing exact ties to type A/B."""
+
+    _KINDS = {"ab": "A-cell", "share": "C-share-fu", "split": "D-split-fu"}
+
+    @pytest.mark.parametrize(
+        "ab, share, split, splits, chosen",
+        [
+            (3.0, -1.0, -2.0, False, "share"),  # sharing gains
+            (3.0, 0.0, -2.0, False, "share"),  # zero gain is non-negative
+            (3.0, None, -0.5, True, "split"),  # no sharing move at all
+            (3.0, 1.0, 0.5, True, "split"),  # split beats a losing share
+            (3.0, 0.5, 1.0, True, "share"),  # ...but not a cheaper one
+            (3.0, 1.0, 1.0, True, "share"),  # ...nor an equal one
+            (0.5, 1.0, 0.5, True, "ab"),  # a split ties A/B: A/B wins
+            (-1.0, -1.0, None, False, "ab"),  # sharing ties A/B: A/B wins
+            (None, None, None, True, None),  # nothing to apply
+        ],
+    )
+    def test_one_step(self, setup, monkeypatch, ab, share, split, splits,
+                      chosen):
+        """One scripted step: each family yields one candidate (or none)
+        whose cost is the start cost plus the given offset."""
+        env, sol, sim = setup
+        start = env.context(sim).cost(sol)
+        offsets = {"ab": ab, "share": share, "split": split}
+        discovered: list[str] = []
+
+        def generator(family):
+            def discover(env, work, sim, locked, view=None):
+                discovered.append(family)
+                if offsets[family] is None:
+                    return []
+                return [SimpleNamespace(
+                    kind=self._KINDS[family], is_materialized=True,
+                    footprint=None, solution=work,
+                    touched=frozenset({family}), description=family,
+                )]
+            return discover
+
+        def best(ctx, candidates, base=None):
+            if not candidates:
+                return None
+            family = candidates[0].description
+            return ScoredMove(candidates[0], start + offsets[family])
+
+        for family in offsets:
+            monkeypatch.setitem(improve._DISCOVER, family, generator(family))
+        monkeypatch.setattr(improve, "_best", best)
+        history: list[PassRecord] = []
+        improve_solution(env, sol, sim, max_passes=1, max_moves=1,
+                         history=history)
+        expected = ["ab", "share"] + (["split"] if splits else [])
+        assert discovered == expected
+        # A pass that applies no move records no history.
+        assert [r.moves for r in history] == ([[chosen]] if chosen else [])

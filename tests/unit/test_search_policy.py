@@ -3,8 +3,9 @@
 The default policy must be an exact no-op at every hook (the golden
 trace suite proves the byte-level consequence; these tests pin the
 hook-level contract), the registry must resolve and reject names
-predictably, and the built-in biased policies must implement exactly
-the bias their docstring claims.
+predictably, the seam must offer only the hooks the kept policies use,
+and the built-in biased policies must implement exactly the bias their
+docstring claims.
 """
 
 from __future__ import annotations
@@ -21,23 +22,25 @@ from repro.search import (
     register_policy,
 )
 from repro.search.policy import _REGISTRY
+from repro.synthesis import SynthesisConfig
 
 
 class TestRegistry:
     def test_builtin_policies_registered(self):
-        names = available_policies()
-        for expected in ("default", "share-first", "split-eager", "deep",
-                         "greedy", "priors"):
-            assert expected in names
+        assert available_policies() == ("deep", "default", "greedy")
 
-    def test_make_policy_resolves_and_passes_params(self):
-        policy = make_policy("default", {"min_support": 3})
-        assert isinstance(policy, DefaultPolicy)
-        assert policy.params == {"min_support": 3}
+    def test_make_policy_resolves_name(self):
+        assert isinstance(make_policy("default"), DefaultPolicy)
+        assert make_policy("deep").name == "deep"
 
     def test_make_policy_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="default"):
             make_policy("no-such-policy")
+
+    @pytest.mark.parametrize("name", ["share-first", "split-eager", "priors"])
+    def test_deleted_policies_are_unknown(self, name):
+        with pytest.raises(ValueError, match="deep, default, greedy"):
+            make_policy(name)
 
     def test_register_policy_decorator(self):
         @register_policy("test-custom")
@@ -52,47 +55,35 @@ class TestRegistry:
             del _REGISTRY["test-custom"]
 
 
+class TestSeam:
+    def test_hooks_are_budgets_ranking_and_termination(self):
+        hooks = {
+            name for name, value in vars(SearchPolicy).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert hooks == {"budgets", "rank_candidates", "stop_step"}
+
+    def test_config_has_no_policy_parameters(self):
+        """Policies are chosen by name only: the parameter field is gone."""
+        with pytest.raises(TypeError, match="policy_params"):
+            SynthesisConfig(policy_params={"min_support": 3})
+
+
 class TestDefaultPolicyIsIdentity:
     def test_budgets_passthrough(self):
         assert DefaultPolicy().budgets(8, 24) == (8, 24)
 
-    def test_family_order_is_papers(self):
-        assert DefaultPolicy().family_order() == ("ab", "share")
-
-    def test_rank_candidates_returns_input_unchanged(self):
+    @pytest.mark.parametrize("family", ["ab", "share", "split"])
+    def test_rank_candidates_returns_input_unchanged(self, family):
         cands = [SimpleNamespace(kind="A-cell"), SimpleNamespace(kind="C-chain")]
-        assert DefaultPolicy().rank_candidates("ab", cands, 0, 0) is cands
-
-    def test_try_split_is_the_paper_rule(self):
-        policy = DefaultPolicy()
-        # No sharing move at all -> fall back to splitting.
-        assert policy.try_split(None, 10.0)
-        # Best sharing move loses cost -> split.
-        assert policy.try_split(SimpleNamespace(cost_after=10.5), 10.0)
-        # Best sharing move gains -> no split.
-        assert not policy.try_split(SimpleNamespace(cost_after=9.5), 10.0)
+        assert DefaultPolicy().rank_candidates(family, cands, 0, 0) is cands
 
     def test_never_terminates_early(self):
         policy = DefaultPolicy()
         assert not policy.stop_step(SimpleNamespace(cost_after=99.0), 1.0, 0)
 
-    def test_seed_solution_passthrough(self):
-        solution = SimpleNamespace(vdd=5.0, clk_ns=10.0)
-        ctx = SimpleNamespace(cost=lambda s: pytest.fail("must not price"))
-        assert DefaultPolicy().seed_solution(ctx, solution, 1.0) == (
-            solution, 1.0
-        )
-
 
 class TestBiasedPolicies:
-    def test_share_first_orders_sharing_ahead(self):
-        assert make_policy("share-first").family_order() == ("share", "ab")
-
-    def test_split_eager_discovers_splits_unconditionally(self):
-        assert make_policy("split-eager").family_order() == (
-            "ab", "share", "split"
-        )
-
     def test_deep_doubles_passes_and_truncates_candidates(self):
         policy = make_policy("deep")
         assert policy.budgets(4, 10) == (8, 10)

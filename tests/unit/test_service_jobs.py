@@ -49,7 +49,9 @@ class TestJobRequestValidation:
     @pytest.mark.parametrize(
         "field,value",
         [("objective", "speed"), ("traces", "pink"), ("effort", "extreme"),
-         ("samples", 0), ("policy", "no-such-policy")],
+         ("samples", 0), ("policy", "no-such-policy"),
+         ("policy", "share-first"), ("policy", "split-eager"),
+         ("policy", "priors")],
     )
     def test_rejects_bad_knobs(self, field, value):
         with pytest.raises(ServiceError):
@@ -78,6 +80,14 @@ class TestJobRequestWireFormat:
         payload = _request().to_dict()
         payload["portfolio"] = 3
         with pytest.raises(ServiceError, match="portfolio"):
+            JobRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_removed_priors_field_rejected(self, value):
+        """Clients still sending ``priors`` get an error naming it."""
+        payload = _request().to_dict()
+        payload["priors"] = value
+        with pytest.raises(ServiceError, match=r"field\(s\): priors$"):
             JobRequest.from_dict(payload)
 
     def test_non_object_body_rejected(self):
@@ -131,7 +141,7 @@ class TestRequestFingerprint:
          dict(traces="white"), dict(verify=True), dict(trace=True),
          dict(flatten=True), dict(laxity_factor=3.0),
          dict(laxity_factor=None, sampling_ns=500.0),
-         dict(policy="greedy"), dict(priors=True), dict(effort="full")],
+         dict(policy="greedy"), dict(policy="deep"), dict(effort="full")],
     )
     def test_result_shaping_knobs_change_identity(self, override):
         assert self._fingerprint(_request(**override)) != \

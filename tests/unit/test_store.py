@@ -431,11 +431,31 @@ class TestFailedWrites:
         store.close()
 
     def test_single_row_writes_are_counted_too(self, tmp_path, failing_writes):
-        failing_writes(1, "disk I/O error")
+        """The one write outside the batch, deleting a blob that does
+        not load, counts its failure like a batch does."""
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        first.put("schedule", "k", ("c",), (1, 2, 3))
+        first.close()
+        _overwrite_blobs(tmp_path, _GARBAGE)
+
+        injected = failing_writes(1, "disk I/O error")
         store = SynthesisStore(cache_dir=str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="failed"):
-            store.replace("priors", ("p",), {"table": 1})
-        assert store.counters()["misses"] == {"failed.persistent": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert store.fetch("schedule", "k", ("c",)) is MISSING
+        messages = sorted(str(w.message) for w in caught)
+        assert len(messages) == 2
+        assert "does not load" in messages[0] and "failed" in messages[1]
+        assert len(injected) == 1 and injected[0].startswith("DELETE")
+        counters = store.counters()
+        assert counters["misses"] == {
+            "corrupt.schedule": 1,
+            "failed.persistent": 1,
+            "run.schedule": 1,
+        }
+        assert counters["writes"] == {}
+        # The failed delete left the bad row in place.
+        assert len(_stored_keys(tmp_path)) == 1
         store.close()
 
     @pytest.mark.parametrize("error", ["database is locked",
@@ -529,6 +549,53 @@ def _overwrite_blobs(cache_dir, blob: bytes) -> None:
     db.close()
 
 
+def add_legacy_priors_rows(cache_dir) -> None:
+    """Write ``priors`` rows as earlier versions of the store kept them.
+
+    Trace-mined move priors were a plain-dict table per iso-invariant
+    design fingerprint plus a cross-design aggregate, rewritten in place
+    with ``INSERT OR REPLACE``.  Nothing reads the namespace any more.
+    """
+    db = sqlite3.connect(cache_dir / "synthesis_store.sqlite")
+    for fingerprint in ("0123abcd", "__aggregate__"):
+        table = {"format": 1, "n_runs": 1,
+                 "stats": {"tight|A-cell": [3, 2, 1.5, 1.0]}}
+        db.execute(
+            "INSERT OR REPLACE INTO store VALUES (?, ?, ?)",
+            ("priors", digest_content(("priors", 1, fingerprint)),
+             pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)),
+        )
+    db.commit()
+    db.close()
+
+
+class TestLegacyPriorsRows:
+    """``priors`` rows left by earlier versions stay inert."""
+
+    def test_store_opens_and_serves_other_namespaces(self, tmp_path):
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        first.put("schedule", "k", ("c",), (1, 2, 3))
+        first.put("module", "m", ("mc",), "module")
+        first.close()
+        add_legacy_priors_rows(tmp_path)
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        assert store.persistent
+        assert store.fetch("schedule", "k", ("c",)) == (1, 2, 3)
+        assert store.fetch("module", "m", ("mc",)) == "module"
+        assert store.contains("metrics", ["absent"]) == [False]
+        store.put("schedule", "k2", ("c2",), (4,))
+        assert store.persistent_stats()["entries"] == {
+            "module": 1, "priors": 2, "schedule": 2,
+        }
+        counters = store.counters()
+        assert counters["hits"] == {
+            "persistent.module": 1, "persistent.schedule": 1,
+        }
+        assert set(counters["misses"]) == {"run.module", "run.schedule"}
+        store.close()
+
+
 class TestDamagedStore:
     """A damaged store is a counted miss, never an exception."""
 
@@ -551,18 +618,6 @@ class TestDamagedStore:
         fresh = SynthesisStore(cache_dir=str(tmp_path))
         assert fresh.fetch("schedule", "k2", ("c",)) == (1, 2, 3)
         fresh.close()
-
-    def test_load_turns_bad_blob_into_counted_miss(self, tmp_path):
-        first = SynthesisStore(cache_dir=str(tmp_path))
-        first.replace("priors", ("p",), {"table": 1})
-        first.close()
-        _overwrite_blobs(tmp_path, _GARBAGE)
-
-        store = SynthesisStore(cache_dir=str(tmp_path))
-        with pytest.warns(RuntimeWarning):
-            assert store.load("priors", ("p",)) is MISSING
-        assert store.counters()["misses"]["corrupt.priors"] == 1
-        store.close()
 
     def test_warns_once_per_store(self, tmp_path):
         first = SynthesisStore(cache_dir=str(tmp_path))

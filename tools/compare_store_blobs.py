@@ -12,8 +12,8 @@ exits non-zero when any of them is a ``metrics``, ``module``,
         --objective power --cache-dir run2
     python tools/compare_store_blobs.py run1 run2
 
-Differences in other namespaces (``priors``, ``service``) are printed
-but do not fail the check.
+Differences in other namespaces (``service``) are printed but do not
+fail the check.
 """
 
 from __future__ import annotations
