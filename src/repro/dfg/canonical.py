@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import weakref
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .graph import DFG, NodeKind
@@ -59,8 +60,15 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
+#: DFG → ``{token: (node count, edge count, digest)}``.  Weakly keyed,
+#: so the memo never keeps a graph alive, and not an attribute of the
+#: graph, so a graph pickles to the same bytes whether or not it was
+#: fingerprinted first.
+_MEMO: "weakref.WeakKeyDictionary[DFG, dict]" = weakref.WeakKeyDictionary()
+
+
 def _memo_get(dfg: DFG, token: str) -> str | None:
-    cache = getattr(dfg, "_canonical_memo", None)
+    cache = _MEMO.get(dfg)
     if cache is None:
         return None
     hit = cache.get(token)
@@ -73,10 +81,9 @@ def _memo_get(dfg: DFG, token: str) -> str | None:
 
 
 def _memo_put(dfg: DFG, token: str, value: str) -> None:
-    cache = getattr(dfg, "_canonical_memo", None)
+    cache = _MEMO.get(dfg)
     if cache is None:
-        cache = {}
-        dfg._canonical_memo = cache  # type: ignore[attr-defined]
+        cache = _MEMO[dfg] = {}
     cache[token] = (len(dfg), dfg.n_edges, value)
 
 
@@ -342,11 +349,12 @@ _EXECUTION_ONLY_FIELDS = frozenset(
         "run_cache_size",
         "store_shards",
         # The search policy biases which final solution the outer
-        # search reaches, but every *stored* sub-result is policy-
+        # search reaches, but every stored sub-result is policy-
         # independent: nested move-B resynthesis always runs the
-        # default scheme, and schedules/metrics are pure evaluation.
-        # Excluding it lets runs under different policies share one
-        # cache.
+        # default scheme, and schedules are pure evaluation.  Excluding
+        # it lets runs under different policies share one cache; the
+        # one policy-dependent entry, a point's outcome, names the
+        # policy in its own key.
         "search_policy",
     }
 )

@@ -25,6 +25,7 @@ are what gets bound to registers during synthesis.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -382,9 +383,26 @@ class DFG:
         clone._n_edges = self._n_edges
         return clone
 
+    def __getstate__(self) -> dict:
+        """Pickled state, without the sorted in-edge cache: which nodes
+        it holds depends on the queries made, so pickling it would make
+        a graph's bytes depend on what was asked of it first."""
+        state = self.__dict__.copy()
+        del state["_in_sorted"]
+        return state
+
     def __setstate__(self, state: dict) -> None:
         """Restore a pickled graph, counting its edges if it predates
-        the edge counter (store files outlive releases)."""
-        self.__dict__.update(state)
+        the edge counter (store files outlive releases).  Graphs pickled
+        by earlier releases may carry the sorted in-edge cache and the
+        fingerprint memo (``_canonical_memo``, now held outside the
+        graph by :mod:`repro.dfg.canonical`); both are dropped.  The
+        names are interned, as the default restore does, so a loaded
+        graph pickles to the bytes it was loaded from (pickling
+        memoizes strings by identity)."""
+        state.pop("_canonical_memo", None)
+        state.pop("_in_sorted", None)
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self._in_sorted = {}
         if "_n_edges" not in state:
             self._n_edges = sum(len(ports) for ports in self._in_edges.values())

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from ..dfg.ops import Operation
@@ -86,8 +87,10 @@ class LibraryCell:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled cell (older blobs carry ``ops`` as a frozenset)."""
-        self.__dict__.update(state, ops=frozenset(state["ops"]))
+        """Restore a pickled cell (older blobs carry ``ops`` as a
+        frozenset), its names interned as the default restore does."""
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self.__dict__["ops"] = frozenset(state["ops"])
 
     def supports(self, op: Operation) -> bool:
         """True if the cell can execute *op*."""

@@ -136,6 +136,12 @@ class DatapathNetlist:
         self._area_cache: dict[int, tuple[object, float]] = {}
         self._sorted_conns: list[Connection] | None = None
 
+    def __reduce__(self):
+        """Pickle as ``DatapathNetlist(name)`` with :meth:`__getstate__`'s
+        state, subclasses too: a netlist derived from blocks and the
+        plain one it loads as then pickle to the same bytes."""
+        return (DatapathNetlist, (self.name,), self.__getstate__())
+
     def __getstate__(self) -> dict:
         """Pickled state: the name, components and connections only.
 

@@ -21,6 +21,7 @@ behavior carries:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -128,6 +129,19 @@ class RTLModule:
         activity = min(max(input_activity, 0.0), 1.0)
         cap = self.cap_internal(behavior)
         return cap * (IDLE_FRACTION + activity) * energy_scale(vdd) * 25.0
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled module.
+
+        Blobs stored by earlier releases may carry the synthesis store's
+        content-signature memo (``_store_content_sig``), which is now
+        held outside the module; it is dropped, so a loaded module
+        pickles again to the bytes of one that never carried it.  The
+        names are interned, as the default restore does, since pickling
+        memoizes strings by identity.
+        """
+        state.pop("_store_content_sig", None)
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

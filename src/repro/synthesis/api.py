@@ -23,6 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..dfg.canonical import design_fingerprint, graph_signature
 from ..dfg.flatten import flatten
 from ..dfg.hierarchy import Design
 from ..dfg.validate import validate_design
@@ -44,6 +45,7 @@ from .improve import PassRecord, improve_solution
 from .initial import initial_solution
 from .pruning import candidate_clocks, candidate_vdds, laxity_sampling_ns
 from .solution import Solution
+from .store import MISSING, sim_level_digest
 
 __all__ = [
     "PointCandidate",
@@ -233,6 +235,7 @@ def _run_point(
     vdd: float,
     clk_ns: float,
     point_index: int = 0,
+    content: tuple | None = None,
 ) -> _PointOutcome:
     """Synthesize one operating point: initial solution + improvement.
 
@@ -241,7 +244,102 @@ def _run_point(
     (module cache, resynthesis memo, name counter, cost caches) lives in
     *env*, which the caller either resets between points (serial sweep)
     or instantiates fresh per worker (parallel sweep).
+
+    That independence makes the outcome a pure function of the point's
+    content key (:func:`_point_content`).  When the sweep stores point
+    outcomes it passes that key as *content*, built by the sweep's own
+    env, so the outcome is written under the key the sweep looks up.
     """
+    outcome = _search_point(env, sim, sampling_ns, vdd, clk_ns, point_index)
+    if content is not None:
+        env.store.put(
+            "point", content, content,
+            None if outcome.solution is None
+            else (outcome.solution, outcome.metrics, outcome.history),
+        )
+    return outcome
+
+
+def _stores_points(env: SynthesisEnv) -> bool:
+    """Whether the sweep reads and writes ``point`` entries.
+
+    Only untraced runs with a persistent tier do: a stored outcome
+    would drop the point's ``step`` events from a trace, and a run that
+    cross-checks delta pricing (``validate_incremental``) must price
+    every candidate it would search.
+    """
+    return (
+        env.trace is None
+        and env.store.persistent
+        and not env.config.validate_incremental
+    )
+
+
+def _point_content(
+    env: SynthesisEnv,
+    sim: SimTrace,
+    sampling_ns: float,
+    vdd: float,
+    clk_ns: float,
+) -> tuple:
+    """Content key of one operating point's outcome.
+
+    The store signature covers the library and the search-shaping
+    config, which leaves out the policy, so it is named here.  The
+    design fingerprint covers the behaviors below the top graph, the
+    graph signature pins the top graph's node ids (the stored solution
+    names them), and the level digest covers the top-level streams.
+    The search code itself is covered by ``STORE_SCHEMA_VERSION``.
+    """
+    top = env.design.top
+    return (
+        "point",
+        env.store_signature,
+        env.objective,
+        env.config.search_policy,
+        design_fingerprint(env.design, top),
+        graph_signature(top),
+        sim_level_digest(sim, ()),
+        sampling_ns,
+        vdd,
+        clk_ns,
+    )
+
+
+def _stored_outcome(
+    env: SynthesisEnv, vdd: float, clk_ns: float, content: tuple
+) -> _PointOutcome | None:
+    """The outcome stored under *content*, or ``None`` when its entry
+    does not load (a counted ``corrupt.point`` miss).
+
+    A skipped point stored ``None``, an explored one its solution,
+    metrics and pass history.  The solution is rebound to this run's
+    top graph and library, which its key pins to equal content, so it
+    refers to them as a computed one does.
+    """
+    stored = env.store.fetch("point", content, content)
+    if stored is MISSING:
+        return None
+    if stored is None:
+        env.telemetry.points_skipped += 1
+        return _PointOutcome(vdd, clk_ns, None, None, [])
+    solution, metrics, history = stored
+    solution.dfg = env.design.top
+    solution.library = env.library
+    env.telemetry.points_explored += 1
+    return _PointOutcome(vdd, clk_ns, solution, metrics, history)
+
+
+def _search_point(
+    env: SynthesisEnv,
+    sim: SimTrace,
+    sampling_ns: float,
+    vdd: float,
+    clk_ns: float,
+    point_index: int,
+) -> _PointOutcome:
+    """The search of :func:`_run_point`: initial solution, then
+    improvement (or a skip), traced when the run is."""
     top = env.design.top
     rec = env.trace
     if rec is not None:
@@ -285,7 +383,7 @@ def _run_point(
 def _point_worker(
     payload: tuple[
         Design, ModuleLibrary, Objective, SynthesisConfig, SimTrace, float,
-        float, float, int,
+        float, float, int, tuple | None,
     ],
 ) -> tuple[_PointOutcome, Telemetry]:
     """Process-pool entry: run one operating point in a fresh env.
@@ -297,12 +395,12 @@ def _point_worker(
     to merge in point order.
     """
     (design, library, objective, config, sim, sampling_ns, vdd, clk_ns,
-     point_index) = payload
+     point_index, content) = payload
     env = SynthesisEnv(design, library, objective, config)
     try:
         with env.store.buffered():
             outcome = _run_point(
-                env, sim, sampling_ns, vdd, clk_ns, point_index
+                env, sim, sampling_ns, vdd, clk_ns, point_index, content
             )
     finally:
         # The point's persistent writes are committed before the
@@ -323,29 +421,48 @@ def _sweep_points(
 ) -> list[_PointOutcome]:
     """Run every operating point, in parallel when configured.
 
+    When the run stores point outcomes (:func:`_stores_points`), one
+    :meth:`~repro.synthesis.store.SynthesisStore.contains` probe first
+    asks which points the store holds; those are served from it in this
+    process, and only the rest are searched.  A warm parallel rerun
+    therefore starts no worker processes at all.
+
     Outcomes are returned in the order of *points* regardless of worker
     completion order, so best-solution selection (strict ``<`` on the
     objective) is identical to the serial sweep.  Pool failures
     (platforms without process support, unpicklable payloads) fall back
     to the serial path.
     """
+    outcomes: list[_PointOutcome | None] = [None] * len(points)
+    contents: list[tuple | None] = [None] * len(points)
+    if _stores_points(env):
+        contents = [
+            _point_content(env, sim, sampling_ns, vdd, clk_ns)
+            for vdd, clk_ns in points
+        ]
+        held = env.store.contains("point", contents)
+        for idx, content in enumerate(contents):
+            if held[idx]:
+                outcomes[idx] = _stored_outcome(env, *points[idx], content)
+    todo = [idx for idx, outcome in enumerate(outcomes) if outcome is None]
+
     n_workers = max(1, env.config.n_workers)
-    if n_workers > 1 and len(points) > 1:
+    if n_workers > 1 and len(todo) > 1:
         payloads = [
             (env.design, env.library, env.objective, env.config, sim,
-             sampling_ns, vdd, clk_ns, idx)
-            for idx, (vdd, clk_ns) in enumerate(points)
+             sampling_ns, *points[idx], idx, contents[idx])
+            for idx in todo
         ]
         try:
             with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(points))
+                max_workers=min(n_workers, len(todo))
             ) as pool:
                 paired = list(pool.map(_point_worker, payloads))
         except (OSError, ImportError, BrokenProcessPool,
                 pickle.PicklingError):
             paired = None
         if paired is not None:
-            for outcome, worker_telemetry in paired:
+            for idx, (outcome, worker_telemetry) in zip(todo, paired):
                 env.telemetry.merge(worker_telemetry)
                 if env.trace is not None:
                     # Point order == serial emission order, so the
@@ -357,15 +474,15 @@ def _sweep_points(
                 # the worker), so later runs warm-start from them.
                 env.store.absorb(outcome.store_entries)
                 outcome.store_entries = []
-            return [outcome for outcome, _tel in paired]
+                outcomes[idx] = outcome
+            return outcomes
 
-    outcomes: list[_PointOutcome] = []
-    for idx, (vdd, clk_ns) in enumerate(points):
+    for idx in todo:
         env.reset_point_caches()
         # One batch of persistent writes per point, committed at its end.
         with env.store.buffered():
-            outcomes.append(
-                _run_point(env, sim, sampling_ns, vdd, clk_ns, idx)
+            outcomes[idx] = _run_point(
+                env, sim, sampling_ns, *points[idx], idx, contents[idx]
             )
     return outcomes
 

@@ -178,10 +178,11 @@ class SynthesisEnv:
         #: Invalidation signature shared by every content key this env
         #: writes: schema version + library + search-shaping config.
         self.store_signature = context_signature(library, self.config)
-        #: The search policy steering the improvement driver.  Store
+        #: The search policy steering the improvement loop.  Sub-result
         #: content keys stay policy-independent (nested resynthesis
         #: always runs the default scheme), so differently-biased envs
-        #: can share one store.
+        #: share one store; only a point's outcome names the policy
+        #: (see ``api._run_point``).
         self.policy = make_policy(self.config.search_policy)
         #: Modules synthesized on demand, keyed by (behavior, clk, vdd).
         #: This *is* the store's point tier for the "module" namespace —
@@ -329,16 +330,6 @@ class SynthesisEnv:
                 validate_incremental=self.config.validate_incremental,
                 reuse_schedules=self.config.incremental,
                 store=self.store,
-                design=self.design,
-                store_prefix=self.store_signature,
-                # Metrics sharing elides counted top-level evaluations,
-                # so it stays off whenever this context's evaluations
-                # land in a recorded trace; nested resynthesis is
-                # untraced wholesale (scratch telemetry, no recorder)
-                # and therefore always shares.
-                share_metrics=(
-                    not self.config.trace or self._resynth_active
-                ),
                 batch_pricing=self.config.batch_activity,
             )
             # Bounded: evict the oldest context (and its strong sim ref;

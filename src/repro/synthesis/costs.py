@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from ..dfg.canonical import design_fingerprint, graph_signature
+from ..dfg.canonical import graph_signature
 from ..dfg.graph import Signal
 from ..errors import SynthesisError
 from ..power.estimator import PowerReport
@@ -32,12 +32,7 @@ from ..rtl.components import DatapathNetlist
 from ..telemetry import Telemetry
 from ..trace.recorder import TraceRecorder
 from .caching import HashedKey, LRUCache
-from .store import (
-    MISSING,
-    SynthesisStore,
-    module_pricing_text,
-    sim_level_digest,
-)
+from .store import MISSING, SynthesisStore
 from ..power.activity import batch_activities
 from .datapath_build import build_netlist, operand_port_map
 from .incremental import (
@@ -56,7 +51,6 @@ __all__ = [
     "Metrics",
     "EvaluationContext",
     "area_of",
-    "metrics_digest",
     "schedule_digest",
     "DEFAULT_COST_CACHE_SIZE",
 ]
@@ -64,10 +58,6 @@ __all__ = [
 #: Default bound on the fingerprint-keyed cost cache (entries, not bytes;
 #: one entry holds a Metrics record).
 DEFAULT_COST_CACHE_SIZE = 4096
-
-#: Bound on an evaluation context's table of rendered register rows
-#: (see :func:`metrics_digest`); the table is emptied when full.
-_REG_TEXT_ROWS = 4096
 
 Objective = Literal["area", "power"]
 
@@ -174,66 +164,6 @@ def schedule_digest(solution: Solution) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def metrics_digest(
-    solution: Solution,
-    design,
-    prefix: str | None,
-    level_digest: str,
-    reg_texts: dict[tuple, str] | None = None,
-) -> str:
-    """Store address of *solution*'s metrics, composed from cached text.
-
-    Equal to ``digest_content(("metrics", prefix,
-    solution_pricing_signature(solution, design), level_digest))``.
-    The ``repr`` of that tuple is joined from text cached on the
-    objects a move leaves alone: each task block's instance row
-    (:meth:`~repro.synthesis.solution.TaskBlock.row_text`) and each
-    module's pricing signature (:func:`~repro.synthesis.store.
-    module_pricing_text`).  Each register row ``(reg_id,
-    tuple(signals))`` is rendered once per distinct row into
-    *reg_texts* (an evaluation context keeps one, bounded by
-    ``_REG_TEXT_ROWS``); only the scalar fields are rendered afresh.
-    The blocks come in instance order, because a solution's instance
-    and execution maps share their keys and order.
-    """
-    rows: list[str] = []
-    modules: list[str] = []
-    for block in solution.task_blocks():
-        rows.append(block.row_text(design))
-        module = block.instance.module
-        if module is not None:
-            modules.append(
-                f"({block.instance.inst_id!r}, "
-                f"{module_pricing_text(module, design)})"
-            )
-    if reg_texts is None:
-        reg_texts = {}
-    regs: list[str] = []
-    for reg_id, signals in solution.reg_signals.items():
-        row = (reg_id, tuple(signals))
-        text = reg_texts.get(row)
-        if text is None:
-            if len(reg_texts) >= _REG_TEXT_ROWS:
-                reg_texts.clear()
-            text = reg_texts[row] = repr(row)
-        regs.append(text)
-    signature = (
-        f"(({design_fingerprint(design, solution.dfg)!r}, "
-        f"{solution.clk_ns!r}, {solution.vdd!r}, {solution.sampling_ns!r}, "
-        f"{_tuple_text(rows)}, {_tuple_text(regs)}), "
-        f"{solution.deadline_cycles!r}, {_tuple_text(modules)})"
-    )
-    text = f"('metrics', {prefix!r}, {signature}, {level_digest!r})"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _tuple_text(items: list[str]) -> str:
-    """The ``repr`` of a tuple whose elements' ``repr`` s are *items*:
-    a one-element tuple keeps its trailing comma, an empty one is
-    ``()``."""
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
 class EvaluationContext:
     """Fixed context for evaluating solutions of one DFG level."""
 
@@ -248,9 +178,6 @@ class EvaluationContext:
         validate_incremental: bool = False,
         reuse_schedules: bool = True,
         store: SynthesisStore | None = None,
-        design: object | None = None,
-        store_prefix: str | None = None,
-        share_metrics: bool = False,
         batch_pricing: bool = True,
     ):
         self.sim = sim
@@ -285,43 +212,11 @@ class EvaluationContext:
         self._batched: dict[
             HashedKey, tuple[Metrics, Breakdown, int, int]
         ] = {}
-        #: Metrics store addresses (hex digests, see
-        #: :func:`metrics_digest`), memoized per fingerprint.  One
-        #: candidate's address is needed up to three times (the
-        #: batch-pricing ``contains`` probe, then ``fetch`` and ``put``
-        #: in :meth:`evaluate`), and each composition still joins and
-        #: hashes a few KB of text.
-        self._content_memo: LRUCache[HashedKey, str] = LRUCache(cache_size)
-        #: Rendered register rows of those addresses, by row.
-        self._reg_texts: dict[tuple, str] = {}
         #: Tiered synthesis store carrying the shared schedule memo
         #: (namespace ``"schedule"``); ``None`` for bare contexts
         #: (voltage scaling, module characterization), which fall back
         #: to the local LRU below.
         self.store = store
-        #: Design resolving module instances in content signatures.
-        self.design = design
-        #: Store invalidation signature (library + config) prefixed to
-        #: every metrics content key.
-        self._store_prefix = store_prefix
-        #: Share evaluated :class:`Metrics` through the store's run and
-        #: persistent tiers, addressed by canonical content.  Only ever
-        #: enabled for *untraced* contexts: a store hit skips the
-        #: full/delta evaluation below, which would perturb the counter
-        #: deltas recorded into trace ``step`` events and break the
-        #: cold-vs-warm trace-identity contract.  Also requires the
-        #: persistent tier: metrics content keys embed ``vdd``/``clk_ns``
-        #: (and the level's stream digest), so run-tier-only sharing has
-        #: nothing to hit — candidates at one operating point are already
-        #: deduplicated by the fingerprint cost cache, and other points
-        #: never address the same content.  Without a database behind it
-        #: the machinery is pure per-candidate overhead.
-        self._share_metrics = bool(
-            share_metrics
-            and store is not None
-            and design is not None
-            and store.persistent
-        )
         #: Local schedule memo for store-less contexts (see
         #: :meth:`schedule_of`): register-binding moves and equal-timing
         #: cell swaps do not change the task set, so whole families of
@@ -424,21 +319,6 @@ class EvaluationContext:
         self.telemetry.cache_misses += 1
         t0 = self.recorder.clock() if self.recorder is not None else None
         batched = self._batched.pop(key, None)
-        content = (
-            self._metrics_content(solution, key)
-            if self._share_metrics
-            else None
-        )
-        if batched is None and content is not None:
-            shared = self.store.fetch("metrics", key, content)
-            if shared is not MISSING:
-                # Untraced context (see ``_share_metrics``): skipping
-                # the full/delta classification below cannot reach any
-                # recorded trace.  The metrics themselves are
-                # bit-identical to a recomputation, so results and the
-                # search trajectory are unchanged.
-                self._cost_cache.put(key, shared)
-                return shared
         if batched is not None:
             metrics, breakdown, reused, _terms = batched
         else:
@@ -465,35 +345,7 @@ class EvaluationContext:
             self.recorder.emit("eval", **event)
         self._cost_cache.put(key, metrics)
         self._breakdowns.put(key, breakdown)
-        if content is not None:
-            self.store.put("metrics", key, content, metrics)
         return metrics
-
-    def _metrics_content(
-        self, solution: Solution, key: HashedKey | None = None
-    ) -> str:
-        """Canonical content address of one solution's metrics.
-
-        Name-free and process-independent: the pricing signature covers
-        the solution side, the level digest covers the operand streams,
-        and the store prefix covers library and configuration.  The
-        digest is composed from cached text (:func:`metrics_digest`)
-        and memoized per fingerprint (equal fingerprints imply equal
-        pricing signatures at one synthesis point).
-        """
-        if key is None:
-            key = solution.fingerprint_key()
-        digest = self._content_memo.get(key)
-        if digest is None:
-            digest = metrics_digest(
-                solution,
-                self.design,
-                self._store_prefix,
-                sim_level_digest(self.sim, self.path),
-                self._reg_texts,
-            )
-            self._content_memo.put(key, digest)
-        return digest
 
     def breakdown_of(self, solution: Solution) -> Breakdown | None:
         """The stored per-term breakdown of an already-evaluated solution.
@@ -532,18 +384,6 @@ class EvaluationContext:
                 continue
             seen.add(key)
             jobs.append((key, solution, base))
-        if jobs and self._share_metrics:
-            # One probe for the whole set: the serial accounting pass
-            # answers the candidates the store holds (from the blobs the
-            # probe read), so planning them here would waste the work.
-            held = self.store.contains(
-                "metrics",
-                [
-                    self._metrics_content(solution, key)
-                    for key, solution, _base in jobs
-                ],
-            )
-            jobs = [job for job, found in zip(jobs, held) if not found]
         if not jobs:
             return
         plans = [

@@ -363,9 +363,6 @@ class BlockNetlist(DatapathNetlist):
     def _connections(self) -> set[Connection]:
         return (self._parts or self._assemble())[1]
 
-    def __reduce__(self):
-        return (DatapathNetlist, (self.name,), self.__getstate__())
-
     def add_component(self, *args, **kwargs) -> Component:
         """Refused: a derived netlist is read-only (edit a :meth:`copy`)."""
         raise DFGError(f"netlist {self.name!r} is read-only; edit a copy")

@@ -26,6 +26,7 @@ mutate the clone and compare costs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ..dfg.graph import DFG, NodeKind, Signal
@@ -36,7 +37,6 @@ from ..rtl.module import RTLModule
 from ..scheduling.model import ScheduleResult, TaskSpec
 from ..scheduling.scheduler import schedule_tasks
 from .caching import HashedKey
-from .store import module_content_text
 
 __all__ = ["Instance", "Solution", "TaskBlock"]
 
@@ -82,7 +82,7 @@ class TaskBlock:
     """
 
     __slots__ = ("instance", "executions", "clk_ns", "vdd", "tasks",
-                 "_rows", "_key", "_text", "_min_length", "_row_text")
+                 "_rows", "_key", "_text", "_min_length")
 
     def __init__(
         self,
@@ -101,7 +101,6 @@ class TaskBlock:
         self._key: HashedKey | None = None
         self._text: str | None = None
         self._min_length: int | None = None
-        self._row_text: str | None = None
 
     def fits(
         self,
@@ -151,24 +150,6 @@ class TaskBlock:
         if self._text is None:
             self._text = ", ".join([repr(row) for row in self.signature_rows()])
         return self._text
-
-    def row_text(self, design) -> str:
-        """The ``repr`` of this instance's row of :func:`repro.synthesis.
-        store.solution_signature`, ``(inst_id, module content signature
-        or ("cell", name), executions)`` (cached): the block's key fixes
-        all three, and a module's content signature is frozen.  This
-        block's part of the metrics store address
-        (:func:`repro.synthesis.costs.metrics_digest`)."""
-        if self._row_text is None:
-            inst = self.instance
-            if inst.module is not None:
-                sig = module_content_text(inst.module, design)
-            else:
-                sig = repr(("cell", inst.cell.name))
-            self._row_text = (
-                f"({inst.inst_id!r}, {sig}, {tuple(self.executions)!r})"
-            )
-        return self._row_text
 
     @property
     def min_length(self) -> int:
@@ -412,9 +393,12 @@ class Solution:
         blocks.  Dropping all of them keeps :meth:`task_blocks` from
         taking a present task list to mean its blocks match it.  Older
         blobs also carry the writer's fingerprint and schedule key,
-        whose ``id(dfg)`` is stale here; both are re-derived.
+        whose ``id(dfg)`` is stale here; both are re-derived.  The names
+        are interned, as the default restore does, so a loaded solution
+        pickles to the bytes it was loaded from (pickling memoizes
+        strings by identity).
         """
-        self.__dict__.update(state)
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
         self._tasks = None
         self._task_index = None
         self._blocks = {}

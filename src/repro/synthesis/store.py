@@ -37,29 +37,37 @@ The lookup protocol is two-step to mirror the legacy control flow
 exactly: :meth:`get` probes only the point tier (the legacy fast path,
 requiring no content key), and :meth:`fetch` — called only after a
 point miss — builds on the caller-supplied content key to probe the run
-and persistent tiers, the pending batch before SQL.  Batch pricing
-first asks :meth:`contains` about a whole candidate set: one
-``SELECT ... key IN (...)`` per shard, whose blobs answer the following
-:meth:`fetch` calls, so a persistent hit costs at most one query.  A
-content key is a tuple, hashed with
-:func:`digest_content` on every call, or that digest as a ``str``.  The
-two hot namespaces pass a ``str`` composed from text cached on what a
-move leaves alone: ``schedule`` from per-task-block rows
-(:func:`repro.synthesis.costs.schedule_digest`) and ``metrics`` from
-per-block instance rows, per-module texts and register rows
-(:func:`repro.synthesis.costs.metrics_digest`).  The other callers
-(``module``, ``resynth``, ``service`` and the corner sweep's metrics)
-pass tuples, a few dozen per run.  :data:`MISSING` distinguishes
-"absent" from a stored ``None`` (the resynthesis memo stores ``None``
-for infeasible budgets).  Rows of a namespace no caller reads any more
-stay inert: nothing addresses them, and the maintenance calls count and
-remove them like any other row.
+and persistent tiers, the pending batch before SQL.  :meth:`contains`
+asks which of several contents those tiers hold without loading any.
+A content key is a tuple, hashed with :func:`digest_content` on every
+call, or that digest as a ``str``.  The namespaces:
+
+* ``point`` — the outcome of one (Vdd, clock) operating point of an
+  untraced sweep, probed for every point of the sweep at once before
+  any point does work (:func:`repro.synthesis.api._sweep_points`), so
+  a warm rerun skips the whole KL search;
+* ``module`` and ``resynth`` — characterized modules and move-B
+  resynthesis results;
+* ``schedule`` — list schedules, addressed by a ``str`` composed from
+  per-task-block text (:func:`repro.synthesis.costs.schedule_digest`),
+  the one hot namespace;
+* ``metrics`` — the corner sweep's per-corner metrics
+  (:mod:`repro.reporting.corners`);
+* ``service`` — the job server's finished jobs.
+
+:data:`MISSING` distinguishes "absent" from a stored ``None`` (the
+resynthesis memo stores ``None`` for infeasible budgets, the point
+namespace for skipped points).  Rows of a namespace no caller reads any
+more stay inert: nothing addresses them, and the maintenance calls
+count and remove them like any other row.  So do the per-candidate
+``metrics`` rows of stores written before point outcomes replaced them:
+their keys hash a content tuple nothing builds any more.
 
 Per-tier hit/miss/eviction counters are written into the bound
 :class:`~repro.telemetry.Telemetry` (``store_hits``/``store_misses``/
 ``store_evictions``, keyed ``"{tier}.{namespace}"``), and the persistent
-tier's rows written and commits made into ``store_writes``; all of them
-surface in ``--stats`` and trace reports.
+tier's rows inserted and commits made into ``store_writes``; all of
+them surface in ``--stats`` and trace reports.
 
 A damaged store never breaks synthesis.  A blob that does not unpickle
 (garbage bytes, a class that no longer exists) is a miss counted under
@@ -107,16 +115,17 @@ __all__ = [
     "SynthesisStore",
     "context_signature",
     "module_content_signature",
-    "module_content_text",
-    "module_pricing_text",
     "sim_level_digest",
     "solution_pricing_signature",
     "solution_signature",
 ]
 
 #: Bumped whenever the serialized value format or the content-key
-#: construction changes incompatibly; a persistent database recorded
-#: under a different version is dropped on open.
+#: construction changes incompatibly, and whenever the search changes
+#: what it returns for the same inputs: ``point`` entries hold whole
+#: search outcomes (``resynth`` entries nested ones), and no key names
+#: the code that produced them.  A persistent database recorded under
+#: a different version is dropped on open.
 STORE_SCHEMA_VERSION = 2
 
 #: Sentinel distinguishing "not stored" from a stored ``None``.
@@ -140,10 +149,6 @@ _WRITE_RETRY_SLEEP_S = 0.02
 #: written in few commits, and the batch holds only references to blobs
 #: the run tier keeps anyway.
 _BATCH_ROWS = 1024
-
-#: Keys per ``key IN (...)`` probe query: with the namespace parameter
-#: it stays under SQLite's host-parameter limit (999 before 3.32).
-_PROBE_CHUNK = 900
 
 
 def digest_content(content: tuple) -> str:
@@ -215,12 +220,14 @@ def module_content_signature(module: "RTLModule", design: "Design") -> tuple:
     by their internal solution's :func:`solution_signature`; library
     modules — whose netlists are externally supplied and whose names
     are user-chosen identities covered by the library signature — by
-    name.  Memoized on the module object: internal solutions are frozen
+    name.  Memoized per module object: internal solutions are frozen
     after characterization (moves clone before mutating), and the
     signature deliberately excludes ``_impls`` so later
-    ``ensure_behavior`` aliasing cannot stale it.
+    ``ensure_behavior`` aliasing cannot stale it.  The memo is a weakly
+    keyed table, not an attribute of the module, so a module pickles
+    to the same bytes whether or not its signature was asked first.
     """
-    cached = getattr(module, "_store_content_sig", None)
+    cached = _CONTENT_SIGS.get(module)
     if cached is not None:
         return cached
     internal = getattr(module, "internal", None)
@@ -229,8 +236,15 @@ def module_content_signature(module: "RTLModule", design: "Design") -> tuple:
         sig = ("syn", solution_signature(solution, design))
     else:
         sig = ("lib", module.name)
-    module._store_content_sig = sig  # type: ignore[attr-defined]
+    _CONTENT_SIGS[module] = sig
     return sig
+
+
+#: RTL module → its :func:`module_content_signature`.  Weakly keyed, so
+#: the memo never keeps a module alive, and never pickled with one.
+_CONTENT_SIGS: "weakref.WeakKeyDictionary[RTLModule, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def module_pricing_signature(module: "RTLModule", design: "Design") -> tuple:
@@ -256,49 +270,6 @@ def _behavior_rows(module: "RTLModule") -> tuple:
             key=lambda entry: entry[0],
         )
     )
-
-
-#: RTL module → ``[content text, behavior count, pricing text]`` (see
-#: :func:`module_content_text` and :func:`module_pricing_text`).
-#: Weakly keyed, so the cache never keeps a module alive, and not an
-#: attribute of the module, so it is never pickled with one.
-_MODULE_TEXTS: "weakref.WeakKeyDictionary[RTLModule, list]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _module_texts(module: "RTLModule", design: "Design") -> list:
-    entry = _MODULE_TEXTS.get(module)
-    if entry is None:
-        entry = [repr(module_content_signature(module, design)), -1, ""]
-        _MODULE_TEXTS[module] = entry
-    return entry
-
-
-def module_content_text(module: "RTLModule", design: "Design") -> str:
-    """``repr(module_content_signature(module, design))``, cached per module.
-
-    Exact for as long as the signature it renders, which is memoized
-    on the module object too.
-    """
-    return _module_texts(module, design)[0]
-
-
-def module_pricing_text(module: "RTLModule", design: "Design") -> str:
-    """``repr(module_pricing_signature(module, design))``, cached per module.
-
-    Rendered again whenever the module's behavior count moves: RTL
-    embedding and :func:`~repro.synthesis.context.ensure_behavior` add
-    behaviors in place, while a behavior, once added, is never removed
-    or re-characterized (both add one only after ``supports`` said no).
-    The content signature's text is reused, not rendered again.
-    """
-    entry = _module_texts(module, design)
-    count = len(module._impls)
-    if entry[1] != count:
-        entry[2] = f"({entry[0]}, {_behavior_rows(module)!r})"
-        entry[1] = count
-    return entry[2]
 
 
 def solution_pricing_signature(solution: "Solution", design: "Design") -> tuple:
@@ -382,13 +353,11 @@ class SynthesisStore:
         self._pending: dict[tuple[str, str], bytes] = {}
         #: Open :meth:`buffered` blocks; writes commit at once at zero.
         self._buffering = 0
-        #: Blobs the last :meth:`contains` probe read from the database,
-        #: kept to answer the :meth:`fetch` that follows without SQL.
-        self._probed: dict[tuple[str, str], bytes] = {}
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._evictions: dict[str, int] = {}
-        #: Persistent-tier rows written and commits made.
+        #: Persistent-tier rows inserted and commits made (deletions
+        #: of blobs that do not load are not counted).
         self._writes: dict[str, int] = {}
         #: Damage kinds ("corrupt", "fallback", "failed") already warned
         #: about.
@@ -419,9 +388,10 @@ class SynthesisStore:
             "module": config.module_cache_size,
             "resynth": config.module_cache_size,
             "schedule": config.cost_cache_size,
-            # Metrics live in the context's own fingerprint-keyed cost
-            # cache; a point tier here would only duplicate it.
+            # The corner sweep asks for each corner's metrics once.
             "metrics": 0,
+            # A point's outcome is looked up once, at the point's start.
+            "point": 0,
         }
         return cls(
             sizes,
@@ -588,50 +558,38 @@ class SynthesisStore:
     def contains(self, ns: str, contents: Iterable[tuple | str]) -> list[bool]:
         """Whether the run or persistent tier holds each of *contents*.
 
-        One probe for a whole candidate set — no counters, no point-tier
-        install: batch pricing (:meth:`~repro.synthesis.costs.
-        EvaluationContext.evaluate_batch`) uses it to skip candidates
-        the accounting pass will answer from the store anyway.  Keys the
-        run tier and the pending batch do not hold are looked up with
-        one ``key IN (...)`` query per shard (chunked), and the blobs
-        found are kept until the next probe: the :meth:`fetch` of such
-        a key then reads no second query, and counts as before.
+        Nothing is loaded or installed.  A content held nowhere counts
+        the misses its :meth:`fetch` would have counted, so a caller
+        that fetches only what is held (the sweep's point probe, see
+        ``api._sweep_points``) counts what fetching everything would.
         """
-        blob_keys = [(ns, self._digest(content)) for content in contents]
+        held: list[bool] = []
         with self._lock:
-            held = [
-                blob_key in self._pending
-                or self._run.peek(blob_key) is not None
-                for blob_key in blob_keys
-            ]
-            by_shard: dict[int, list[str]] = {}
-            if self._dbs:
-                for blob_key, found in zip(blob_keys, held):
-                    if not found:
-                        by_shard.setdefault(
-                            self._shard_index(blob_key[1]), []
-                        ).append(blob_key[1])
-            probed: dict[tuple[str, str], bytes] = {}
-            for index, digests in by_shard.items():
-                db = self._dbs[index]
-                for lo in range(0, len(digests), _PROBE_CHUNK):
-                    chunk = digests[lo:lo + _PROBE_CHUNK]
-                    marks = ", ".join("?" * len(chunk))
-                    try:
-                        rows = db.execute(
-                            "SELECT key, value FROM store WHERE ns = ?"
-                            f" AND key IN ({marks})",
-                            (ns, *chunk),
-                        ).fetchall()
-                    except sqlite3.Error:
-                        continue
-                    for digest, blob in rows:
-                        probed[(ns, digest)] = blob
-            self._probed = probed
-            return [
-                found or blob_key in probed
-                for blob_key, found in zip(blob_keys, held)
-            ]
+            for content in contents:
+                blob_key = (ns, self._digest(content))
+                found = (
+                    self._run.peek(blob_key) is not None
+                    or blob_key in self._pending
+                    or self._in_db(blob_key)
+                )
+                if not found:
+                    self._tick(self._misses, f"run.{ns}")
+                    if self._dbs:
+                        self._tick(self._misses, f"persistent.{ns}")
+                held.append(found)
+        return held
+
+    def _in_db(self, blob_key: tuple[str, str]) -> bool:
+        db = self._shard_for(blob_key[1])
+        if db is None:
+            return False
+        try:
+            row = db.execute(
+                "SELECT 1 FROM store WHERE ns = ? AND key = ?", blob_key
+            ).fetchone()
+        except sqlite3.Error:
+            return False
+        return row is not None
 
     def put(self, ns: str, key, content: tuple | str, value: Any) -> None:
         """Store a freshly computed value in every tier.
@@ -694,7 +652,6 @@ class SynthesisStore:
             for tier in self._point.values():
                 tier.clear()
             self._fresh.clear()
-            self._probed = {}
 
     def export_fresh(self) -> list[tuple[str, str, bytes]]:
         """Drain the blobs written since the last export (worker side)."""
@@ -821,14 +778,12 @@ class SynthesisStore:
     def _db_get(self, blob_key: tuple[str, str]) -> bytes | None:
         """The persistent tier's blob under *blob_key*, counted.
 
-        The pending batch and the last probe's blobs answer before SQL.
+        The pending batch answers before SQL.
         """
         db = self._shard_for(blob_key[1])
         if db is None:
             return None
         blob = self._pending.get(blob_key)
-        if blob is None:
-            blob = self._probed.pop(blob_key, None)
         if blob is None:
             try:
                 row = db.execute(
@@ -847,7 +802,9 @@ class SynthesisStore:
 
     def _flush(self) -> None:
         """Write the pending batch: one ``executemany`` and one commit
-        per shard.  The caller holds the lock."""
+        per shard, each counted in ``store_writes`` once it commits,
+        with the rows it inserted (a key already stored is ignored).
+        The caller holds the lock."""
         if not self._pending:
             return
         rows: dict[int, list[tuple[str, str, bytes]]] = {}
@@ -857,19 +814,23 @@ class SynthesisStore:
             )
         self._pending = {}
         for index, shard_rows in sorted(rows.items()):
-            self._write(
+            inserted = self._write(
                 self._dbs[index],
                 "INSERT OR IGNORE INTO store VALUES (?, ?, ?)",
                 shard_rows,
             )
+            if inserted is not None:
+                self._tick(self._writes, "rows", inserted)
+                self._tick(self._writes, "commits")
 
     def _write(
         self,
         db: sqlite3.Connection,
         sql: str,
         rows: list[tuple[str, str, bytes]],
-    ) -> None:
-        """Run *sql* over *rows* in one transaction, counted.
+    ) -> int | None:
+        """Run *sql* over *rows* in one transaction: the rows it changed,
+        or ``None`` when it did not commit.
 
         Transient writer contention (WAL serializes writers) is retried
         with a back-off: entries are immutable (``INSERT OR IGNORE``)
@@ -880,7 +841,7 @@ class SynthesisStore:
         """
         for attempt in range(_WRITE_RETRIES):
             try:
-                db.executemany(sql, rows)
+                changed = db.executemany(sql, rows).rowcount
                 db.commit()
             except sqlite3.OperationalError as exc:
                 transient = "locked" in str(exc) or "busy" in str(exc)
@@ -894,9 +855,7 @@ class SynthesisStore:
             except sqlite3.Error:
                 break
             else:
-                self._tick(self._writes, "rows", len(rows))
-                self._tick(self._writes, "commits")
-                return
+                return changed
         try:
             db.rollback()
         except sqlite3.Error:
@@ -908,6 +867,7 @@ class SynthesisStore:
             "directory failed; its entries are recomputed when next "
             "needed (see the failed.persistent store counter)",
         )
+        return None
 
     def persistent_stats(self) -> dict[str, Any]:
         """Entry counts and on-disk size of the persistent tier.
@@ -1016,7 +976,6 @@ class SynthesisStore:
             for db in self._dbs:
                 db.close()
             self._dbs = []
-            self._probed = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tiers = ", ".join(

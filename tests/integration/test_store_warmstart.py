@@ -25,12 +25,16 @@ import pytest
 
 from repro.bench_suite import get_benchmark
 from repro.power import speech_traces
-from repro.rtl import DatapathNetlist, emit_netlist
+from repro.rtl import DatapathNetlist, RTLModule, emit_netlist
 from repro.synthesis import Solution, SynthesisConfig, synthesize
 from repro.synthesis.store import SynthesisStore
 
 from tests.unit.test_blob_determinism import _EarlierFormPickler
-from tests.unit.test_store import _GONE_CLASS, _overwrite_blobs
+from tests.unit.test_store import (
+    _GONE_CLASS,
+    _overwrite_blobs,
+    add_legacy_metrics_rows,
+)
 
 SEED = 11
 SAMPLES = 24
@@ -56,9 +60,9 @@ def _config(cache_dir, n_workers=1, trace=True, **overrides):
 
 
 def _run(circuit, cache_dir, n_workers=1, objective="power", trace=True,
-         **overrides):
+         seed=SEED, **overrides):
     design = get_benchmark(circuit)
-    traces = speech_traces(design.top, n=SAMPLES, seed=SEED)
+    traces = speech_traces(design.top, n=SAMPLES, seed=seed)
     return synthesize(
         design,
         laxity_factor=LAXITY,
@@ -110,24 +114,33 @@ class TestColdVsWarm:
         assert _identity(parallel_cold) == _identity(serial_cold)
         assert _identity(parallel_warm) == _identity(serial_cold)
         assert parallel_warm.trace_events == serial_cold.trace_events
-        # Untraced runs share top-level metrics as well.
-        _run("test1", tmp_path / "untraced", n_workers=2, trace=False)
-        untraced_warm = _run(
-            "test1", tmp_path / "untraced", n_workers=2, trace=False
-        )
-        assert _identity(untraced_warm) == _identity(serial_cold)
         # Every sweep worker's writes reached the database before it
         # returned: the warm workers answer their lookups from disk and
         # miss none there.
-        for warm, namespaces in (
-            (parallel_warm, ("module", "resynth", "schedule")),
-            (untraced_warm, ("metrics", "module", "resynth")),
-        ):
-            hits = warm.telemetry.store_hits
-            for ns in namespaces:
-                assert hits.get(f"persistent.{ns}", 0) > 0, ns
-            misses = warm.telemetry.store_misses
-            assert not [k for k in misses if k.startswith("persistent.")]
+        hits = parallel_warm.telemetry.store_hits
+        for ns in ("module", "resynth", "schedule"):
+            assert hits.get(f"persistent.{ns}", 0) > 0, ns
+        misses = parallel_warm.telemetry.store_misses
+        assert not [k for k in misses if k.startswith("persistent.")]
+
+    def test_parallel_untraced_warm_run_hits_every_point(self, tmp_path):
+        """Sweep workers store their points' outcomes, and a warm
+        rerun answers every point from them alone."""
+        serial_cold = _run("test1", None, trace=False)
+        _run("test1", tmp_path, n_workers=2, trace=False)
+        warm = _run("test1", tmp_path, n_workers=2, trace=False)
+        assert _identity(warm) == _identity(serial_cold)
+        telemetry = warm.telemetry
+        points = telemetry.points_explored + telemetry.points_skipped
+        assert points == (
+            serial_cold.telemetry.points_explored
+            + serial_cold.telemetry.points_skipped
+        )
+        assert telemetry.store_hits == {"persistent.point": points}
+        assert not [
+            k for k in telemetry.store_misses if k.startswith("persistent.")
+        ]
+        assert telemetry.evaluations == 0
 
     def test_warm_result_verifies(self, tmp_path):
         _run("test1", tmp_path)
@@ -234,7 +247,67 @@ def _rewrite_modules(cache_dir, pickler):
     return len(rows)
 
 
+class _MemoizedSignaturePickler(pickle.Pickler):
+    """Modules as the release before point outcomes pickled them: each
+    carrying the store's content-signature memo as an attribute."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not RTLModule:
+            return NotImplemented
+        state = dict(vars(obj), _store_content_sig=("syn", obj.name))
+        return copyreg.__newobj__, (RTLModule,), state
+
+
+def _to_parent_format(cache_dir) -> int:
+    """Rewrite a store as the release before point outcomes left it:
+    modules (stored and resynthesized) carry the signature memo, and
+    per-candidate ``metrics`` rows sit beside them.  Returns the number
+    of blobs rewritten."""
+    (path,) = Path(cache_dir).glob("*.sqlite")
+    db = sqlite3.connect(path)
+    try:
+        rows = db.execute(
+            "SELECT ns, key, value FROM store WHERE ns IN ('module', 'resynth')"
+        ).fetchall()
+        for ns, key, blob in rows:
+            buf = io.BytesIO()
+            _MemoizedSignaturePickler(buf, pickle.HIGHEST_PROTOCOL).dump(
+                pickle.loads(blob)
+            )
+            db.execute(
+                "UPDATE store SET value = ? WHERE ns = ? AND key = ?",
+                (buf.getvalue(), ns, key),
+            )
+        db.commit()
+    finally:
+        db.close()
+    add_legacy_metrics_rows(Path(cache_dir), 3)
+    return len(rows)
+
+
 class TestOlderStoreFormat:
+    def test_parent_store_warms_its_sub_results(self, tmp_path):
+        """A store written before point outcomes, with per-candidate
+        metrics rows and memo-carrying modules, serves its module,
+        resynthesis and schedule entries to an untraced run, which
+        stores its points beside them; the metrics rows stay inert."""
+        cold = _run("test1", tmp_path)  # traced: no point entries
+        assert _to_parent_format(tmp_path) > 0
+
+        warm = _run("test1", tmp_path, trace=False)
+        assert _identity(warm) == _identity(cold)
+        hits = warm.telemetry.store_hits
+        for ns in ("module", "resynth", "schedule"):
+            assert hits.get(f"persistent.{ns}", 0) > 0, ns
+        counters = hits | warm.telemetry.store_misses
+        assert not [k for k in counters if k.endswith(".metrics")]
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        entries = store.persistent_stats()["entries"]
+        store.close()
+        assert entries["metrics"] == 3
+        assert entries["point"] == _points(warm)
+
+
     def test_modules_pickled_before_task_blocks(self, tmp_path, monkeypatch):
         """Modules from a store written before solutions carried task
         blocks still serve a warm run, whose resynthesis misses clone
@@ -322,33 +395,174 @@ class TestOlderStoreFormat:
         assert all(keys == (None, None, None) for keys in dropped)
 
 
-class TestMetricsSharing:
-    """Untraced runs additionally warm-start the pricing layer itself."""
+def _points(result) -> int:
+    telemetry = result.telemetry
+    return telemetry.points_explored + telemetry.points_skipped
+
+
+class TestPointOutcomes:
+    """Untraced runs store each operating point's outcome, and a warm
+    rerun returns it without searching."""
 
     def test_untraced_cold_vs_warm_identical(self, tmp_path):
         cold = _run("test1", tmp_path, trace=False)
         warm = _run("test1", tmp_path, trace=False)
         assert _identity(warm) == _identity(cold)
-        # The warm run answered top-level evaluations from disk.
-        assert warm.telemetry.store_hits.get("persistent.metrics", 0) > 0
+        assert warm.history == cold.history
+        assert [
+            (c.vdd, c.clk_ns, c.metrics) for c in warm.candidates
+        ] == [(c.vdd, c.clk_ns, c.metrics) for c in cold.candidates]
+        # Every point came from disk, and nothing was priced.
+        assert cold.telemetry.store_misses["persistent.point"] == _points(cold)
+        assert warm.telemetry.store_hits == {"persistent.point": _points(cold)}
+        assert warm.telemetry.evaluations == 0
+        assert warm.telemetry.store_writes == {}
+        assert warm.verify().ok
 
     def test_untraced_warm_matches_traced_run(self, tmp_path):
-        """Metrics sharing changes wall-clock, never the search."""
+        """Point outcomes change wall-clock, never the search."""
         traced = _run("test1", None, trace=True)
         _run("test1", tmp_path, trace=False)
         warm = _run("test1", tmp_path, trace=False)
         assert _identity(warm) == _identity(traced)
 
-    def test_traced_top_level_pricing_never_shares(self, tmp_path):
-        """Counted evaluations must run under tracing (step events
-        snapshot their counter deltas), so a traced warm run computes
-        them even when the store could answer."""
-        _run("paulin", tmp_path, trace=False)
-        warm = _run("paulin", tmp_path, trace=True)
-        # paulin is resynthesis-free, so any metrics counter would have
-        # to come from the (forbidden) traced top-level context.
-        assert warm.telemetry.store_hits.get("persistent.metrics", 0) == 0
-        assert warm.telemetry.store_misses.get("run.metrics", 0) == 0
+    def test_warm_solution_refers_to_this_runs_graph_and_library(
+        self, tmp_path
+    ):
+        _run("test1", tmp_path, trace=False)
+        warm = _run("test1", tmp_path, trace=False)
+        for cand in warm.candidates:
+            assert cand.solution.dfg is warm.design.top
+            assert cand.solution.library is warm.library
+
+    def test_traced_runs_neither_read_nor_write_points(self, tmp_path):
+        """A point hit would drop the point's ``step`` events, so traced
+        runs keep away from the namespace."""
+        traced_cold = _run("test1", tmp_path / "traced", trace=True)
+        store = SynthesisStore(cache_dir=str(tmp_path / "traced"))
+        assert "point" not in store.persistent_stats()["entries"]
+        store.close()
+        _run("test1", tmp_path, trace=False)
+        warm = _run("test1", tmp_path, trace=True)
+        assert _identity(warm) == _identity(traced_cold)
+        assert warm.trace_events == traced_cold.trace_events
+        counters = warm.telemetry.store_hits | warm.telemetry.store_misses
+        assert not [k for k in counters if k.endswith(".point")]
+
+    def test_validating_runs_search_every_point(self, tmp_path):
+        """A run that cross-checks delta pricing must price what it
+        would search, so it neither reads nor writes point entries."""
+        _run("test1", tmp_path, trace=False)
+        validated = _run("test1", tmp_path, trace=False,
+                         validate_incremental=True)
+        uncached = _run("test1", None, trace=False)
+        assert _identity(validated) == _identity(uncached)
+        telemetry = validated.telemetry
+        assert telemetry.evaluations == uncached.telemetry.evaluations > 0
+        counters = telemetry.store_hits | telemetry.store_misses
+        assert not [k for k in counters if k.endswith(".point")]
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"search_policy": "greedy"}, {"objective": "area"}, {"seed": 12}],
+        ids=["policy", "objective", "stimulus"],
+    )
+    def test_a_changed_run_misses_every_point(self, tmp_path, change):
+        """Policy, objective and stimulus each change a point's key: a
+        run that changes one after a default run on the same store
+        misses every top-level point and equals its run without one."""
+        uncached = _run("test1", None, trace=False, **change)
+        _run("test1", tmp_path, trace=False)
+        changed = _run("test1", tmp_path, trace=False, **change)
+        assert _identity(changed) == _identity(uncached)
+        assert changed.history == uncached.history
+        telemetry = changed.telemetry
+        assert "persistent.point" not in telemetry.store_hits
+        assert telemetry.store_misses["persistent.point"] == _points(changed)
+
+    def test_corrupt_point_blob_is_a_counted_miss(self, tmp_path):
+        uncached = _run("test1", None, trace=False)
+        cold = _run("test1", tmp_path, trace=False)
+        db = sqlite3.connect(tmp_path / "synthesis_store.sqlite")
+        db.execute("UPDATE store SET value = ? WHERE ns = 'point'",
+                   (b"\x00garbage bytes\xff",))
+        db.commit()
+        db.close()
+        with pytest.warns(RuntimeWarning, match="does not load"):
+            rerun = _run("test1", tmp_path, trace=False)
+        assert _identity(rerun) == _identity(uncached)
+        assert pickle.dumps(rerun.metrics) == pickle.dumps(uncached.metrics)
+        assert rerun.history == uncached.history
+        telemetry = rerun.telemetry
+        assert telemetry.store_misses["corrupt.point"] == _points(cold)
+        assert telemetry.evaluations == uncached.telemetry.evaluations
+        # Each point's outcome was recomputed and stored again; dropping
+        # the bad blobs wrote nothing.
+        assert telemetry.store_writes["commits"] == _points(cold)
+        # The recomputed outcomes replaced the bad blobs.
+        again = _run("test1", tmp_path, trace=False)
+        assert again.telemetry.store_hits == {"persistent.point": _points(cold)}
+
+
+class TestLibraryBuildPoints:
+    def test_library_build_reuses_its_points(self, tmp_path):
+        """The library build synthesizes each behavior untraced, so a
+        second build against the store answers every point from it and
+        yields an equal library."""
+        from repro.dfg.canonical import library_signature
+        from repro.library import default_library
+        from repro.synthesis.library_gen import build_complex_library
+        from repro.telemetry import Telemetry
+
+        design = get_benchmark("test1")
+        built = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            library = build_complex_library(
+                design, default_library(),
+                config=_config(tmp_path, trace=False),
+                n_samples=SAMPLES, telemetry=telemetry,
+            )
+            built.append((library_signature(library), telemetry))
+        (cold_sig, cold), (warm_sig, warm) = built
+        assert warm_sig == cold_sig
+        points = cold.store_misses["persistent.point"]
+        assert points > 0
+        assert warm.store_hits == {"persistent.point": points}
+        assert not [
+            k for k in warm.store_misses if k.startswith("persistent.")
+        ]
+
+    def test_parallel_build_is_served_without_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """Points are keyed by the sweep, not by its workers, so a
+        parallel build finds every point a serial one stored, answers
+        them in process and starts no pool."""
+        from repro.library import default_library
+        from repro.synthesis import api
+        from repro.synthesis.library_gen import build_complex_library
+        from repro.telemetry import Telemetry
+
+        def build(n_workers):
+            telemetry = Telemetry()
+            build_complex_library(
+                get_benchmark("test1"), default_library(),
+                config=_config(tmp_path, n_workers, trace=False),
+                n_samples=SAMPLES, telemetry=telemetry,
+            )
+            return telemetry
+
+        cold = build(1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm sweep started worker processes")
+
+        monkeypatch.setattr(api, "ProcessPoolExecutor", no_pool)
+        warm = build(2)
+        points = cold.store_misses["persistent.point"]
+        assert warm.store_hits == {"persistent.point": points}
+        assert warm.evaluations == 0
 
 
 class TestObjectiveSeparation:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SynthesisError
+from tests.designs import sim_for
 from repro.synthesis import (
     SynthesisConfig,
     synthesize,
@@ -155,3 +156,69 @@ class TestTelemetryOnResult:
         t = area_opt.telemetry
         for family, n in t.moves_committed.items():
             assert n <= t.moves_tried.get(family, 0)
+
+
+class TestPointOutcomes:
+    """An untraced sweep with a persistent store memoizes each
+    operating point's outcome under one content key."""
+
+    @staticmethod
+    def _env(design, library, tmp_path, objective="power", **knobs):
+        from repro.synthesis.context import SynthesisEnv
+
+        fields = {"max_moves": 5, "max_passes": 2, "n_clocks": 1, **knobs}
+        config = SynthesisConfig(cache_dir=str(tmp_path), **fields)
+        return SynthesisEnv(design, library, objective, config)
+
+    def test_key_names_what_shapes_the_outcome(
+        self, flat_design, flat_sim, library, tmp_path
+    ):
+        from repro.synthesis.api import _point_content
+
+        def key(objective="power", sim=flat_sim, point=(400.0, 5.0, 10.0),
+                **knobs):
+            env = self._env(flat_design, library, tmp_path, objective,
+                            **knobs)
+            try:
+                return _point_content(env, sim, *point)
+            finally:
+                env.store.close()
+
+        base = key()
+        # Execution knobs leave the key alone.
+        assert key(n_workers=2, batch_activity=False) == base
+        others = [
+            key(objective="area"),
+            key(search_policy="greedy"),
+            key(max_moves=6),
+            key(point=(400.0, 3.3, 10.0)),
+            key(point=(400.0, 5.0, 12.0)),
+            key(point=(500.0, 5.0, 10.0)),
+            key(sim=sim_for(flat_design, n=12)),
+        ]
+        assert len({base, *others}) == 1 + len(others)
+
+    def test_skipped_point_is_stored_and_served(
+        self, flat_design, flat_sim, library, tmp_path
+    ):
+        """A point whose initial schedule is hopeless stores ``None``,
+        and a later run counts it skipped without an initial solution."""
+        from repro.synthesis import api
+
+        # A 1 ns clock gives a far too short budget at this period.
+        sampling_ns, points = 8.0, [(5.0, 1.0)]
+        cold = self._env(flat_design, library, tmp_path)
+        [outcome] = api._sweep_points(cold, flat_sim, sampling_ns, points)
+        cold.store.close()
+        assert outcome.solution is None
+        assert cold.telemetry.points_skipped == 1
+
+        warm = self._env(flat_design, library, tmp_path)
+        [outcome] = api._sweep_points(warm, flat_sim, sampling_ns, points)
+        warm.store.close()
+        assert (outcome.solution, outcome.metrics, outcome.history) == (
+            None, None, []
+        )
+        assert warm.telemetry.points_skipped == 1
+        assert warm.telemetry.store_hits == {"persistent.point": 1}
+        assert warm.telemetry.stage_s.get("initial", 0.0) == 0.0

@@ -69,6 +69,28 @@ sys.stdout.buffer.write(pickle.dumps(metrics, protocol=pickle.HIGHEST_PROTOCOL))
 """
 
 
+#: Synthesizes a small hierarchical design into a fresh store and
+#: writes the pickle of its sorted ``point`` rows to stdout.
+_POINTS = """
+import pickle, sqlite3, sys, tempfile
+from repro.synthesis import SynthesisConfig, synthesize
+from tests.designs import make_butterfly_design
+
+with tempfile.TemporaryDirectory() as cache_dir:
+    synthesize(
+        make_butterfly_design(), laxity_factor=2.0, n_samples=16,
+        config=SynthesisConfig(max_moves=4, max_passes=1, n_clocks=1,
+                               cache_dir=cache_dir),
+    )
+    db = sqlite3.connect(f"{cache_dir}/synthesis_store.sqlite")
+    rows = db.execute(
+        "SELECT key, value FROM store WHERE ns = 'point' ORDER BY key"
+    ).fetchall()
+    db.close()
+sys.stdout.buffer.write(pickle.dumps(rows))
+"""
+
+
 def _priced_metrics() -> Metrics:
     design = make_flat_design()
     sim = sim_for(design)
@@ -203,6 +225,23 @@ class TestFixedOrderState:
         state = solution.__getstate__()
         for name in ("_fingerprint", "_fingerprint_key", "_sched_key"):
             assert name not in state
+
+
+class TestPointBlobs:
+    def test_point_blobs_identical_across_hash_seeds(self):
+        first = pickle.loads(_pickle_in_subprocess("1", _POINTS))
+        second = pickle.loads(_pickle_in_subprocess("2", _POINTS))
+        assert first
+        assert first == second
+
+    def test_loaded_module_pickles_to_the_bytes_it_came_from(self, module):
+        """Netlists, graphs, solutions, cells and modules restore to
+        objects that pickle as they were pickled, so an outcome holding
+        a module loaded from the store stores the bytes it would hold
+        had the module been computed."""
+        blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(blob)
+        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == blob
 
 
 class _DataclassFormPickler(pickle.Pickler):

@@ -11,7 +11,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.dfg import write_design
 from tests.designs import make_butterfly_design
-from tests.unit.test_store import add_legacy_priors_rows
+from tests.unit.test_store import add_legacy_metrics_rows, add_legacy_priors_rows
 
 DESIGN_TEXT = """
 design tiny
@@ -390,6 +390,41 @@ class TestCacheLegacyPriorsRows:
     def test_clear_removes_them(self, cache_dir, capsys):
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "cleared 3 entries" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "entries: 0" in capsys.readouterr().out
+
+
+class TestCacheLegacyMetricsRows:
+    """Per-candidate ``metrics`` rows of earlier versions are counted
+    and removed like any other row."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path):
+        from repro.synthesis.store import SynthesisStore
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        store.put("point", "k", ("c",), None)
+        store.close()
+        add_legacy_metrics_rows(tmp_path, 4)
+        return tmp_path
+
+    def test_stats_counts_them(self, cache_dir, capsys):
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 5" in out
+        assert "  metrics: 4" in out and "  point: 1" in out
+
+    def test_prune_removes_them_oldest_first(self, cache_dir, capsys):
+        assert main(["cache", "prune", "--cache-dir", str(cache_dir),
+                     "--max-entries", "3"]) == 0
+        assert "pruned 2 entries" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "  metrics: 3" in out and "point" not in out
+
+    def test_clear_removes_them(self, cache_dir, capsys):
+        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert "cleared 5 entries" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         assert "entries: 0" in capsys.readouterr().out
 

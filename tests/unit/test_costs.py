@@ -4,15 +4,13 @@ import math
 
 import pytest
 
-from repro.dfg import Design, GraphBuilder, Operation
+from repro.dfg import GraphBuilder, Operation
 from repro.dfg.canonical import graph_signature
 from repro.synthesis import EvaluationContext, Solution, area_of
 from repro.synthesis.context import SynthesisEnv
-from repro.synthesis import costs as costs_module
-from repro.synthesis.costs import metrics_digest, schedule_digest
+from repro.synthesis.costs import schedule_digest
 from repro.synthesis.initial import initial_solution
-from repro.synthesis.store import digest_content, solution_pricing_signature
-from tests.designs import sim_for
+from repro.synthesis.store import digest_content
 
 
 @pytest.fixture
@@ -204,128 +202,3 @@ class TestScheduleDigest:
         assert len(rows) == n_ops
         content = ("schedule", graph_signature(solution.dfg), rows)
         assert schedule_digest(solution) == digest_content(content)
-
-
-class TestMetricsDigest:
-    """The metrics store address is composed from cached instance-row
-    and module texts; it must equal the digest of the full content key,
-    whose tuples ``repr`` writes as ``()`` empty and ``(row,)`` with one
-    row: instance rows, register rows and module rows alike."""
-
-    PREFIX = "ctx-digest"
-    LEVEL = "level-digest"
-
-    def _oracle(self, solution, design) -> str:
-        return digest_content(
-            (
-                "metrics",
-                self.PREFIX,
-                solution_pricing_signature(solution, design),
-                self.LEVEL,
-            )
-        )
-
-    def _composed(self, solution, design) -> str:
-        return metrics_digest(solution, design, self.PREFIX, self.LEVEL)
-
-    @staticmethod
-    def _hand_bound(library, n_ops: int, n_units: int, n_regs: int):
-        """An adder chain on *n_units* instances, its signals spread
-        over *n_regs* registers (lifetimes are not checked here)."""
-        b = GraphBuilder("chain")
-        x, y = b.inputs("x", "y")
-        wire = x
-        for k in range(n_ops):
-            wire = b.add(wire, y, name=f"a{k}")
-        b.output("o", wire)
-        design = Design("hand")
-        design.add_dfg(b.build(), top=True)
-        solution = Solution(design.top, library, 10.0, 5.0, 500.0)
-        cell = library.fastest_cell(Operation.ADD)
-        units = [solution.add_instance(cell=cell).inst_id for _ in range(n_units)]
-        for k in range(n_ops):
-            solution.bind_execution(units[k % n_units], (f"a{k}",))
-        signals = solution.registered_signals()
-        for r in range(n_regs):
-            solution.add_register(signals[r::n_regs])
-        return solution, design
-
-    @pytest.mark.parametrize(
-        "n_ops,n_units,n_regs",
-        [(0, 0, 0), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 2), (3, 3, 3)],
-    )
-    def test_cell_solutions_match_full_content(
-        self, library, n_ops, n_units, n_regs
-    ):
-        solution, design = self._hand_bound(library, n_ops, n_units, n_regs)
-        assert len(solution.instances) == n_units
-        assert len(solution.reg_signals) == n_regs
-        want = self._oracle(solution, design)
-        assert self._composed(solution, design) == want
-        # Again from the blocks' cached rows, and from a clone's.
-        assert self._composed(solution, design) == want
-        assert self._composed(solution.clone(), design) == want
-
-    def test_register_rows_through_a_shared_bounded_table(
-        self, library, monkeypatch
-    ):
-        """Rows rendered once serve every solution holding them, and a
-        full table is emptied, never consulted stale."""
-        first, design = self._hand_bound(library, 3, 2, 3)
-        merged = first.clone()
-        merged.merge_registers(*list(merged.reg_signals)[:2])
-        table: dict = {}
-        for solution in (first, merged, first):
-            assert metrics_digest(
-                solution, design, self.PREFIX, self.LEVEL, table
-            ) == self._oracle(solution, design)
-        assert len(table) == 4
-        monkeypatch.setattr(costs_module, "_REG_TEXT_ROWS", 2)
-        bounded: dict = {}
-        for solution in (first, merged, first):
-            assert metrics_digest(
-                solution, design, self.PREFIX, self.LEVEL, bounded
-            ) == self._oracle(solution, design)
-            assert len(bounded) <= 2
-
-    @staticmethod
-    def _one_module(library):
-        """A top level with one hierarchical node, hence one module
-        instance among its cells."""
-        b = GraphBuilder("butterfly")
-        a, c = b.inputs("a", "b")
-        b.output("o0", b.add(a, c, name="badd"))
-        b.output("o1", b.sub(a, c, name="bsub"))
-        t = GraphBuilder("one_top")
-        x, y = t.inputs("x", "y")
-        h = t.hier("butterfly", x, y, n_outputs=2, name="h1")
-        t.output("o0", h[0])
-        t.output("o1", t.mult(h[1], y, name="m1"))
-        design = Design("one_module")
-        design.add_dfg(b.build())
-        design.add_dfg(t.build(), top=True)
-        env = SynthesisEnv(design, library, "power")
-        solution = initial_solution(
-            env, design.top, sim_for(design, n=16), 10.0, 5.0, 2000.0
-        )
-        modules = [i for i in solution.instances.values() if i.is_module]
-        assert len(modules) == 1
-        return solution, design, modules[0].module
-
-    def test_one_module_instance_matches_full_content(self, library):
-        solution, design, _module = self._one_module(library)
-        assert self._composed(solution, design) == self._oracle(solution, design)
-
-    def test_growing_behaviors_move_the_address(self, library):
-        """RTL embedding and ``ensure_behavior`` add behaviors to a
-        module in place, after its pricing text was cached."""
-        solution, design, module = self._one_module(library)
-        before = self._composed(solution, design)
-        module.add_behavior(
-            "butterfly_alias", module.profile(), module.cap_internal()
-        )
-        after = self._composed(solution, design)
-        assert after != before
-        assert after == self._oracle(solution, design)
-        # A clone shares the module and its blocks: same new address.
-        assert self._composed(solution.clone(), design) == after

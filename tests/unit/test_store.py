@@ -1,23 +1,20 @@
 """Unit tests for the tiered synthesis store (repro.synthesis.store)."""
 
+import gc
 import pickle
 import sqlite3
 import warnings
+import weakref
 
 import pytest
 
 from repro.synthesis import store as store_module
-from repro.synthesis.context import SynthesisEnv
-from repro.synthesis.initial import initial_solution
 from repro.synthesis.store import (
     MISSING,
     STORE_SCHEMA_VERSION,
     SynthesisStore,
     digest_content,
     module_content_signature,
-    module_content_text,
-    module_pricing_signature,
-    module_pricing_text,
 )
 from repro.telemetry import Telemetry
 
@@ -243,14 +240,6 @@ def _stored_keys(cache_dir) -> set[tuple[str, str]]:
         db.close()
 
 
-def _count_queries(store) -> list[str]:
-    """Every statement *store*'s connections run from now on."""
-    seen: list[str] = []
-    for db in store._dbs:
-        db.set_trace_callback(seen.append)
-    return seen
-
-
 class TestWriteBatching:
     """Writes inside a point wait for its end; lookups see them first."""
 
@@ -263,12 +252,11 @@ class TestWriteBatching:
             # The run tier holds nothing, so the pending batch answers.
             store.reset_point()
             assert store.fetch("schedule", "k", ("c1",)) == 1
-            assert store.contains("schedule", [("c2",), ("c9",)]) == [
-                True, False,
-            ]
+            assert store.fetch("schedule", "k9", ("c9",)) is MISSING
         assert len(_stored_keys(tmp_path)) == 3
         counters = store.counters()
         assert counters["hits"]["persistent.schedule"] == 1
+        assert counters["misses"]["persistent.schedule"] == 1
         assert counters["writes"] == {"commits": 1, "rows": 3}
         store.close()
 
@@ -325,8 +313,25 @@ class TestWriteBatching:
         assert store.counters()["writes"] == {"commits": 3, "rows": 12}
         store.close()
         reader = SynthesisStore(cache_dir=str(tmp_path))
-        assert reader.contains("module", [c for _fp, c in keys]) == [True] * 12
+        assert [reader.fetch("module", fp, c) for fp, c in keys] == list(
+            range(12)
+        )
         reader.close()
+
+    def test_rows_already_stored_are_not_counted(self, tmp_path):
+        """``INSERT OR IGNORE`` leaves a stored key alone, so a second
+        writer of the same entries counts its commit but no rows."""
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        second = SynthesisStore(cache_dir=str(tmp_path))
+        for store in (first, second):
+            with store.buffered():
+                store.put("schedule", "k", ("c",), 1)
+                store.put("schedule", "k2", ("c2",), 2)
+        assert first.counters()["writes"] == {"commits": 1, "rows": 2}
+        assert second.counters()["writes"] == {"commits": 1, "rows": 0}
+        assert second.persistent_stats()["total_entries"] == 2
+        first.close()
+        second.close()
 
     def test_writes_are_counted_in_bound_telemetry(self, tmp_path):
         store = SynthesisStore(cache_dir=str(tmp_path))
@@ -340,62 +345,51 @@ class TestWriteBatching:
         store.close()
 
 
-class TestBatchedProbe:
-    """One ``contains`` query per shard answers the fetches after it."""
-
-    @pytest.fixture
-    def written(self, tmp_path):
+class TestContains:
+    def test_probes_every_tier(self, tmp_path):
         writer = SynthesisStore(cache_dir=str(tmp_path))
-        for i in range(5):
-            writer.put("metrics", f"k{i}", (f"c{i}",), {"i": i})
+        writer.put("schedule", "k", ("on disk",), 1)
         writer.close()
-        return tmp_path
-
-    def test_probe_answers_the_fetch_without_a_query(self, written):
-        store = SynthesisStore(cache_dir=str(written))
-        queries = _count_queries(store)
-        found = store.contains(
-            "metrics", [("c0",), ("missing",), ("c3",), ("c0",)]
-        )
-        assert found == [True, False, True, True]
-        assert len(queries) == 1
-        assert store.fetch("metrics", "k0", ("c0",)) == {"i": 0}
-        assert store.fetch("metrics", "k3", ("c3",)) == {"i": 3}
-        assert len(queries) == 1
-        # Counted as the fetch alone would count it.
-        counters = store.counters()
-        assert counters["misses"]["run.metrics"] == 2
-        assert counters["hits"]["persistent.metrics"] == 2
-        # A key the probe did not read still costs its own query.
-        assert store.fetch("metrics", "k4", ("c4",)) == {"i": 4}
-        assert len(queries) == 2
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        store.put("schedule", "k2", ("in memory",), 2)
+        with store.buffered():
+            store.put("schedule", "k3", ("pending",), 3)
+            assert store.contains(
+                "schedule",
+                [("on disk",), ("in memory",), ("pending",), ("absent",)],
+            ) == [True, True, True, False]
+        assert store.contains("point", [("on disk",)]) == [False]
         store.close()
 
-    def test_probe_is_chunked(self, written, monkeypatch):
-        monkeypatch.setattr(store_module, "_PROBE_CHUNK", 2)
-        store = SynthesisStore(cache_dir=str(written))
-        queries = _count_queries(store)
-        contents = [(f"c{i}",) for i in range(6)]
-        assert store.contains("metrics", contents) == [True] * 5 + [False]
-        assert len(queries) == 3
-        store.close()
+    @pytest.mark.parametrize("cache_dir", [True, False])
+    def test_counts_what_fetching_everything_would(self, tmp_path, cache_dir):
+        """Probing, then fetching only what is held, counts the hits
+        and misses of fetching every content."""
+        def store() -> SynthesisStore:
+            return SynthesisStore(
+                cache_dir=str(tmp_path / "s") if cache_dir else None
+            )
 
-    def test_probe_skips_what_memory_holds(self, written):
-        store = SynthesisStore(cache_dir=str(written))
-        assert store.fetch("metrics", "k1", ("c1",)) == {"i": 1}
-        queries = _count_queries(store)
-        assert store.contains("metrics", [("c1",)]) == [True]
-        assert queries == []
-        store.close()
+        seeded = store()
+        seeded.put("point", "k", ("held",), 1)
+        seeded.close()
+        contents = [("held",), ("absent",)]
 
-    def test_next_probe_drops_unused_blobs(self, written):
-        store = SynthesisStore(cache_dir=str(written))
-        store.contains("metrics", [("c0",)])
-        store.contains("metrics", [("c1",)])
-        queries = _count_queries(store)
-        assert store.fetch("metrics", "k0", ("c0",)) == {"i": 0}
-        assert len(queries) == 1
-        store.close()
+        fetched = store()
+        if not cache_dir:
+            fetched.put("point", "k", ("held",), 1)
+        for content in contents:
+            fetched.fetch("point", content, content)
+        probed = store()
+        if not cache_dir:
+            probed.put("point", "k", ("held",), 1)
+        for content, held in zip(contents, probed.contains("point", contents)):
+            if held:
+                probed.fetch("point", content, content)
+        assert probed.counters() == fetched.counters()
+        assert probed.counters()["misses"]
+        fetched.close()
+        probed.close()
 
 
 class TestFailedWrites:
@@ -482,59 +476,47 @@ class TestFailedWrites:
         store.close()
 
 
-class TestModuleTexts:
-    """Cached ``repr`` s of module signatures: exact, and never pickled."""
+class TestContentSignatureMemo:
+    """The content-signature memo is held beside a module, never in it."""
 
     @pytest.fixture
-    def module_setup(self, mixed_design, mixed_library, mixed_sim):
-        env = SynthesisEnv(mixed_design, mixed_library, "power")
-        solution = initial_solution(
-            env, mixed_design.top, mixed_sim, 10.0, 5.0, 2000.0
-        )
-        module = next(
-            inst.module
-            for inst in solution.instances.values()
-            if inst.module is not None and inst.module.internal is not None
-        )
-        return module, mixed_design
-
-    def test_texts_are_the_signatures_reprs(self, module_setup):
-        module, design = module_setup
-        assert module_content_text(module, design) == repr(
-            module_content_signature(module, design)
-        )
-        assert module_pricing_text(module, design) == repr(
-            module_pricing_signature(module, design)
+    def module(self, mixed_library):
+        """A characterized module nothing has asked the signature of."""
+        return next(
+            m for m in mixed_library.complex_modules_for("butterfly")
+            if m.internal is not None
         )
 
-    def test_pricing_text_follows_added_behaviors(self, module_setup):
-        module, design = module_setup
-        before = module_pricing_text(module, design)
-        module.add_behavior(
-            "zz_alias", module.profile(), module.cap_internal()
-        )
-        after = module_pricing_text(module, design)
-        assert after != before
-        assert after == repr(module_pricing_signature(module, design))
-        # The content text does not read behaviors.
-        assert module_content_text(module, design) == repr(
-            module_content_signature(module, design)
-        )
+    def test_pickle_bytes_do_not_depend_on_the_memo(
+        self, module, mixed_design
+    ):
+        before = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        sig = module_content_signature(module, mixed_design)
+        assert module_content_signature(module, mixed_design) is sig
+        assert pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL) == before
 
-    def test_pickles_carry_no_text_cache(self, module_setup):
-        module, design = module_setup
-        module_content_signature(module, design)  # memoized on the module
-        blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
-        module_content_text(module, design)
-        module_pricing_text(module, design)
-        assert module in store_module._MODULE_TEXTS
-        assert pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL) == blob
-        copy = pickle.loads(blob)
-        assert copy not in store_module._MODULE_TEXTS
-        assert vars(copy).keys() == vars(module).keys()
-        assert module_pricing_text(copy, design) == module_pricing_text(
-            module, design
-        )
+    def test_memo_does_not_keep_a_module_alive(self, module, mixed_design):
+        copy = pickle.loads(pickle.dumps(module))
+        module_content_signature(copy, mixed_design)
+        assert copy in store_module._CONTENT_SIGS
+        ref = weakref.ref(copy)
+        del copy
+        gc.collect()
+        assert ref() is None
+
+    def test_blob_carrying_the_memo_attribute_loads(self, module, mixed_design):
+        """Earlier releases memoized the signature as an attribute, so
+        stored modules may carry it: it is dropped on load."""
+        fresh = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        sig = module_content_signature(module, mixed_design)
+        earlier = pickle.loads(fresh)
+        earlier._store_content_sig = sig
+        blob = pickle.dumps(earlier, protocol=pickle.HIGHEST_PROTOCOL)
+        assert blob != fresh
+        loaded = pickle.loads(blob)
+        assert "_store_content_sig" not in vars(loaded)
+        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == fresh
+        assert module_content_signature(loaded, mixed_design) == sig
 
 
 #: A pickle naming a class that does not exist (any more).
@@ -569,6 +551,34 @@ def add_legacy_priors_rows(cache_dir) -> None:
     db.close()
 
 
+def add_legacy_metrics_rows(cache_dir, n: int = 3) -> None:
+    """Write per-candidate ``metrics`` rows as earlier versions of the
+    store kept them.
+
+    Each priced candidate of an untraced run had its :class:`Metrics`
+    stored under the digest of its pricing signature, prefixed with
+    the store signature and suffixed with the level's stream digest.
+    Point outcomes replaced them; nothing reads the rows any more.
+    """
+    from repro.power.estimator import PowerReport
+    from repro.synthesis.costs import Metrics
+
+    db = sqlite3.connect(cache_dir / "synthesis_store.sqlite")
+    for i in range(n):
+        metrics = Metrics(
+            100.0 + i, 2.0, 0.5, 12, True,
+            PowerReport(1.0, 0.5, 0.25, 0.125, 0.0, 400.0, 5.0),
+        )
+        db.execute(
+            "INSERT OR IGNORE INTO store VALUES (?, ?, ?)",
+            ("metrics",
+             digest_content(("metrics", "ctx", ("candidate", i), "level")),
+             pickle.dumps(metrics, protocol=pickle.HIGHEST_PROTOCOL)),
+        )
+    db.commit()
+    db.close()
+
+
 class TestLegacyPriorsRows:
     """``priors`` rows left by earlier versions stay inert."""
 
@@ -583,7 +593,6 @@ class TestLegacyPriorsRows:
         assert store.persistent
         assert store.fetch("schedule", "k", ("c",)) == (1, 2, 3)
         assert store.fetch("module", "m", ("mc",)) == "module"
-        assert store.contains("metrics", ["absent"]) == [False]
         store.put("schedule", "k2", ("c2",), (4,))
         assert store.persistent_stats()["entries"] == {
             "module": 1, "priors": 2, "schedule": 2,
@@ -593,6 +602,35 @@ class TestLegacyPriorsRows:
             "persistent.module": 1, "persistent.schedule": 1,
         }
         assert set(counters["misses"]) == {"run.module", "run.schedule"}
+        store.close()
+
+
+class TestLegacyMetricsRows:
+    """Per-candidate ``metrics`` rows left by earlier versions stay
+    inert, and the maintenance calls count and remove them."""
+
+    def test_store_serves_other_namespaces_and_maintains_them(
+        self, tmp_path
+    ):
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        first.put("schedule", "k", ("c",), (1, 2, 3))
+        first.close()
+        add_legacy_metrics_rows(tmp_path, 3)
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        assert store.fetch("schedule", "k", ("c",)) == (1, 2, 3)
+        assert store.fetch("point", "p", ("p",)) is MISSING
+        assert store.persistent_stats()["entries"] == {
+            "metrics": 3, "schedule": 1,
+        }
+        assert store.counters()["hits"] == {"persistent.schedule": 1}
+        # Oldest first: the schedule row, then the first metrics row.
+        assert store.prune_persistent(2) == 2
+        assert store.persistent_stats()["entries"] == {"metrics": 2}
+        assert store.counters()["evictions"] == {
+            "persistent.metrics": 1, "persistent.schedule": 1,
+        }
+        assert store.clear_persistent() == 2
         store.close()
 
 
@@ -612,7 +650,8 @@ class TestDamagedStore:
             assert store.fetch("schedule", "k", ("c",)) is MISSING
         assert store.counters()["misses"]["corrupt.schedule"] == 1
         # Dropped from both tiers: the recomputed value takes its place.
-        assert store.contains("schedule", [("c",)]) == [False]
+        assert store.persistent_stats()["total_entries"] == 0
+        assert store.fetch("schedule", "k", ("c",)) is MISSING
         store.put("schedule", "k", ("c",), (1, 2, 3))
         store.close()
         fresh = SynthesisStore(cache_dir=str(tmp_path))
@@ -633,6 +672,25 @@ class TestDamagedStore:
                 assert store.fetch("schedule", f"k{i}", (f"c{i}",)) is MISSING
         assert len(caught) == 1
         assert store.counters()["misses"]["corrupt.schedule"] == 3
+        store.close()
+
+    @pytest.mark.parametrize("ns", ["schedule", "point"])
+    def test_dropping_a_bad_blob_is_not_a_write(self, tmp_path, ns):
+        """Rows written count inserts only: after a bad blob is dropped
+        and its recomputed value stored, the writes equal the entries."""
+        first = SynthesisStore(cache_dir=str(tmp_path))
+        first.put(ns, "k", ("c",), (1, 2, 3))
+        first.close()
+        _overwrite_blobs(tmp_path, _GARBAGE)
+
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="does not load"):
+            assert store.fetch(ns, "k", ("c",)) is MISSING
+        assert _stored_keys(tmp_path) == set()
+        assert store.counters()["writes"] == {}
+        store.put(ns, "k", ("c",), (1, 2, 3))
+        assert store.counters()["writes"] == {"commits": 1, "rows": 1}
+        assert store.persistent_stats()["total_entries"] == 1
         store.close()
 
     def test_truncated_database_falls_back_to_memory(self, tmp_path):

@@ -3,7 +3,7 @@
 Two cold runs of the same synthesis must store byte-identical results
 whatever the interpreter's hash seed.  This lists, per namespace, the
 ``(ns, key)`` entries whose blobs differ or exist on one side only, and
-exits non-zero when any of them is a ``metrics``, ``module``,
+exits non-zero when any of them is a ``point``, ``module``,
 ``resynth`` or ``schedule`` entry::
 
     PYTHONHASHSEED=1 python -m repro synth --benchmark dct --laxity 2.2 \\
@@ -12,8 +12,8 @@ exits non-zero when any of them is a ``metrics``, ``module``,
         --objective power --cache-dir run2
     python tools/compare_store_blobs.py run1 run2
 
-Differences in other namespaces (``service``) are printed but do not
-fail the check.
+Differences in other namespaces (``service``, the corner sweep's
+``metrics``) are printed but do not fail the check.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 #: Namespaces whose blobs must be byte-identical (and present).
-REQUIRED = ("metrics", "module", "resynth", "schedule")
+REQUIRED = ("point", "module", "resynth", "schedule")
 
 
 def read_blobs(cache_dir: Path) -> dict[tuple[str, str], bytes]:
