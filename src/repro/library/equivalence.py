@@ -18,23 +18,32 @@ __all__ = ["EquivalenceRegistry"]
 
 
 class EquivalenceRegistry:
-    """Union-find over behavior names."""
+    """Union-find over behavior names.
+
+    Only :meth:`declare_equivalent` registers behaviors.  Lookups of a
+    behavior never declared answer its singleton class and leave the
+    registry as it was, so the library signature, which digests the
+    registered classes, does not depend on which behaviors were asked
+    about before it was taken.
+    """
 
     def __init__(self) -> None:
         self._parent: dict[str, str] = {}
 
     def _find(self, behavior: str) -> str:
-        self._parent.setdefault(behavior, behavior)
+        parent = self._parent
         root = behavior
-        while self._parent[root] != root:
-            root = self._parent[root]
-        # Path compression.
-        while self._parent[behavior] != root:
-            self._parent[behavior], behavior = root, self._parent[behavior]
+        while parent.get(root, root) != root:
+            root = parent[root]
+        # Path compression (a no-op for an unregistered behavior).
+        while parent.get(behavior, behavior) != root:
+            parent[behavior], behavior = root, parent[behavior]
         return root
 
     def declare_equivalent(self, behavior_a: str, behavior_b: str) -> None:
         """Record that two behaviors are functionally interchangeable."""
+        self._parent.setdefault(behavior_a, behavior_a)
+        self._parent.setdefault(behavior_b, behavior_b)
         root_a, root_b = self._find(behavior_a), self._find(behavior_b)
         if root_a != root_b:
             self._parent[root_b] = root_a
@@ -46,9 +55,11 @@ class EquivalenceRegistry:
         return self._find(behavior_a) == self._find(behavior_b)
 
     def equivalence_class(self, behavior: str) -> set[str]:
-        """All behaviors known to be equivalent to *behavior*."""
+        """All behaviors known to be equivalent to *behavior*, itself
+        included."""
         root = self._find(behavior)
-        return {b for b in self._parent if self._find(b) == root}
+        return {behavior} | {b for b in self._parent if self._find(b) == root}
 
     def known_behaviors(self) -> set[str]:
+        """The behaviors named in some declared equivalence."""
         return set(self._parent)

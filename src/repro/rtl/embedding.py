@@ -20,22 +20,30 @@ additions are multiplexers on ports that end up with several sources.
 Finding the overlay that maximizes shared interconnect is a quadratic
 assignment problem, which is NP-hard; like the paper we need the
 procedure to be *fast* because the iterative engine evaluates many
-merge candidates.  We use per-class weighted bipartite matching
-(``scipy.optimize.linear_sum_assignment``) on a neighborhood-similarity
-score, refined by a few rounds in which the score is the *exact* number
-of connections shared given the rest of the current mapping.
+merge candidates.  We use per-class weighted bipartite matching on a
+neighborhood-similarity score, refined by a few rounds in which the
+score is the *exact* number of connections shared given the rest of the
+current mapping.  The matching is :func:`linear_sum_assignment`, an
+in-tree port of the solver ``scipy.optimize.linear_sum_assignment``
+runs; the matrices are a few components a side, and scores tie often,
+so the port keeps scipy's tie rules and picks the same optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from ..errors import EmbeddingError
 from .components import Component, ComponentKind, Connection, DatapathNetlist
 
-__all__ = ["EmbeddingResult", "embed_netlists", "naive_union"]
+__all__ = [
+    "EmbeddingResult",
+    "embed_netlists",
+    "linear_sum_assignment",
+    "naive_union",
+]
 
 
 @dataclass
@@ -112,19 +120,100 @@ def _exact_shared(
     return shared
 
 
+def linear_sum_assignment(
+    cost: Sequence[Sequence[float]],
+) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of rows to columns: ``(rows, cols)``.
+
+    A port of the shortest augmenting path solver (Crouse, "On
+    implementing 2D rectangular assignment algorithms", 2016) that
+    ``scipy.optimize.linear_sum_assignment`` runs, with the same float
+    operations in the same order and the same tie rules, so it returns
+    scipy's pairs even when several assignments are optimal: the
+    remaining columns are scanned in reverse order, an unassigned column
+    wins a tie on reduced cost, and a tall matrix is solved transposed,
+    its pairs then sorted by row.  Costs must be finite.
+    """
+    matrix = [[float(x) for x in row] for row in cost]
+    nr = len(matrix)
+    nc = len(matrix[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        matrix = [list(col) for col in zip(*matrix)]
+        nr, nc = nc, nr
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Shortest augmenting path from cur_row to an unassigned column.
+        min_val = 0.0
+        remaining = list(range(nc - 1, -1, -1))
+        sr = [False] * nr
+        sc = [False] * nc
+        short = [math.inf] * nc
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            sr[i] = True
+            row = matrix[i]
+            u_i = u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                if short[j] < lowest or (
+                    short[j] == lowest and row4col[j] == -1
+                ):
+                    lowest = short[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise EmbeddingError("assignment cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Update the dual variables, then augment along the path.
+        u[cur_row] += min_val
+        for i in range(nr):
+            if sr[i] and i != cur_row:
+                u[i] += min_val - short[col4row[i]]
+        for j in range(nc):
+            if sc[j]:
+                v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
+
+
 def _match_class(
     comps_a: list[str],
     comps_b: list[str],
-    score: "np.ndarray",
+    score: list[list[float]],
 ) -> dict[str, str]:
     """Maximum-weight bipartite matching B→A for one compatibility class."""
     if not comps_a or not comps_b:
         return {}
-    # Imported here: scipy takes about half a second to import, and only
-    # module merges (RTL embedding) need it.
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(-score)
+    rows, cols = linear_sum_assignment([[-x for x in row] for row in score])
     mapping: dict[str, str] = {}
     for r, c in zip(rows, cols):
         mapping[comps_b[c]] = comps_a[r]
@@ -166,10 +255,10 @@ def embed_netlists(
         comps_a = by_class_a.get(cls, [])
         if not comps_a:
             continue
-        score = np.zeros((len(comps_a), len(comps_b)))
-        for i, ca in enumerate(comps_a):
-            for j, cb in enumerate(comps_b):
-                score[i, j] = len(fingers_a[ca] & fingers_b[cb]) + 0.01
+        score = [
+            [len(fingers_a[ca] & fingers_b[cb]) + 0.01 for cb in comps_b]
+            for ca in comps_a
+        ]
         map_b.update(_match_class(comps_a, comps_b, score))
 
     # Refinement: re-match each class with exact shared-wire counts under
@@ -179,13 +268,16 @@ def embed_netlists(
             comps_a = by_class_a.get(cls, [])
             if not comps_a:
                 continue
-            score = np.zeros((len(comps_a), len(comps_b)))
             trial_map = dict(map_b)
             for cb in comps_b:
                 trial_map.pop(cb, None)
-            for i, ca in enumerate(comps_a):
-                for j, cb in enumerate(comps_b):
-                    score[i, j] = _exact_shared(net_a, net_b, trial_map, cb, ca) + 0.01
+            score = [
+                [
+                    _exact_shared(net_a, net_b, trial_map, cb, ca) + 0.01
+                    for cb in comps_b
+                ]
+                for ca in comps_a
+            ]
             map_b.update(_match_class(comps_a, comps_b, score))
 
     return _build_merged(net_a, net_b, map_b, name)

@@ -43,6 +43,7 @@ from .costs import EvaluationContext, Metrics, Objective
 from .datapath_build import build_controller, build_netlist
 from .improve import PassRecord, improve_solution
 from .initial import initial_solution
+from .modulegen import ModuleInternal
 from .pruning import candidate_clocks, candidate_vdds, laxity_sampling_ns
 from .solution import Solution
 from .store import MISSING, sim_level_digest
@@ -325,9 +326,36 @@ def _stored_outcome(
         return _PointOutcome(vdd, clk_ns, None, None, [])
     solution, metrics, history = stored
     solution.dfg = env.design.top
-    solution.library = env.library
+    _rebind_library(solution, env.library)
     env.telemetry.points_explored += 1
     return _PointOutcome(vdd, clk_ns, solution, metrics, history)
+
+
+def _rebind_library(solution: Solution, library: ModuleLibrary) -> None:
+    """Point an unpickled solution, and the solution inside every module
+    it binds (recursively), at this process's *library*.
+
+    An outcome that crossed a pickle boundary (a worker's, or a stored
+    one) refers to its own copy of the library, at every level of
+    module nesting.  A library build characterizes modules from such
+    outcomes into *library*, so without this each sweep would pickle a
+    library nesting the previous sweep's copy, doubling every time.
+    The copy is equal in content (the payload or the key pins it), and
+    a solution holds no cache derived from the library's identity.
+    """
+    seen: set[int] = set()
+    stack = [solution]
+    while stack:
+        sol = stack.pop()
+        if id(sol) in seen:
+            continue
+        seen.add(id(sol))
+        sol.library = library
+        for inst in sol.instances.values():
+            if inst.module is not None and isinstance(
+                inst.module.internal, ModuleInternal
+            ):
+                stack.append(inst.module.internal.solution)
 
 
 def _search_point(
@@ -474,6 +502,8 @@ def _sweep_points(
                 # the worker), so later runs warm-start from them.
                 env.store.absorb(outcome.store_entries)
                 outcome.store_entries = []
+                if outcome.solution is not None:
+                    _rebind_library(outcome.solution, env.library)
                 outcomes[idx] = outcome
             return outcomes
 

@@ -97,31 +97,28 @@ def _best(
 ) -> ScoredMove | None:
     """Price all candidates, return the cheapest feasible-or-not one.
 
-    *base* is the current solution's per-term breakdown: candidates
-    carrying a local footprint are priced by delta against it (see
-    :mod:`repro.synthesis.incremental`), the rest from scratch.
+    *base* is the current solution's per-term breakdown, and every
+    candidate is priced by delta against it (see
+    :mod:`repro.synthesis.incremental`): whatever the move, netlist
+    blocks, serialization orders and activity keys decide term by term
+    what carries over, so the price equals a from-scratch one bit for
+    bit.  A ``None`` base (evicted) prices from scratch.
 
     Equal-cost candidates resolve by the deterministic
     :func:`~repro.synthesis.moves.candidate_order_key`, never by
     generation order, so the winner does not depend on how discovery
     happened to order the list.
     """
-
-    def candidate_base(candidate: Candidate) -> Breakdown | None:
-        return base if candidate.footprint is not None else None
-
     if ctx.batch_pricing and len(candidates) > 1:
         # Collect every activity-key miss across the whole candidate set
         # and price them through one batched kernel call; the loop below
         # then consumes the stashed results.
-        ctx.evaluate_batch(
-            [(c.solution, candidate_base(c)) for c in candidates]
-        )
+        ctx.evaluate_batch([(c.solution, base) for c in candidates])
     best: ScoredMove | None = None
     best_key: tuple | None = None
     for candidate in candidates:
         ctx.telemetry.count_move_tried(candidate.kind)
-        cost = ctx.cost(candidate.solution, base=candidate_base(candidate))
+        cost = ctx.cost(candidate.solution, base=base)
         if math.isinf(cost):
             continue
         key = (cost,) + candidate_order_key(candidate)

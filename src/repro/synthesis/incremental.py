@@ -62,13 +62,14 @@ all taken from the candidate's own (cheaply rebuilt) netlist and
 schedule, so any side effect a move has on an untouched resource — a
 register merge reordering writes, a serialization change on a shared
 unit, a module profile that moves its consumers — changes that
-resource's block, order or key and forces recomputation.  Cell swaps,
-module swaps, FU and register shares and splits carry a footprint and
-are priced by delta.  Moves that can change the schedule length or the
-register-conflict set globally (type-B resynthesis, chain formation,
-module shares and embeddings) carry none and are priced from scratch;
-for footprinted moves, a wholesale mismatch degenerates into the full
-evaluation automatically (counted as a delta fall-back).
+resource's block, order or key and forces recomputation.  That makes
+delta pricing exact for every move, not only for local ones, so the
+improvement loop prices every candidate against the current solution's
+breakdown.  A move that changes a lot (type-B resynthesis, chain
+formation, module shares and embeddings) simply reuses fewer terms; one
+that leaves nothing reusable degenerates into the full evaluation
+automatically (counted as a delta fall-back).  Only the seed of each KL
+run, which has no base, is priced from scratch.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@
   un-interleaving streams.
 
 Every generator returns *candidates* that the iterative-improvement
-driver prices with the cost function (by delta against the current
-solution for local moves; see :mod:`repro.synthesis.incremental`).
+driver prices with the cost function, each by delta against the current
+solution (see :mod:`repro.synthesis.incremental`).
 The solution-bounded families (cell swaps, FU and register sharing and
 splitting) are discovered by the relational engine
 (:mod:`repro.synthesis.relational`) as lazy *descriptors*: an edit
@@ -79,10 +79,16 @@ class Candidate:
     the precomputed key into the clone
     (:meth:`~repro.synthesis.solution.Solution.adopt_fingerprint`)
     instead of deriving it again.
+
+    ``touched`` names the instances and registers the move changes; the
+    KL pass locks them once the move is applied.  Pricing needs nothing
+    else from a candidate: every one, local or not, is priced against
+    the current solution's breakdown, and the evaluator decides term by
+    term what carries over.
     """
 
     __slots__ = (
-        "kind", "description", "touched", "footprint", "replacement_cell",
+        "kind", "description", "touched", "replacement_cell",
         "_solution", "_build", "_fingerprint", "_on_materialize",
     )
 
@@ -92,7 +98,6 @@ class Candidate:
         description: str,
         solution: Solution | None = None,
         touched: frozenset[str] = frozenset(),
-        footprint: frozenset[str] | None = None,
         *,
         build: Callable[[], Solution] | None = None,
         fingerprint: HashedKey | None = None,
@@ -107,20 +112,6 @@ class Candidate:
         self.kind = kind
         self.description = description
         self.touched = touched
-        #: Touched-resource footprint of a *local* move — one whose
-        #: effects on the cost are confined to the named instances/
-        #: registers plus cheap structural terms (muxes, wiring,
-        #: controller).  Cell and module swaps (``A-cell``,
-        #: ``A-module``, ``A-remerge``) name the one instance whose cell
-        #: or module they change.  ``None`` marks a global move
-        #: (resynthesis, chain formation, module merges, ...) that is
-        #: priced from scratch: those can change the schedule length or
-        #: the register-conflict set wholesale.  Only footprinted
-        #: candidates are delta-priced against the current solution's
-        #: breakdown; correctness never depends on the footprint
-        #: (per-term keys catch every side effect), it is purely the
-        #: gate that decides when delta pricing is attempted.
-        self.footprint = footprint
         #: For ``A-cell`` swaps: the cell the instance would switch to.
         #: Lets pruning rule 2 compare timing/area/cap without
         #: materializing the clone.
@@ -464,7 +455,6 @@ def _module_replacements(
                     description=f"{inst_id}: {inst.module.name} -> {module.name}",
                     solution=clone,
                     touched=frozenset({inst_id}),
-                    footprint=frozenset({inst_id}),
                 )
             )
     return out
@@ -531,7 +521,6 @@ def _merged_module_rebuild(
         description=f"{inst_id}: re-embed from library corners ({merged.name})",
         solution=clone,
         touched=frozenset({inst_id}),
-        footprint=frozenset({inst_id}),
     )
 
 

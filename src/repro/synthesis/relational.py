@@ -417,7 +417,6 @@ class RelationalView:
                     kind="A-cell",
                     description=f"{inst_id}: {old_name} -> {cell.name}",
                     touched=frozenset({inst_id}),
-                    footprint=frozenset({inst_id}),
                     build=self._build_cell_swap(base, inst_id, cell),
                     fingerprint=self._fingerprint(insts=tuple(entries)),
                     replacement_cell=cell,
@@ -487,7 +486,6 @@ class RelationalView:
                     kind="C-share-fu",
                     description=f"share: {b} -> {a} ({target.name})",
                     touched=frozenset({a, b}),
-                    footprint=frozenset({a, b}),
                     build=self._build_fu_share(base, a, b, target),
                     fingerprint=self._fingerprint(insts=tuple(entries)),
                     on_materialize=self._on_materialize,
@@ -541,7 +539,6 @@ class RelationalView:
                     kind="C-share-reg",
                     description=f"share registers: {b} -> {a}",
                     touched=frozenset({a, b}),
-                    footprint=frozenset({a, b}),
                     build=self._build_reg_share(base, a, b),
                     fingerprint=self._fingerprint(regs=tuple(regs)),
                     on_materialize=self._on_materialize,
@@ -601,7 +598,6 @@ class RelationalView:
                         f"split {inst_id} ({len(execs)} execs) -> {twin}"
                     ),
                     touched=frozenset({inst_id, twin}),
-                    footprint=frozenset({inst_id, twin}),
                     build=self._build_fu_split(base, inst_id, moved),
                     fingerprint=self._fingerprint(insts=tuple(entries)),
                     on_materialize=self._on_materialize,
@@ -646,7 +642,6 @@ class RelationalView:
                     kind="D-split-reg",
                     description=f"split register {reg_id} -> {twin}",
                     touched=frozenset({reg_id, twin}),
-                    footprint=frozenset({reg_id, twin}),
                     build=self._build_reg_split(base, reg_id, moved),
                     fingerprint=self._fingerprint(regs=tuple(regs)),
                     on_materialize=self._on_materialize,

@@ -62,3 +62,53 @@ def test_cost_cache_earns_hits_on_paulin():
     result = _run("paulin", n_workers=1)
     assert result.telemetry.cache_hits > 0
     assert result.telemetry.cache_hit_rate > 0.0
+
+
+def test_parallel_library_build_does_not_nest_library_copies(monkeypatch):
+    """A library build characterizes modules from each sweep's winner
+    into the library.  A worker's winner must refer to the parent's
+    library, not to the worker's copy of it: otherwise every sweep
+    pickles a library that nests the previous one, and the pickle
+    doubles per sweep.  At every sweep the parallel build's pickled
+    library stays within twice the serial one's, and the two builds
+    are equal in content."""
+    import pickle
+
+    from repro.dfg.canonical import library_signature
+    from repro.library import default_library
+    from repro.synthesis import library_gen
+
+    synthesize_sweep = library_gen.synthesize
+
+    def build(n_workers, bounds=None):
+        library = default_library()
+        sizes = []
+
+        def sweep(*args, **kwargs):
+            result = synthesize_sweep(*args, **kwargs)
+            sizes.append(len(pickle.dumps(library)))
+            if bounds is not None:
+                # Fail at the first sweep that overshoots, before a
+                # doubling library costs real memory.
+                bound = 2 * bounds[len(sizes) - 1]
+                assert sizes[-1] <= bound, (len(sizes), sizes[-1], bound)
+            return result
+
+        monkeypatch.setattr(library_gen, "synthesize", sweep)
+        library_gen.build_complex_library(
+            get_benchmark("test1"), library, config=_config(n_workers),
+            n_samples=24,
+        )
+        return library, sizes
+
+    serial, serial_sizes = build(1)
+    parallel, parallel_sizes = build(2, bounds=serial_sizes)
+    assert len(parallel_sizes) == len(serial_sizes) > 10
+    assert library_signature(parallel) == library_signature(serial)
+    assert [
+        m.name for b in parallel.complex_behaviors()
+        for m in parallel.complex_modules_for(b)
+    ] == [
+        m.name for b in serial.complex_behaviors()
+        for m in serial.complex_modules_for(b)
+    ]

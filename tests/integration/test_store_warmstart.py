@@ -564,6 +564,43 @@ class TestLibraryBuildPoints:
         assert warm.store_hits == {"persistent.point": points}
         assert warm.evaluations == 0
 
+    def test_parallel_cold_run_writes_the_serial_keys(self, tmp_path):
+        """A sweep worker signs its keys with the signature of its copy
+        of the library, the parent with that of the library itself;
+        lookups leave the signature alone, so the two agree and a cold
+        ``n_workers=2`` test1 run, library build included, writes the
+        module, resynth and schedule keys a serial run writes."""
+        from repro.library import default_library
+        from repro.synthesis.library_gen import build_complex_library
+
+        def written_keys(n_workers):
+            cache_dir = tmp_path / f"workers{n_workers}"
+            config = _config(cache_dir, n_workers, trace=False)
+            design = get_benchmark("test1")
+            library = build_complex_library(
+                design, default_library(), config=config, n_samples=SAMPLES
+            )
+            synthesize(
+                design, library, laxity_factor=LAXITY, objective="power",
+                traces=speech_traces(design.top, n=SAMPLES, seed=SEED),
+                config=config, n_samples=SAMPLES,
+            )
+            keys = set()
+            for path in sorted(cache_dir.glob("synthesis_store*.sqlite")):
+                db = sqlite3.connect(path)
+                try:
+                    keys |= set(db.execute(
+                        "SELECT ns, key FROM store "
+                        "WHERE ns IN ('module', 'resynth', 'schedule')"
+                    ))
+                finally:
+                    db.close()
+            return keys
+
+        serial = written_keys(1)
+        assert {ns for ns, _key in serial} == {"module", "resynth", "schedule"}
+        assert written_keys(2) == serial
+
 
 class TestObjectiveSeparation:
     def test_area_and_power_runs_do_not_collide(self, tmp_path):

@@ -129,10 +129,6 @@ def test_delta_equals_full_for_every_candidate(seed):
         full, full_bd, _r2, _t2 = evaluate_solution(ctx, cand.solution, None)
         where = f"seed {seed}: {cand.description}"
         assert delta == full, where
-        if cand.footprint is None:
-            # Global moves are never delta-priced by the engine; pricing
-            # them against a base here must still be exact (it was).
-            continue
         assert 0 <= reused <= terms
         carried += _same_terms(delta_bd, full_bd, base, where)
     assert carried, f"seed {seed}: no entry carried over by identity"
@@ -148,8 +144,8 @@ def test_module_swaps_delta_equals_full(seed):
     Swaps are taken on the round's solution and, when it has one, on
     the solution after its first RTL embedding, whose merged instance
     runs two behaviors (the only place ``A-remerge`` arises).  Every
-    other footprinted candidate of those solutions is compared term by
-    term as well.
+    other candidate of those solutions is compared term by term as
+    well.
     """
     env, solution, sim, candidates = _round(seed, complex_library=True)
     ctx = env.context(sim)
@@ -164,8 +160,6 @@ def test_module_swaps_delta_equals_full(seed):
     for parent, cands in bases:
         _m, base, _r, _t = evaluate_solution(ctx, parent, None)
         for cand in cands:
-            if cand.footprint is None:
-                continue
             delta, delta_bd, reused, terms = evaluate_solution(
                 ctx, cand.solution, base
             )

@@ -92,7 +92,6 @@ class ReferenceView:
                     description=f"{inst_id}: {inst.cell.name} -> {cell.name}",
                     solution=clone,
                     touched=frozenset({inst_id}),
-                    footprint=frozenset({inst_id}),
                     replacement_cell=cell,
                 )
             )
@@ -139,7 +138,6 @@ class ReferenceView:
                     description=f"share: {b} -> {a} ({target.name})",
                     solution=clone,
                     touched=frozenset({a, b}),
-                    footprint=frozenset({a, b}),
                 )
             )
         return out
@@ -176,7 +174,6 @@ class ReferenceView:
                         description=f"share registers: {b} -> {a}",
                         solution=clone,
                         touched=frozenset({a, b}),
-                        footprint=frozenset({a, b}),
                     )
                 )
         return out
@@ -203,7 +200,6 @@ class ReferenceView:
                     description=f"split {inst_id} ({len(execs)} execs) -> {twin}",
                     solution=clone,
                     touched=frozenset({inst_id, twin}),
-                    footprint=frozenset({inst_id, twin}),
                 )
             )
         return out
@@ -228,7 +224,6 @@ class ReferenceView:
                     description=f"split register {reg_id} -> {twin}",
                     solution=clone,
                     touched=frozenset({reg_id, twin}),
-                    footprint=frozenset({reg_id, twin}),
                 )
             )
         return out

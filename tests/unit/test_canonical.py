@@ -198,6 +198,27 @@ class TestContextSignatures:
             default_library()
         )
 
+    def test_library_signature_ignores_lookups(self):
+        """Asking the library about a behavior changes nothing it
+        signs: the signature taken after lookups of new behaviors,
+        including its own ``complex_modules_for`` calls, equals the one
+        taken before them."""
+        from tests.unit.test_library import make_module
+
+        library = default_library()
+        library.add_complex_module(make_module("m1", "dot_chain"))
+        library.equivalences.declare_equivalent("dot_chain", "dot_tree")
+        first = library_signature(library)
+        assert library_signature(library) == first
+        assert library.equivalences.equivalence_class("fir") == {"fir"}
+        assert library.complex_modules_for("iir") == []
+        library.add_complex_module(make_module("m2", "mac"))
+        second = library_signature(library)
+        assert library_signature(library) == second != first
+        assert library.equivalences.known_behaviors() == {
+            "dot_chain", "dot_tree"
+        }
+
     def test_config_signature_ignores_execution_knobs(self):
         base = SynthesisConfig()
         execy = SynthesisConfig(n_workers=8, trace=True, cache_dir="/tmp/x",

@@ -34,25 +34,55 @@ def design_file(tmp_path):
     return path
 
 
+#: Prepended to a subprocess's code: every ``import scipy`` fails.
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("import of " + name + " is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_and_networkx_unloaded(self):
-        """Only module merges need scipy and only ``hierarchize`` needs
-        networkx, so starting the CLI (and every flat run or client
-        command after it) must not pay for importing either."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        code = (
+        """Only ``hierarchize`` needs networkx, and nothing in the
+        package imports scipy, so starting the CLI (and every flat run
+        or client command after it) must not pay for importing either."""
+        proc = _run_python(
             "import sys, repro.cli; "
             "print(sorted({m.split('.')[0] for m in sys.modules} "
             "& {'scipy', 'networkx'}))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_hierarchical_synthesis_runs_without_scipy(self):
+        """RTL embedding solves its assignments in-tree: a hierarchical
+        dct run, which embeds modules, completes with scipy blocked."""
+        proc = _run_python(
+            BLOCK_SCIPY
+            + "from repro.cli import main\n"
+            "sys.exit(main(['synth', '--benchmark', 'dct', "
+            "'--laxity', '2.2', '--stats']))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"moves embedded +C-embed: [1-9]", proc.stdout)
+        assert re.search(r"^power: ", proc.stdout, re.MULTILINE)
 
 
 class TestParser:

@@ -142,7 +142,7 @@ class TestFamilyOrder:
                     return []
                 return [SimpleNamespace(
                     kind=self._KINDS[family], is_materialized=True,
-                    footprint=None, solution=work,
+                    solution=work,
                     touched=frozenset({family}), description=family,
                 )]
             return discover

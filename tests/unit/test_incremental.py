@@ -23,6 +23,8 @@ from repro.synthesis.moves import (
     splitting_candidates,
     type_a_b_candidates,
 )
+from tests.designs import sim_for
+from tests.unit.test_moves import adder_chain_design
 
 
 @pytest.fixture
@@ -116,12 +118,10 @@ class TestDeltaBitIdentity:
         env, sol, sim = setup
         ctx = env.context(sim)
         _m, base, _r, _t = evaluate_solution(ctx, sol, None)
-        footprinted = [
-            c for c in _all_candidates(env, sol, sim) if c.footprint is not None
-        ]
-        assert footprinted
+        candidates = _all_candidates(env, sol, sim)
+        assert candidates
         reuse = 0
-        for cand in footprinted:
+        for cand in candidates:
             _m, _b, reused, terms = evaluate_solution(ctx, cand.solution, base)
             assert 0 <= reused <= terms
             reuse += reused
@@ -230,8 +230,6 @@ class TestIdentityReuse:
         _m, base, _r, _t = evaluate_solution(ctx, sol, None)
         rekeyed = 0
         for cand in _all_candidates(env, sol, sim):
-            if cand.footprint is None:
-                continue
             delta, after, _r, _t = evaluate_solution(ctx, cand.solution, base)
             order = cand.solution.schedule().instance_order
             for inst_id, entry in after.fu.items():
@@ -280,22 +278,60 @@ class TestFallbackTriggers:
             assert b2.reg[reg_id][0] == base.reg[reg_id][0]
         assert m2.report.register_energy != m1.report.register_energy
 
-    def test_global_moves_have_no_footprint(self, setup, hier_setup):
-        cands = _all_candidates(*setup)
-        hier = _module_candidates(*hier_setup)
-        assert {"A-module", "A-remerge", "B-resynth", "C-share-module",
-                "C-embed"} <= {c.kind for c in hier}
-        for cand in cands + hier:
-            if cand.kind in ("B-resynth", "C-chain", "C-chain3", "C-embed",
-                             "C-share-module", "D-unchain"):
-                assert cand.footprint is None, cand.kind
-            if cand.kind in ("A-cell", "C-share-fu", "C-share-reg",
-                             "D-split-fu", "D-split-reg"):
-                assert cand.footprint is not None, cand.kind
-            if cand.kind in ("A-module", "A-remerge"):
-                # A module swap changes the module of one instance.
-                assert cand.footprint == cand.touched, cand.kind
-                assert len(cand.footprint) == 1, cand.kind
+
+#: Every move kind discovery emits.
+ALL_KINDS = frozenset({
+    "A-cell", "A-module", "A-remerge", "B-resynth",
+    "C-share-fu", "C-share-reg", "C-share-module", "C-embed",
+    "C-chain", "C-chain3",
+    "D-split-fu", "D-split-reg", "D-unchain",
+})
+
+
+class TestEveryKindByDelta:
+    def test_every_move_kind_prices_against_the_base(self, setup, hier_setup):
+        """``_best`` offers the current breakdown to every candidate,
+        whatever its kind, and the delta price equals the from-scratch
+        price bit for bit.
+
+        The candidates come from the flat, adder-chain and mixed-module
+        solutions and from each solution one move of every kind away,
+        which is where splits, chain extensions, unchains and re-merges
+        arise.
+        """
+        design = adder_chain_design()
+        chain_sim = sim_for(design)
+        chain_env = SynthesisEnv(
+            design, default_library(), "power", SynthesisConfig()
+        )
+        chain_setup = (
+            chain_env,
+            initial_solution(
+                chain_env, design.top, chain_sim, 10.0, 5.0, 400.0
+            ),
+            chain_sim,
+        )
+        priced = set()
+        for env, sol, sim in (setup, chain_setup, hier_setup):
+            first: dict = {}
+            for cand in _all_candidates(env, sol, sim):
+                first.setdefault(cand.kind, cand)
+            for parent in [sol] + [c.solution for c in first.values()]:
+                ctx = EvaluationContext(
+                    sim, (), env.objective, validate_incremental=True
+                )
+                ctx.evaluate(parent)
+                base = ctx.breakdown_of(parent)
+                cands = _all_candidates(env, parent, sim)
+                _best(ctx, cands, base=base)
+                # Only the parent itself is priced without a base.
+                assert ctx.telemetry.full_evals == 1
+                for cand in cands:
+                    delta = evaluate_solution(ctx, cand.solution, base)[0]
+                    full = evaluate_solution(ctx, cand.solution, None)[0]
+                    assert delta == full, cand.description
+                    priced.add(cand.kind)
+        assert priced >= ALL_KINDS, sorted(ALL_KINDS - priced)
 
 
 class TestEvaluateTelemetry:
@@ -378,8 +414,7 @@ class TestValidateMode:
         ctx.evaluate(sol)
         base = ctx.breakdown_of(sol)
         for cand in _all_candidates(env, sol, sim):
-            if cand.footprint is not None:
-                ctx.evaluate(cand.solution, base=base)
+            ctx.evaluate(cand.solution, base=base)
 
 
 class TestTiebreak:
@@ -412,12 +447,7 @@ class TestBatchedPricing:
         ctx.evaluate(sol)
         base = ctx.breakdown_of(sol)
         best = _best(ctx, candidates, base=base)
-        metrics = [
-            ctx.evaluate(
-                c.solution, base=base if c.footprint is not None else None
-            )
-            for c in candidates
-        ]
+        metrics = [ctx.evaluate(c.solution, base=base) for c in candidates]
         return best, metrics, ctx.telemetry
 
     def test_batch_off_vs_on_bitwise(self, setup, flat_sim):
