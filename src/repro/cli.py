@@ -43,7 +43,6 @@ from .reporting import (
     run_sweep,
 )
 from .rtl import emit_controller, emit_netlist
-from .search import available_policies
 from .synthesis import SynthesisConfig, synthesize, synthesize_flat, voltage_scale
 from .synthesis.library_gen import build_complex_library
 from .telemetry import Telemetry
@@ -84,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     constraint.add_argument("--sampling-ns", type=float, default=None,
                             help="absolute sampling period in nanoseconds")
     synth.add_argument("--objective", choices=("area", "power"), default="power")
-    synth.add_argument("--policy", choices=available_policies(), default=None,
-                       metavar="NAME",
-                       help="search policy biasing the improvement driver "
-                            "(default: the paper's fixed scheme; see "
-                            "docs/SEARCH.md; choices: "
-                            f"{', '.join(available_policies())})")
     synth.add_argument("--flatten", action="store_true",
                        help="run the flattened baseline instead of hierarchical")
     synth.add_argument("--no-library", action="store_true",
@@ -108,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check every delta-priced candidate against "
                             "a from-scratch evaluation and fail on any "
                             "bitwise mismatch (debug mode; slow)")
-    synth.add_argument("--no-prune", action="store_true",
-                       help="disable dominance/feasibility pruning of "
-                            "candidates before pricing")
     synth.add_argument("--corners", action="store_true",
                        help="after synthesis, re-price every explored "
                             "architecture across the ±10%% supply × "
@@ -120,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the content-addressed synthesis store "
                             "here so later runs warm-start (results are "
                             "bit-identical cold vs. warm)")
-    synth.add_argument("--no-persistent-cache", action="store_true",
-                       help="with --cache-dir: read/write nothing on disk "
-                            "(keeps only the in-memory point/run tiers)")
     synth.add_argument("--stats", action="store_true",
                        help="print synthesis telemetry (evaluations, cost-cache "
                             "hit rate, delta-hit rate, moves per family, "
@@ -264,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--flatten", action="store_true",
                         help="run the flattened baseline instead of "
                              "hierarchical")
-    submit.add_argument("--policy", choices=available_policies(),
-                        default=None, metavar="NAME",
-                        help="search policy biasing the improvement driver "
-                             "(see docs/SEARCH.md)")
     submit.add_argument("--verify", action="store_true",
                         help="differentially verify the winning RTL on the "
                              "server (a failing check fails the job)")
@@ -338,14 +321,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = quick_config() if args.effort == "quick" else SynthesisConfig()
     config.n_workers = args.workers
     config.validate_incremental = args.validate_incremental
-    config.prune = not args.no_prune
     config.verify_moves = args.verify
     # Set before the library build so module pre-characterization also
     # warm-starts from (and feeds) the persistent store.
     config.cache_dir = str(args.cache_dir) if args.cache_dir else None
-    config.persistent_cache = not args.no_persistent_cache
-    if args.policy:
-        config.search_policy = args.policy
     # Store traffic outside the main run (library build, corner sweep):
     # --stats counts the whole process's store use.
     side_stores = Telemetry()
@@ -599,7 +578,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         flatten=args.flatten,
         verify=args.verify,
         trace=args.trace,
-        policy=args.policy,
     )
     client = ServiceClient(args.url)
     receipt = client.submit(request)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import weakref
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .graph import DFG, NodeKind
 
@@ -47,6 +47,8 @@ __all__ = [
     "stream_digest",
     "library_signature",
     "config_signature",
+    "search_config_items",
+    "EXECUTION_ONLY",
 ]
 
 
@@ -329,50 +331,30 @@ def library_signature(library) -> str:
     return _digest(payload)
 
 
-#: Config fields excluded from :func:`config_signature`: they change how
-#: the run executes (parallelism, persistence, tracing, debug
-#: cross-checking, cache capacities) but not what any memoized synthesis
-#: result contains, so keying on them would only split shareable cache
-#: entries.
-_EXECUTION_ONLY_FIELDS = frozenset(
-    {
-        "n_workers",
-        "validate_incremental",
-        "batch_activity",
-        "trace",
-        "trace_timings",
-        "trace_evals",
-        "trace_max_events",
-        "trace_meta",
-        "cache_dir",
-        "persistent_cache",
-        "run_cache_size",
-        "store_shards",
-        # The search policy biases which final solution the outer
-        # search reaches, but every stored sub-result is policy-
-        # independent: nested move-B resynthesis always runs the
-        # default scheme, and schedules are pure evaluation.  Excluding
-        # it lets runs under different policies share one cache; the
-        # one policy-dependent entry, a point's outcome, names the
-        # policy in its own key.
-        "search_policy",
-    }
-)
+#: ``dataclasses.field`` metadata key marking an execution-only
+#: ``SynthesisConfig`` field: one that changes how the run executes
+#: (parallelism, persistence, tracing, debug cross-checking) but not
+#: what any synthesis result contains.  Keying on such a field would
+#: only split shareable cache entries.
+EXECUTION_ONLY = "execution_only"
+
+
+def search_config_items(config) -> tuple[tuple[str, Any], ...]:
+    """``(name, value)`` of every field of a ``SynthesisConfig`` that is
+    not marked :data:`EXECUTION_ONLY`, in declaration order.
+
+    These are the fields that shape the search: pass/move limits,
+    epsilon, feature toggles.  :func:`config_signature` digests them
+    and a trace's ``run_start.config`` records them.
+    """
+    return tuple(
+        (f.name, getattr(config, f.name))
+        for f in dataclasses.fields(config)
+        if not f.metadata.get(EXECUTION_ONLY)
+    )
 
 
 def config_signature(config) -> str:
-    """Digest of the search-shaping fields of a ``SynthesisConfig``.
-
-    Execution-only knobs (worker counts, tracing, the cache
-    configuration itself) are excluded — see
-    :data:`_EXECUTION_ONLY_FIELDS`; everything that can change a
-    synthesized sub-result (pass/move limits, epsilon, feature toggles,
-    cache capacities that influence generated-name sequences) is
-    included.
-    """
-    fields = tuple(
-        (f.name, getattr(config, f.name))
-        for f in dataclasses.fields(config)
-        if f.name not in _EXECUTION_ONLY_FIELDS
-    )
-    return _digest(("config", fields))
+    """Digest of the search-shaping fields of a ``SynthesisConfig``
+    (see :func:`search_config_items`)."""
+    return _digest(("config", search_config_items(config)))

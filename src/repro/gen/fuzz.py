@@ -14,9 +14,10 @@ One round:
    a seed-derived objective;
 3. differentially verify the winning RTL against the behavioral
    simulation (:meth:`SynthesisResult.verify`);
-4. re-synthesize with the batched activity kernel disabled and demand a
-   **bit-identical** outcome (metrics and structural solution
-   signature);
+4. re-synthesize in validate mode, which re-prices every batch-priced
+   and delta-priced candidate from scratch and raises on any bitwise
+   difference, and demand a **bit-identical** outcome (metrics and
+   structural solution signature);
 5. optionally run cold-then-warm against one persistent synthesis
    store and demand cold = warm = uncached, all bit-identical.
 
@@ -32,6 +33,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from ..dfg.hierarchy import Design
+from ..errors import SynthesisError
 from ..library import default_library
 from ..power.traces import TraceSet, image_traces, speech_traces, white_traces
 from ..reporting import quick_config
@@ -69,6 +71,7 @@ class FuzzOutcome:
 
     @property
     def ok(self) -> bool:
+        """Whether the round passed every check."""
         return not self.failures
 
 
@@ -98,11 +101,11 @@ def _synthesize(
     laxity: float,
     n_samples: int,
     *,
-    batch_activity: bool = True,
+    validate_incremental: bool = False,
     cache_dir: str | None = None,
 ) -> SynthesisResult:
     config = quick_config()
-    config.batch_activity = batch_activity
+    config.validate_incremental = validate_incremental
     config.cache_dir = cache_dir
     library = default_library()
     if any(dfg.hier_nodes() for dfg in design.dfgs()):
@@ -146,21 +149,27 @@ def check_design(
         )
         return outcome  # later cross-checks would re-hit the same bug
 
-    scalar = _synthesize(
-        design, traces, objective, laxity, n_samples, batch_activity=False
-    )
     outcome.checks += 1
-    if _metrics_key(base) != _metrics_key(scalar):
-        outcome.failures.append(
-            "scalar-vs-batched activity pricing diverged: "
-            f"batched={_metrics_key(base)} scalar={_metrics_key(scalar)}"
+    try:
+        validated = _synthesize(
+            design, traces, objective, laxity, n_samples,
+            validate_incremental=True,
         )
-    elif solution_signature(base.solution, design) != solution_signature(
-        scalar.solution, design
-    ):
-        outcome.failures.append(
-            "scalar-vs-batched runs chose structurally different solutions"
-        )
+    except SynthesisError as exc:
+        outcome.failures.append(f"validate-mode run raised: {exc}")
+    else:
+        if _metrics_key(base) != _metrics_key(validated):
+            outcome.failures.append(
+                "validate-mode run diverged from the base run: "
+                f"base={_metrics_key(base)} "
+                f"validated={_metrics_key(validated)}"
+            )
+        elif solution_signature(base.solution, design) != solution_signature(
+            validated.solution, design
+        ):
+            outcome.failures.append(
+                "validate-mode run chose a structurally different solution"
+            )
 
     if store_check:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-store-") as tmp:

@@ -72,9 +72,6 @@ class JobRequest:
     #: Record the search trace; the server keeps it per job and serves
     #: it at ``GET /jobs/<id>/trace``.
     trace: bool = False
-    #: Search policy biasing the improvement driver (``None`` = the
-    #: paper's default scheme; see :mod:`repro.search.policy`).
-    policy: str | None = None
 
     def validate(self) -> None:
         """Reject structurally invalid requests before any work starts."""
@@ -98,14 +95,6 @@ class JobRequest:
             raise ServiceError(f"unknown effort {self.effort!r}")
         if self.samples < 1:
             raise ServiceError(f"samples must be >= 1, got {self.samples}")
-        if self.policy is not None:
-            from ..search import available_policies
-
-            if self.policy not in available_policies():
-                raise ServiceError(
-                    f"unknown search policy {self.policy!r}; available: "
-                    f"{', '.join(available_policies())}"
-                )
 
     def to_dict(self) -> dict[str, Any]:
         """Wire form (JSON object body of ``POST /jobs``)."""
@@ -183,7 +172,6 @@ def request_fingerprint(
             request.flatten,
             request.verify,
             request.trace,
-            request.policy,
         )
     )
 

@@ -382,7 +382,6 @@ class SynthesisService:
             "fingerprint": fingerprint,
             "cache_dir": self.config.cache_dir,
             "store_shards": self.store.shards,
-            "persistent_cache": True,
             "jobs_dir": str(self.registry.jobs_dir),
         }
         task = asyncio.get_running_loop().create_task(

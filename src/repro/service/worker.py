@@ -55,7 +55,6 @@ def job_config(request: JobRequest, payload: dict[str, Any]) -> SynthesisConfig:
     """
     config = quick_config() if request.effort == "quick" else SynthesisConfig()
     config.cache_dir = payload.get("cache_dir")
-    config.persistent_cache = payload.get("persistent_cache", True)
     config.store_shards = payload.get("store_shards")
     if request.trace:
         config.trace = True
@@ -71,8 +70,6 @@ def job_config(request: JobRequest, payload: dict[str, Any]) -> SynthesisConfig:
             "samples": request.samples,
             "built_library": not request.flatten,
         }
-    if request.policy is not None:
-        config.search_policy = request.policy
     return config
 
 
@@ -97,12 +94,11 @@ def run_job(payload: dict[str, Any]) -> dict[str, Any]:
     """Execute one synthesis job; the process-pool entry point.
 
     *payload* carries the wire request plus server-side placement:
-    ``job_id``, ``request`` (dict), ``cache_dir``/``store_shards``/
-    ``persistent_cache`` (the shared store), ``jobs_dir`` (progress and
-    trace files; ``None`` silences both), and ``fingerprint`` (echoed
-    into the result).  Raises :class:`~repro.errors.ReproError`
-    subclasses on invalid/ infeasible jobs — the server records them as
-    the job's failure.
+    ``job_id``, ``request`` (dict), ``cache_dir``/``store_shards`` (the
+    shared store), ``jobs_dir`` (progress and trace files; ``None``
+    silences both), and ``fingerprint`` (echoed into the result).
+    Raises :class:`~repro.errors.ReproError` subclasses on invalid/
+    infeasible jobs — the server records them as the job's failure.
     """
     request = JobRequest.from_dict(payload["request"])
     job_id = payload.get("job_id", "local")

@@ -15,7 +15,6 @@ as the schedule's slack allows, and re-estimate power.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..dfg.canonical import design_fingerprint, graph_signature
+from ..dfg.canonical import (
+    design_fingerprint,
+    graph_signature,
+    search_config_items,
+)
 from ..dfg.flatten import flatten
 from ..dfg.hierarchy import Design
 from ..dfg.validate import validate_design
@@ -286,18 +289,17 @@ def _point_content(
     """Content key of one operating point's outcome.
 
     The store signature covers the library and the search-shaping
-    config, which leaves out the policy, so it is named here.  The
-    design fingerprint covers the behaviors below the top graph, the
-    graph signature pins the top graph's node ids (the stored solution
-    names them), and the level digest covers the top-level streams.
-    The search code itself is covered by ``STORE_SCHEMA_VERSION``.
+    config.  The design fingerprint covers the behaviors below the top
+    graph, the graph signature pins the top graph's node ids (the stored
+    solution names them), and the level digest covers the top-level
+    streams.  The search code itself is covered by
+    ``STORE_SCHEMA_VERSION``.
     """
     top = env.design.top
     return (
         "point",
         env.store_signature,
         env.objective,
-        env.config.search_policy,
         design_fingerprint(env.design, top),
         graph_signature(top),
         sim_level_digest(sim, ()),
@@ -609,13 +611,6 @@ def _synthesize_in_env(
             n_points=len(points),
             config=_traced_config(env.config),
             provenance=env.config.trace_meta,
-            # Optional v3 header field: absent (and byte-invisible) for
-            # the default policy, so pre-policy goldens stay valid.
-            policy=(
-                env.config.search_policy
-                if env.config.search_policy != "default"
-                else None
-            ),
         )
 
     t_sweep = time.perf_counter()
@@ -690,34 +685,15 @@ def _synthesize_in_env(
 def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
     """Search-shaping knobs recorded in a trace's ``run_start`` event.
 
-    Execution-only fields are excluded: ``n_workers``,
-    ``validate_incremental``, ``batch_activity``, the ``trace_*``
-    family and the store knobs (``cache_dir``, ``persistent_cache``,
-    ``run_cache_size``) do not change what the
-    search does (or what its trace records), and keeping them out is
-    what lets a 1-worker and a 4-worker run — or a cold and a
-    warm-cache run — produce byte-identical traces.  ``incremental`` and
-    ``prune`` *are* recorded: both leave the search outcome intact, but
-    they shape per-step eval/pruned counts in the trace, so a replay
-    must run them the same way.  ``trace_meta`` rides separately as the
+    The same fields :func:`~repro.dfg.canonical.config_signature`
+    digests: execution-only fields (worker count, tracing, the store,
+    debug cross-checks) change neither what the search does nor what
+    its trace records, and keeping them out is what lets a 1-worker and
+    a 4-worker run — or a cold and a warm-cache run — produce
+    byte-identical traces.  ``trace_meta`` rides separately as the
     provenance field.
     """
-    skip = {"n_workers", "validate_incremental", "batch_activity",
-            "trace", "trace_timings", "trace_evals",
-            "trace_max_events", "trace_meta",
-            "cache_dir", "persistent_cache", "run_cache_size",
-            "store_shards",
-            # Policy selection rides as run_start's optional ``policy``
-            # field instead (absent for the default policy), keeping
-            # default-policy traces byte-identical to pre-policy ones;
-            # replay re-executes recorded committed moves, which is
-            # policy-independent.
-            "search_policy"}
-    return {
-        f.name: getattr(config, f.name)
-        for f in dataclasses.fields(config)
-        if f.name not in skip
-    }
+    return dict(search_config_items(config))
 
 
 def voltage_scale(

@@ -16,27 +16,45 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..dfg.canonical import EXECUTION_ONLY
 from ..dfg.graph import DFG
 from ..dfg.hierarchy import Design
 from ..errors import LibraryError
 from ..library.library import ModuleLibrary
 from ..power.activity import reset_activity_caches
-from ..search import make_policy
 from .incremental import _reset_energy_memos
 from ..power.simulate import SimTrace, simulate_subgraph
 from ..rtl.module import RTLModule
 from ..telemetry import Telemetry
 from ..trace.recorder import TraceRecorder
 from .caching import LRUCache
-from .costs import DEFAULT_COST_CACHE_SIZE, EvaluationContext, Objective
+from .costs import EvaluationContext, Objective
 from .store import SynthesisStore, context_signature, module_content_signature
 
 __all__ = ["SynthesisConfig", "SynthesisEnv", "ensure_behavior"]
 
 
+def _execution_only(default):
+    """A :class:`SynthesisConfig` field that changes how a run executes
+    (parallelism, persistence, tracing, debug cross-checks) but never
+    what it finds.
+
+    This metadata is the one declaration of that split:
+    :func:`~repro.dfg.canonical.config_signature` leaves these fields
+    out of every store key, and a trace's ``run_start.config`` leaves
+    them out of the recorded search config, so runs that differ only in
+    them share store entries and record the same search config.
+    """
+    return field(default=default, metadata={EXECUTION_ONLY: True})
+
+
 @dataclass
 class SynthesisConfig:
-    """Effort/size knobs for the iterative-improvement engine.
+    """Knobs of the iterative-improvement engine.
+
+    Fields made with :func:`_execution_only` change how a run executes,
+    never what it finds; the others shape the search and key the
+    synthesis store.
 
     Defaults are tuned so a 30-operation behavior synthesizes in a few
     seconds; raise the limits for deeper exploration.
@@ -68,11 +86,7 @@ class SynthesisConfig:
     #: Worker processes for the outer (Vdd, clock) operating-point sweep.
     #: 1 = serial; >1 fans the independent points out over a process
     #: pool (results are bit-identical to the serial path).
-    n_workers: int = 1
-    #: Bound on the fingerprint-keyed cost cache (0 disables memoization).
-    cost_cache_size: int = DEFAULT_COST_CACHE_SIZE
-    #: Bound on the per-point module / resynthesis memo caches.
-    module_cache_size: int = 256
+    n_workers: int = _execution_only(1)
     #: Differentially verify every committed KL pass prefix: execute the
     #: committed solution's RTL cycle by cycle and cross-check it against
     #: the (already memoized) DFG simulation.  A divergence raises
@@ -80,68 +94,33 @@ class SynthesisConfig:
     #: counterexample.  Off by default — it roughly doubles the cost of a
     #: committed pass; see ``docs/VERIFICATION.md``.
     verify_moves: bool = False
-    #: Price local candidate moves incrementally: by delta against the
-    #: current solution's per-term energy breakdown, with schedules
-    #: shared across candidates whose task sets are equal.  Bit-identical
-    #: results either way; see ``docs/PERFORMANCE.md``.
-    incremental: bool = True
-    #: Debug mode: recompute every delta-priced candidate from scratch
-    #: as well and raise :class:`~repro.errors.SynthesisError` on any
-    #: bitwise mismatch.  Roughly doubles pricing cost.
-    validate_incremental: bool = False
-    #: Price each KL round's candidate set through the batched activity
-    #: kernel: collect every activity-key miss across the whole set and
-    #: resolve them in one array pass (see
-    #: :meth:`~repro.synthesis.costs.EvaluationContext.evaluate_batch`).
-    #: Execution knob only — results, counters and traces are
-    #: bit-identical either way.
-    batch_activity: bool = True
-    #: Discard provably dominated / structurally hopeless candidates
-    #: before pricing (counted per family in telemetry as
-    #: ``moves_pruned``).  Outcome-preserving by construction.
-    prune: bool = True
+    #: Debug mode: recompute every delta-priced and batch-priced
+    #: candidate from scratch as well and raise
+    #: :class:`~repro.errors.SynthesisError` on any bitwise mismatch.
+    #: Roughly doubles pricing cost.
+    validate_incremental: bool = _execution_only(False)
     #: Record the search as structured trace events (run → point → pass
     #: → move, with gain attribution); surfaced on
     #: ``SynthesisResult.trace_events`` and the CLI's ``--trace`` flag.
     #: See ``docs/TRACING.md``.
-    trace: bool = False
+    trace: bool = _execution_only(False)
     #: Include ``perf_counter_ns`` span timings in the trace.  Disable
     #: for byte-identical traces across runs and worker counts.
-    trace_timings: bool = True
-    #: Also emit one event per cost evaluation (cache hit/miss
-    #: provenance).  Verbose; off by default.
-    trace_evals: bool = False
-    #: Hard bound on buffered trace events (excess is dropped+counted).
-    trace_max_events: int = 1_000_000
+    trace_timings: bool = _execution_only(True)
     #: Run metadata embedded in the trace's ``run_start`` event (the CLI
     #: records benchmark/traces/seed here so ``repro-trace replay`` can
     #: reconstruct the run without the original process).
-    trace_meta: dict | None = None
+    trace_meta: dict | None = _execution_only(None)
     #: Directory of the persistent (cross-run) synthesis-store tier;
     #: ``None`` keeps the store purely in-memory.  See
     #: :mod:`repro.synthesis.store` and the CLI's ``--cache-dir``.
-    cache_dir: str | None = None
-    #: Disable the persistent tier even when ``cache_dir`` is set
-    #: (``--no-persistent-cache``): the directory is neither read nor
-    #: written, but the in-memory run tier still works.
-    persistent_cache: bool = True
-    #: Bound on the run-level blob tier of the synthesis store
-    #: (entries; each holds one pickled module/resynthesis/schedule
-    #: result, shared across operating points within a run).
-    run_cache_size: int = 4096
+    cache_dir: str | None = _execution_only(None)
     #: Shard count of the persistent store tier (``None`` auto-detects
     #: the on-disk layout, which is 1 for fresh directories).  Sharding
     #: splits the SQLite tier across several database files by digest
     #: prefix so many concurrent writers — the job server's worker
-    #: fleet — do not serialize on one writer lock.  Execution knob
-    #: only: results are bit-identical at any count.
-    store_shards: int | None = None
-    #: Search policy steering the improvement loop's pass budget,
-    #: candidate ranking and early termination.  ``"default"``
-    #: reproduces the paper's fixed scheme byte-identically; see
-    #: :mod:`repro.search.policy` for the biased alternatives
-    #: (``repro synth --policy``).
-    search_policy: str = "default"
+    #: fleet — do not serialize on one writer lock.
+    store_shards: int | None = _execution_only(None)
 
 
 class SynthesisEnv:
@@ -163,10 +142,7 @@ class SynthesisEnv:
         #: of the parallel sweep each own a fresh recorder; the parent
         #: merges their buffers in point order.
         self.trace: TraceRecorder | None = (
-            TraceRecorder(
-                timings=self.config.trace_timings,
-                max_events=self.config.trace_max_events,
-            )
+            TraceRecorder(timings=self.config.trace_timings)
             if self.config.trace
             else None
         )
@@ -178,12 +154,6 @@ class SynthesisEnv:
         #: Invalidation signature shared by every content key this env
         #: writes: schema version + library + search-shaping config.
         self.store_signature = context_signature(library, self.config)
-        #: The search policy steering the improvement loop.  Sub-result
-        #: content keys stay policy-independent (nested resynthesis
-        #: always runs the default scheme), so differently-biased envs
-        #: share one store; only a point's outcome names the policy
-        #: (see ``api._run_point``).
-        self.policy = make_policy(self.config.search_policy)
         #: Modules synthesized on demand, keyed by (behavior, clk, vdd).
         #: This *is* the store's point tier for the "module" namespace —
         #: the attribute is kept for its legacy name.
@@ -317,20 +287,8 @@ class SynthesisEnv:
                 (),
                 self.objective,
                 telemetry=self.telemetry,
-                cache_size=self.config.cost_cache_size,
-                # Nested resynthesis is untraced (see improve_solution),
-                # including its eval spans: a warm store hit skips the
-                # nested run wholesale, so recording it would break
-                # cold-vs-warm trace identity.
-                recorder=(
-                    self.trace
-                    if self.config.trace_evals and not self._resynth_active
-                    else None
-                ),
                 validate_incremental=self.config.validate_incremental,
-                reuse_schedules=self.config.incremental,
                 store=self.store,
-                batch_pricing=self.config.batch_activity,
             )
             # Bounded: evict the oldest context (and its strong sim ref;
             # live id() keys stay valid because live contexts pin their

@@ -30,7 +30,6 @@ from ..power.estimator import PowerReport
 from ..power.simulate import SimTrace
 from ..rtl.components import DatapathNetlist
 from ..telemetry import Telemetry
-from ..trace.recorder import TraceRecorder
 from .caching import HashedKey, LRUCache
 from .store import MISSING, SynthesisStore
 from ..power.activity import batch_activities
@@ -174,31 +173,16 @@ class EvaluationContext:
         objective: Objective,
         telemetry: Telemetry | None = None,
         cache_size: int = DEFAULT_COST_CACHE_SIZE,
-        recorder: TraceRecorder | None = None,
         validate_incremental: bool = False,
-        reuse_schedules: bool = True,
         store: SynthesisStore | None = None,
-        batch_pricing: bool = True,
     ):
         self.sim = sim
         self.path = path
         self.objective = objective
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: Optional trace recorder: when set, every evaluation emits one
-        #: ``eval`` span with its cache provenance (``trace_evals``).
-        self.recorder = recorder
-        #: Debug mode: recompute every delta-priced evaluation from
-        #: scratch and raise on any bitwise mismatch.
+        #: Debug mode: recompute every delta-priced and batch-priced
+        #: evaluation from scratch and raise on any bitwise mismatch.
         self.validate_incremental = validate_incremental
-        #: Price candidate sets through :meth:`evaluate_batch`: plan all
-        #: uncached candidates, resolve every activity-key miss with one
-        #: batched kernel call, then replay each candidate's arithmetic.
-        #: Results are bit-identical either way (execution knob only).
-        self.batch_pricing = batch_pricing
-        #: Share schedules across candidates with equal task signatures
-        #: (part of the incremental machinery; off reproduces the
-        #: schedule-per-candidate behavior of from-scratch pricing).
-        self.reuse_schedules = reuse_schedules
         #: Memoized full evaluations, keyed by solution fingerprint.  The
         #: KL loop re-generates thousands of structurally identical
         #: candidates across steps and passes; pricing them is a lookup.
@@ -267,8 +251,6 @@ class EvaluationContext:
         sched = solution._schedule
         if sched is not None:
             return sched
-        if not self.reuse_schedules:
-            return solution.schedule()
         key = solution.schedule_key()
         if self.store is None:
             cached = self._schedules.get(key)
@@ -311,13 +293,8 @@ class EvaluationContext:
         cached = self._cost_cache.get(key)
         if cached is not None:
             self.telemetry.cache_hits += 1
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "eval", point=self.recorder.point, cached=True
-                )
             return cached
         self.telemetry.cache_misses += 1
-        t0 = self.recorder.clock() if self.recorder is not None else None
         batched = self._batched.pop(key, None)
         if batched is not None:
             metrics, breakdown, reused, _terms = batched
@@ -330,19 +307,10 @@ class EvaluationContext:
                 _check_identical(metrics, reference)
         if base is None:
             self.telemetry.full_evals += 1
-            mode = None
         elif reused:
             self.telemetry.delta_hits += 1
-            mode = "delta"
         else:
             self.telemetry.delta_fallbacks += 1
-            mode = "fallback"
-        if self.recorder is not None:
-            event: dict = {"point": self.recorder.point, "cached": False}
-            if mode is not None:
-                event["mode"] = mode
-            event["dur_ns"] = self.recorder.elapsed_ns(t0)
-            self.recorder.emit("eval", **event)
         self._cost_cache.put(key, metrics)
         self._breakdowns.put(key, breakdown)
         return metrics
@@ -369,8 +337,9 @@ class EvaluationContext:
         call, and each plan's per-term float arithmetic is replayed
         unchanged.  Results are stashed for the caller's :meth:`evaluate`
         pass, which keeps all telemetry/cache/trace accounting — and
-        therefore counters, traces and metrics — identical to unbatched
-        pricing.
+        therefore counters, traces and metrics — identical to pricing
+        each candidate alone; validate mode checks every batch-priced
+        result against a from-scratch one.
         """
         jobs: list[tuple[HashedKey, Solution, Breakdown | None]] = []
         seen: set[HashedKey] = set()
@@ -410,7 +379,7 @@ class EvaluationContext:
 
         Called at the end of each pricing round: a stale entry would
         later be consumed with reuse counts from the wrong base,
-        skewing the delta-hit telemetry away from unbatched pricing.
+        skewing the delta-hit telemetry away from one-at-a-time pricing.
         """
         self._batched.clear()
 

@@ -10,14 +10,9 @@ committed; passes repeat while they improve the solution.  This is the
 classic Kernighan–Lin / variable-depth scheme the paper cites ([11]),
 and it is what lets the algorithm climb out of local minima.
 
-The family order is the paper's and fixed; the pass/step budget,
-candidate ranking and step termination are delegated to the env's
-:class:`~repro.search.policy.SearchPolicy`.  The default policy's hooks
-are exact no-ops, which keeps this driver byte-identical to the
-pre-policy monolith (golden-trace tested); nested move-B resynthesis
-always runs the default scheme regardless of the configured policy,
-because its result is memoized in the store and must not vary with the
-outer search's bias.
+The family order, the pass/step budget and the acceptance rule are the
+paper's and fixed (see ``docs/SEARCH.md``); nested move-B resynthesis
+runs the same scheme one level down.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ import numpy as np
 from ..dfg.canonical import stream_digest
 from ..power.simulate import SimTrace
 from ..rtl.module import RTLModule
-from ..search.policy import DefaultPolicy, SearchPolicy
 from ..telemetry import Telemetry, move_family
 from .caching import HashedKey
 from .context import SynthesisEnv
@@ -109,7 +103,7 @@ def _best(
     generation order, so the winner does not depend on how discovery
     happened to order the list.
     """
-    if ctx.batch_pricing and len(candidates) > 1:
+    if len(candidates) > 1:
         # Collect every activity-key miss across the whole candidate set
         # and price them through one batched kernel call; the loop below
         # then consumes the stashed results.
@@ -136,34 +130,23 @@ _DISCOVER = {
     "split": splitting_candidates,
 }
 
-#: Shared fallback policy for nested resynthesis: move-B results are
-#: memoized in the store under policy-independent content keys, so the
-#: nested driver must run the fixed default scheme no matter how the
-#: outer search is biased.
-_DEFAULT_POLICY = DefaultPolicy()
-
 
 def _discover_family(
     env: SynthesisEnv,
     ctx: EvaluationContext,
-    policy: SearchPolicy,
     family: str,
     work: Solution,
     sim: SimTrace,
     locked: frozenset[str],
     view: RelationalView,
     discovered: dict[str, int],
-    pass_idx: int,
-    step_idx: int,
 ) -> list[Candidate]:
-    """Generate, tally, prune and rank one family's candidates."""
+    """Generate, tally and prune one family's candidates."""
     t_disc = time.perf_counter()
     cands = _DISCOVER[family](env, work, sim, locked, view=view)
     ctx.telemetry.add_time("discovery", time.perf_counter() - t_disc)
     _tally_discovered(ctx.telemetry, cands, discovered)
-    if env.config.prune:
-        cands = prune_candidates(env, work, cands)
-    return list(policy.rank_candidates(family, cands, pass_idx, step_idx))
+    return prune_candidates(env, work, cands)
 
 
 def improve_solution(
@@ -178,10 +161,7 @@ def improve_solution(
 
     Returns the best solution found (the input solution if nothing
     improved).  ``history`` — when supplied — receives one
-    :class:`PassRecord` per executed pass.  Budgets, candidate ranking
-    and step termination route through ``env.policy`` (see
-    :mod:`repro.search.policy`); the default policy reproduces the
-    paper's fixed scheme exactly.
+    :class:`PassRecord` per executed pass.
     """
     config = env.config
     max_passes = max_passes if max_passes is not None else config.max_passes
@@ -189,12 +169,8 @@ def improve_solution(
     ctx = env.context(sim)
     # Nested move-B resynthesis runs this same driver one level down;
     # its passes are an implementation detail of pricing one candidate,
-    # so only the top-level search is traced — and only the top-level
-    # search is policy-biased (see _DEFAULT_POLICY).
-    nested = env._resynth_active
-    rec = env.trace if not nested else None
-    policy = env.policy if not nested else _DEFAULT_POLICY
-    max_passes, max_moves = policy.budgets(max_passes, max_moves)
+    # so only the top-level search is traced.
+    rec = env.trace if not env._resynth_active else None
 
     current = solution
     current_cost = ctx.cost(current)
@@ -222,13 +198,12 @@ def improve_solution(
             # The work solution was just priced (as a candidate or as the
             # pass seed), so its breakdown is normally resident; a None
             # (evicted) simply means candidates price from scratch.
-            base = ctx.breakdown_of(work) if config.incremental else None
+            base = ctx.breakdown_of(work)
             discovered: dict[str, int] = {}
             view = RelationalView(env, work, locked)
             groups = {
                 family: _discover_family(
-                    env, ctx, policy, family, work, sim, locked, view,
-                    discovered, _pass, _step,
+                    env, ctx, family, work, sim, locked, view, discovered
                 )
                 for family in ("ab", "share")
             }
@@ -242,8 +217,7 @@ def improve_solution(
                 # failed sharing move, it does not outrank type A/B on
                 # ties.
                 groups["split"] = _discover_family(
-                    env, ctx, policy, "split", work, sim, locked, view,
-                    discovered, _pass, _step,
+                    env, ctx, "split", work, sim, locked, view, discovered
                 )
                 best_split = _best(ctx, groups["split"], base=base)
                 if best_split is not None and (
@@ -257,8 +231,6 @@ def improve_solution(
             ):
                 chosen = best_share
             if chosen is None:
-                break
-            if policy.stop_step(chosen, work_cost, _step):
                 break
             if rec is not None:
                 _emit_step(

@@ -267,10 +267,8 @@ def prune_candidates(
     :attr:`Candidate.replacement_cell`, so lazy (relational-engine)
     candidates they drop are never cloned.  Rule 3 reads the task
     blocks of the candidates left, which materializes them, and a clone
-    shares every block its move did not touch.  Under the default
-    policy pricing materializes every survivor anyway; a policy whose
-    :meth:`~repro.search.policy.SearchPolicy.rank_candidates` drops
-    some (``deep``) has those cloned for rule 3 alone.
+    shares every block its move did not touch; pricing materializes
+    every survivor anyway.
     """
     if len(candidates) < 2:
         return candidates

@@ -150,6 +150,16 @@ _WRITE_RETRY_SLEEP_S = 0.02
 #: the run tier keeps anyway.
 _BATCH_ROWS = 1024
 
+#: Point-tier bound of the module and resynthesis memos (entries), and
+#: of any namespace without its own size.
+MODULE_CACHE_SIZE = 256
+#: Point-tier bound of the schedule memo (entries); equal to the cost
+#: cache's bound, since both hold one entry per priced candidate.
+SCHEDULE_CACHE_SIZE = 4096
+#: Run-tier bound (entries; each holds one pickled module, resynthesis
+#: result or schedule, shared across the operating points of a run).
+RUN_CACHE_SIZE = 4096
+
 
 def digest_content(content: tuple) -> str:
     """SHA-256 hex digest of a content-key tuple.
@@ -320,15 +330,11 @@ def sim_level_digest(sim, path: tuple = ()) -> str:
 class SynthesisStore:
     """Point / run / persistent tiers behind one lookup protocol."""
 
-    #: Point-tier capacity for namespaces without an explicit size.
-    _DEFAULT_POINT_SIZE = 256
-
     def __init__(
         self,
         point_sizes: dict[str, int] | None = None,
-        run_cache_size: int = 4096,
+        run_cache_size: int = RUN_CACHE_SIZE,
         cache_dir: str | None = None,
-        persistent: bool = True,
         shards: int | None = None,
     ):
         self._point_sizes = dict(point_sizes or {})
@@ -343,7 +349,7 @@ class SynthesisStore:
         #: it at once.
         self._lock = threading.Lock()
         self.cache_dir = str(cache_dir) if cache_dir else None
-        self.persistent = self.cache_dir is not None and persistent
+        self.persistent = self.cache_dir is not None
         #: Persistent-tier connections, one per shard (empty when the
         #: tier is disabled or unusable).
         self._dbs: list[sqlite3.Connection] = []
@@ -383,23 +389,15 @@ class SynthesisStore:
 
     @classmethod
     def from_config(cls, config: "SynthesisConfig") -> "SynthesisStore":
-        """Build a store from a :class:`SynthesisConfig`'s cache knobs."""
+        """Build a store from a :class:`SynthesisConfig`'s store knobs."""
         sizes = {
-            "module": config.module_cache_size,
-            "resynth": config.module_cache_size,
-            "schedule": config.cost_cache_size,
+            "schedule": SCHEDULE_CACHE_SIZE,
             # The corner sweep asks for each corner's metrics once.
             "metrics": 0,
             # A point's outcome is looked up once, at the point's start.
             "point": 0,
         }
-        return cls(
-            sizes,
-            run_cache_size=config.run_cache_size,
-            cache_dir=config.cache_dir,
-            persistent=config.persistent_cache,
-            shards=getattr(config, "store_shards", None),
-        )
+        return cls(sizes, cache_dir=config.cache_dir, shards=config.store_shards)
 
     @staticmethod
     def detect_shards(cache_dir: str | Path) -> int:
@@ -449,7 +447,7 @@ class SynthesisStore:
         tier = self._point.get(ns)
         if tier is None:
             tier = LRUCache(
-                self._point_sizes.get(ns, self._DEFAULT_POINT_SIZE)
+                self._point_sizes.get(ns, MODULE_CACHE_SIZE)
             )
             self._point[ns] = tier
         return tier

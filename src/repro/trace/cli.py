@@ -9,7 +9,7 @@ Subcommands
               that it reproduces the final cost bit-identically, then
               run the differential RTL oracle on the replayed result;
 ``profile`` — wall-clock trajectory: per-stage seconds, slowest passes,
-              cost-evaluation cache provenance (needs trace timings).
+              synthesis-store counters (needs trace timings).
 
 Examples::
 

@@ -28,10 +28,13 @@ __all__ = ["SCHEMA_VERSION", "span_kinds"]
 #: counters) to ``run_end``.  Version 3 added ``discovered`` to
 #: ``step``: pre-pruning candidate-generation counts keyed by full move
 #: kind (``"A-cell"``, ``"C-share-fu"``, ...), which depend on the
-#: candidate multiset only, not on its emission order —
-#: and, later, the optional ``policy`` header field on ``run_start``
-#: (the non-default search-policy name; absent for default-policy runs,
-#: which therefore serialize exactly as before the field existed).
+#: candidate multiset only, not on its emission order.
+#:
+#: Traces written by older builds may also carry what this build no
+#: longer writes: an optional ``policy`` field on ``run_start`` (the
+#: search policy of a non-default run) and ``eval`` events (one per
+#: cost evaluation, opt-in).  Both only ever appeared on request, so
+#: dropping them needs no bump; consumers ignore them.
 SCHEMA_VERSION = 3
 
 #: kind → (one-line description, tuple of field names in emission order).
@@ -40,10 +43,9 @@ SCHEMA_VERSION = 3
 #: (or a caller) attached run metadata for replay.
 _SPAN_KINDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "run_start": (
-        "one synthesis run begins (after Vdd/clock pruning); policy "
-        "names the non-default search policy when one is configured",
+        "one synthesis run begins (after Vdd/clock pruning)",
         ("schema", "design", "objective", "sampling_ns", "flattened",
-         "n_points", "config", "provenance?", "policy?"),
+         "n_points", "config", "provenance?"),
     ),
     "point_start": (
         "one (Vdd, clock) operating point begins",
@@ -73,14 +75,6 @@ _SPAN_KINDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "verify": (
         "differential RTL check of a committed prefix (verify_moves)",
         ("point", "pass", "ok", "dur_ns?"),
-    ),
-    "eval": (
-        "one cost evaluation (only with trace_evals; cached=True means "
-        "the fingerprint cache answered instead of a netlist rebuild; "
-        "mode attributes a rebuild to the incremental engine: 'delta' "
-        "= priced against the base breakdown, 'fallback' = base "
-        "offered but nothing reusable, absent = full evaluation)",
-        ("point", "cached", "mode?", "dur_ns?"),
     ),
     "point_end": (
         "operating point finished (status: explored | skipped)",

@@ -12,11 +12,12 @@ The schema has only ever grown by *optional* fields:
 * **v1 → v2** added ``store`` (tiered synthesis-store counters) to
   ``run_end``;
 * **v2 → v3** added ``discovered`` (pre-pruning candidate counts by
-  kind) to ``step`` and the optional ``policy`` header field to
-  ``run_start``.
+  kind) to ``step``.
 
 An older trace is therefore already a valid current-schema trace with
-those fields absent, and consumers default them.  :func:`iter_events`
+those fields absent, and consumers default them.  Older v3 traces may
+also carry what this build no longer writes — a ``policy`` field on
+``run_start`` and ``eval`` events — which consumers ignore.  :func:`iter_events`
 accepts every version from :data:`MIN_SCHEMA_VERSION` through
 :data:`~repro.trace.events.SCHEMA_VERSION` and yields the events
 untouched; traces from a *newer* build (or with no recognizable

@@ -22,6 +22,10 @@ from typing import Any, Iterable
 
 __all__ = ["TraceRecorder", "dumps_trace", "load_trace", "write_trace"]
 
+#: Hard bound on buffered events: past it, events are dropped and
+#: counted (``run_end.events_dropped``).
+MAX_EVENTS = 1_000_000
+
 
 class TraceRecorder:
     """An append-only, bounded buffer of trace events.
@@ -31,7 +35,7 @@ class TraceRecorder:
     drops ``dur_ns``-style keys whose value is ``None``.
     """
 
-    def __init__(self, timings: bool = True, max_events: int = 1_000_000):
+    def __init__(self, timings: bool = True, max_events: int = MAX_EVENTS):
         self.timings = timings
         self.max_events = max_events
         #: Current operating-point index; stamped by the sweep driver so

@@ -133,7 +133,7 @@ def _parse(events: Sequence[dict[str, Any]]) -> dict[str, Any]:
             raise ReplayError(
                 f"trace is missing step events for point {point} pass {p} "
                 f"(have {len(steps)}, committed {committed[p]}) — "
-                "was it truncated by trace_max_events?"
+                "was it truncated by the event bound?"
             )
         plan.append(steps)
     return {"run_start": run_start, "winner": winner, "plan": plan}

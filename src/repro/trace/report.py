@@ -9,8 +9,8 @@ variable-depth (Kernighan–Lin) scheme.  A per-family rollup then
 attributes the total committed gain to move types A/B/C/D.
 
 :func:`render_profile` renders the wall-clock side of the same trace:
-per-stage seconds, the slowest passes, and cost-evaluation cache
-provenance (requires a trace recorded with ``trace_timings=True``).
+per-stage seconds, the slowest passes, and synthesis-store counters
+(requires a trace recorded with ``trace_timings=True``).
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def render_report(
         if run_end.get("events_dropped"):
             out.append(
                 f"warning: {run_end['events_dropped']} events dropped "
-                f"(trace_max_events reached)"
+                f"(event bound reached)"
             )
         points = (
             sorted({e["point"] for e in by_kind.get("point_start", [])})
@@ -365,18 +365,4 @@ def render_profile(events: Sequence[dict[str, Any]]) -> str:
             ("point", "pass", "steps", "committed", "seconds"), rows,
             title="slowest improvement passes",
         ))
-    evals = by_kind.get("eval", [])
-    if evals:
-        cached = sum(1 for e in evals if e["cached"])
-        rebuild_ns = sum(e.get("dur_ns", 0) for e in evals if not e["cached"])
-        delta = sum(1 for e in evals if e.get("mode") == "delta")
-        line = (
-            f"cost evaluations: {len(evals)} spans, {cached} cache hits, "
-            f"{len(evals) - cached} rebuilds "
-            f"({rebuild_ns / 1e9:.3f} s rebuilding)"
-        )
-        if delta:
-            line += f"; {delta} of the rebuilds were delta-priced"
-        out.append("")
-        out.append(line)
     return "\n".join(out)

@@ -159,7 +159,8 @@ def test_service_doc_covers_every_cli_flag(subcommand):
     """docs/SERVICE.md must document the full serve/submit/status surface.
 
     A flag added to the parser without a mention in the operator guide
-    (or a doc describing a removed flag) fails here.
+    fails here; :func:`test_flag_tables_name_only_live_flags` catches a
+    doc still describing a removed flag.
     """
     text = SERVICE_DOC.read_text()
     missing = [
@@ -169,6 +170,45 @@ def test_service_doc_covers_every_cli_flag(subcommand):
     assert not missing, (
         f"docs/SERVICE.md does not document repro {subcommand} "
         f"flag(s): {missing}"
+    )
+
+
+def _flag_table_flags(doc: Path) -> list[str]:
+    """Every backticked ``--flag`` opening a first-column cell of a
+    table whose header names that column ``flag``."""
+    flags: list[str] = []
+    in_table = False
+    for line in doc.read_text().splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        # Cells split on unescaped pipes (``stats\|clear`` is one cell).
+        first = re.split(r"(?<!\\)\|", line)[1].strip()
+        if first == "flag":
+            in_table = True
+        elif in_table:
+            flags.extend(re.findall(r"`(--[\w-]+)", first))
+    return flags
+
+
+@pytest.mark.parametrize(
+    "doc,subcommands",
+    [(ROOT / "README.md", ("synth", "tables")),
+     (SERVICE_DOC, ("serve", "submit", "status"))],
+    ids=["README.md", "SERVICE.md"],
+)
+def test_flag_tables_name_only_live_flags(doc, subcommands):
+    """A flag table row must name an option the parser still has."""
+    live = {
+        opt for name in subcommands
+        for opt in _subcommand_option_strings(name)
+    }
+    documented = _flag_table_flags(doc)
+    assert documented, f"{doc.name} shows no flag table"
+    stale = sorted(set(documented) - live)
+    assert not stale, (
+        f"{doc.name} documents flag(s) no {'/'.join(subcommands)} "
+        f"option has: {stale}"
     )
 
 

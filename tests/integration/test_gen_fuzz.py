@@ -4,7 +4,7 @@ Two tiers:
 
 * **smoke slice** (PR-gating, unmarked): a few fixed seeds through the
   full differential round — end-to-end synthesis, RTL verification,
-  scalar-vs-batched bit-identity, one cold/warm persistent-store
+  validate-mode bit-identity, one cold/warm persistent-store
   cross-check.
 * **fuzz gate** (``-m fuzz``, nightly): 200 seeded designs through the
   same oracle, fanned out over worker processes.  Any failure report
@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.gen import GenConfig
+from repro.errors import SynthesisError
+from repro.gen import GenConfig, fuzz
 from repro.gen.fuzz import check_seed
 
 #: Smaller shapes for the PR-gating slice: same code paths (hierarchy,
@@ -56,6 +57,45 @@ class TestSmokeSlice:
             f"[seed {seed}] {f} — replay: PYTHONPATH=src python "
             f"benchmarks/fuzz_designs.py --replay {seed}"
             for f in outcome.failures
+        )
+
+
+class TestValidateModeOracle:
+    """The round's second run prices in validate mode; a divergence it
+    raises or returns is a round failure, not a pass or a crash."""
+
+    @staticmethod
+    def _round(monkeypatch, tamper):
+        real = fuzz._synthesize
+
+        def synthesize(*args, validate_incremental=False, **kwargs):
+            result = real(*args, **kwargs)
+            return tamper(result) if validate_incremental else result
+
+        monkeypatch.setattr(fuzz, "_synthesize", synthesize)
+        return check_seed(1, SMOKE_CONFIG)
+
+    def test_raised_divergence_is_a_round_failure(self, monkeypatch):
+        def raises(_result):
+            raise SynthesisError("incremental evaluation diverged")
+
+        outcome = self._round(monkeypatch, raises)
+        assert outcome.checks == 2
+        assert outcome.failures == [
+            "validate-mode run raised: incremental evaluation diverged"
+        ]
+
+    def test_returned_divergence_is_a_round_failure(self, monkeypatch):
+        outcome = self._round(
+            monkeypatch,
+            lambda result: dataclasses.replace(
+                result, clk_ns=result.clk_ns * 2
+            ),
+        )
+        assert outcome.checks == 2
+        [failure] = outcome.failures
+        assert failure.startswith(
+            "validate-mode run diverged from the base run"
         )
 
 

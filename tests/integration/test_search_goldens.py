@@ -1,17 +1,16 @@
-"""Byte-identity of the default search policy against pre-refactor goldens.
+"""Byte-identity of the improvement search against golden traces.
 
-The ``repro.search`` refactor moved candidate-family ordering, ranking,
-restart scheduling and early termination behind a
-:class:`~repro.search.policy.SearchPolicy` seam.  The contract for the
-default policy is absolute: the refactored driver must reproduce the
-pre-refactor engine **byte for byte** — same moves, same telemetry-fed
-eval counters, same trace JSONL.  These goldens were generated from the
-engine as it stood before the seam existed (timings disabled, so the
-traces are deterministic).  Each case keeps one golden,
-``<name>.jsonl``, and runs twice: as shipped (``relational``, the SQLite
-discovery engine) and with the per-pair reference loops of
-``tests/reference_discovery.py`` patched over the improvement loop's
-view (``legacy``).  Both must emit the same bytes.
+The improvement loop runs the paper's fixed scheme
+(``docs/SEARCH.md``), and a refactor of it must reproduce the search
+**byte for byte** — same moves, same telemetry-fed eval counters, same
+trace JSONL.  The goldens pin that (timings disabled, so the traces are
+deterministic).
+
+Each case keeps one golden, ``<name>.jsonl``, and runs twice: as
+shipped (``relational``, the SQLite discovery engine) and with the
+per-pair reference loops of ``tests/reference_discovery.py`` patched
+over the improvement loop's view (``legacy``).  Both must emit the
+same bytes.
 
 When a change *intentionally* moves the search (a new move family, a
 cost-model fix), regenerate with::
@@ -21,7 +20,9 @@ cost-model fix), regenerate with::
 
 The relational run writes each golden; the legacy run of the same case
 still compares against it, so an update fails if the two disagree.
-Commit the refreshed JSONL files under
+Check that the regeneration moved only the fields the change meant to
+move with ``tools/trace_field_diff.py OLD NEW --allow FIELD``, then
+commit the refreshed JSONL files under
 ``tests/integration/goldens/traces/``.
 """
 
@@ -112,7 +113,7 @@ for _seed in GEN_SEEDS:
 @pytest.mark.parametrize("relational", (True, False),
                          ids=("relational", "legacy"))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_default_policy_trace_matches_pre_refactor_golden(
+def test_search_trace_matches_golden(
     name, relational, update_goldens, monkeypatch
 ):
     if not relational:
@@ -130,8 +131,8 @@ def test_default_policy_trace_matches_pre_refactor_golden(
     )
     expected = path.read_text()
     assert observed == expected, (
-        f"default-policy trace for {name} ({'relational' if relational else 'reference'} "
-        f"discovery) diverged from the pre-refactor golden {path.name}"
+        f"search trace for {name} ({'relational' if relational else 'reference'} "
+        f"discovery) diverged from the golden {path.name}"
     )
 
 

@@ -161,21 +161,6 @@ class TestStoreServed:
         assert json.dumps(cold, sort_keys=True) == \
             json.dumps(warm, sort_keys=True)
 
-    @pytest.mark.parametrize("policy", ["deep", "greedy"])
-    def test_policy_job_repeat_is_served_from_store(self, harness, policy):
-        """Every job can be answered from the store, whatever its
-        policy; the policy is part of the job's identity."""
-        first = harness.client.submit(_request(policy=policy))
-        harness.drain()
-        repeat = harness.client.submit(_request(policy=policy))
-        assert repeat["served_from_store"]
-        assert not harness.client.submit(_request())["served_from_store"]
-        harness.drain()
-        cold = harness.client.result(first["job_id"])["result"]
-        warm = harness.client.result(repeat["job_id"])["result"]
-        assert json.dumps(cold, sort_keys=True) == \
-            json.dumps(warm, sort_keys=True)
-
     def test_store_serving_survives_service_restart(self, tmp_path):
         first = ServiceHarness(tmp_path / "svc")
         try:
@@ -226,22 +211,22 @@ class TestHTTPContract:
         with pytest.raises(ServiceError, match="400"):
             harness.client.submit(_request(laxity=2.0))
 
-    @pytest.mark.parametrize("value", [True, False])
-    def test_priors_field_is_400(self, harness, value):
+    @pytest.mark.parametrize(
+        "name,value",
+        [("priors", True), ("priors", False),
+         ("policy", None), ("policy", "default"), ("policy", "greedy")],
+    )
+    def test_removed_field_is_400(self, harness, name, value):
+        """A body that still names a removed field (``priors``, or the
+        search ``policy``) is rejected like any unknown field, whatever
+        its value, and no job is created."""
+        before = harness.client.stats()["queue"]
         with pytest.raises(
             ServiceError,
-            match=r"\(400\): unknown job request field\(s\): priors",
+            match=rf"\(400\): unknown job request field\(s\): {name}$",
         ):
-            harness.client.submit(_request(priors=value))
-
-    @pytest.mark.parametrize("policy", ["share-first", "split-eager",
-                                        "priors"])
-    def test_deleted_policy_is_400(self, harness, policy):
-        with pytest.raises(
-            ServiceError,
-            match=r"\(400\): unknown search policy .*deep, default, greedy",
-        ):
-            harness.client.submit(_request(policy=policy))
+            harness.client.submit(_request(**{name: value}))
+        assert harness.client.stats()["queue"] == before
 
     def test_malformed_body_is_400(self, harness):
         with pytest.raises(ServiceError, match="400"):
@@ -288,7 +273,6 @@ class TestWorkerTeardown:
             "fingerprint": "fp-test",
             "cache_dir": str(tmp_path / "cache"),
             "store_shards": 1,
-            "persistent_cache": True,
             "jobs_dir": None,
         }
 
@@ -336,7 +320,6 @@ class TestBitIdentity:
         config = job_config(job, {
             "cache_dir": str(tmp_path / "direct-cache"),
             "store_shards": 1,
-            "persistent_cache": True,
         })
         design = parse_design(request["design_text"],
                               source="<job request>")

@@ -150,16 +150,27 @@ class TestColdVsWarm:
 
 
 class TestExecutionKnobSharing:
-    @pytest.mark.parametrize("knob", ["batch_activity"])
-    def test_knob_off_run_warms_from_default_run(self, tmp_path, knob):
-        """Execution knobs leave the store signature alone, so a run with
-        the knob off reuses what a default run stored, bit for bit."""
+    def test_parallel_run_warms_from_serial_run(self, tmp_path):
+        """Execution-only knobs leave the store signature alone, so a
+        2-worker run reuses what a serial run stored, bit for bit."""
         cold = _run("test1", tmp_path)
-        warm = _run("test1", tmp_path, **{knob: False})
+        warm = _run("test1", tmp_path, n_workers=2)
         assert _identity(warm) == _identity(cold)
         assert warm.trace_events == cold.trace_events
         # Module and resynthesis entries are keyed by the config
         # signature (schedules are not), so hits there prove it matched.
+        hits = warm.telemetry.store_hits
+        assert hits.get("persistent.module", 0) > 0
+        assert hits.get("persistent.resynth", 0) > 0
+
+    def test_validating_run_warms_from_plain_run(self, tmp_path):
+        """A run that cross-checks delta pricing reads the module and
+        resynthesis entries a plain run stored, and its search, which
+        it re-prices from scratch, is the plain run's event for event."""
+        cold = _run("test1", tmp_path)
+        warm = _run("test1", tmp_path, validate_incremental=True)
+        assert _identity(warm) == _identity(cold)
+        assert warm.trace_events == cold.trace_events
         hits = warm.telemetry.store_hits
         assert hits.get("persistent.module", 0) > 0
         assert hits.get("persistent.resynth", 0) > 0
@@ -464,11 +475,11 @@ class TestPointOutcomes:
 
     @pytest.mark.parametrize(
         "change",
-        [{"search_policy": "greedy"}, {"objective": "area"}, {"seed": 12}],
-        ids=["policy", "objective", "stimulus"],
+        [{"objective": "area"}, {"seed": 12}],
+        ids=["objective", "stimulus"],
     )
     def test_a_changed_run_misses_every_point(self, tmp_path, change):
-        """Policy, objective and stimulus each change a point's key: a
+        """Objective and stimulus each change a point's key: a
         run that changes one after a default run on the same store
         misses every top-level point and equals its run without one."""
         uncached = _run("test1", None, trace=False, **change)

@@ -186,10 +186,9 @@ class TestPointOutcomes:
 
         base = key()
         # Execution knobs leave the key alone.
-        assert key(n_workers=2, batch_activity=False) == base
+        assert key(n_workers=2) == base
         others = [
             key(objective="area"),
-            key(search_policy="greedy"),
             key(max_moves=6),
             key(point=(400.0, 3.3, 10.0)),
             key(point=(400.0, 5.0, 12.0)),

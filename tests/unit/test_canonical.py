@@ -8,7 +8,6 @@ that does (operations, wiring, port order, nested behavior bodies).
 
 import copyreg
 import dataclasses
-import inspect
 import io
 import pickle
 
@@ -27,6 +26,7 @@ from repro.dfg import (
     library_signature,
     stream_digest,
 )
+from repro.dfg.canonical import EXECUTION_ONLY
 from repro.library import default_library
 from repro.synthesis import SynthesisConfig
 
@@ -222,32 +222,46 @@ class TestContextSignatures:
     def test_config_signature_ignores_execution_knobs(self):
         base = SynthesisConfig()
         execy = SynthesisConfig(n_workers=8, trace=True, cache_dir="/tmp/x",
-                                run_cache_size=7, batch_activity=False)
+                                store_shards=4, validate_incremental=True)
         functional = SynthesisConfig(max_passes=1)
         assert config_signature(base) == config_signature(execy)
         assert config_signature(base) != config_signature(functional)
 
-    def test_documented_execution_knobs_leave_signature_unchanged(self):
-        """A field documented "Execution knob only" must not split the store.
+    def test_one_declaration_splits_the_fields(self):
+        """The ``EXECUTION_ONLY`` field metadata alone decides which
+        fields key the store: changing a marked field leaves the
+        signature alone, changing any other field moves it, and the
+        trace's recorded config holds exactly the unmarked fields.
 
-        Reads the ``#:`` comment above each ``SynthesisConfig`` field, so a
-        new knob documented that way is covered without editing this test.
+        Reads the metadata, so a new field is covered without editing
+        this test.
         """
-        documented = []
-        comment: list[str] = []
-        for line in inspect.getsource(SynthesisConfig).splitlines():
-            stripped = line.strip()
-            if stripped.startswith("#:"):
-                comment.append(stripped[2:])
-                continue
-            words = " ".join(" ".join(comment).split())
-            if comment and ":" in stripped and "Execution knob only" in words:
-                documented.append(stripped.split(":", 1)[0])
-            comment = []
-        assert {"batch_activity", "store_shards"} <= set(documented)
+        from repro.synthesis.api import _traced_config
+
+        def changed_value(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value * 2 + 1
+            return {"seed": 1} if value is None else value + "x"
+
         base = SynthesisConfig()
-        for name in documented:
-            default = getattr(base, name)
-            value = (not default) if isinstance(default, bool) else 4
-            changed = dataclasses.replace(base, **{name: value})
-            assert config_signature(changed) == config_signature(base), name
+        marked = set()
+        for f in dataclasses.fields(SynthesisConfig):
+            changed = dataclasses.replace(
+                base, **{f.name: changed_value(getattr(base, f.name))}
+            )
+            if f.metadata.get(EXECUTION_ONLY):
+                marked.add(f.name)
+                assert config_signature(changed) == config_signature(base), \
+                    f.name
+            else:
+                assert config_signature(changed) != config_signature(base), \
+                    f.name
+        assert marked == {
+            "n_workers", "validate_incremental", "trace", "trace_timings",
+            "trace_meta", "cache_dir", "store_shards",
+        }
+        assert set(_traced_config(base)) == {
+            f.name for f in dataclasses.fields(SynthesisConfig)
+        } - marked

@@ -95,50 +95,25 @@ class TestParser:
             build_parser().parse_args(["synth", "--benchmark", "paulin"])
 
     @pytest.mark.parametrize(
-        "flag",
-        ["--portfolio=3", "--score-workers=2", "--no-batch-activity",
-         "--no-incremental", "--no-relational", "--saturate", "--priors"],
+        "command,flag",
+        [("synth", flag) for flag in (
+            "--portfolio=3", "--score-workers=2", "--no-batch-activity",
+            "--no-incremental", "--no-relational", "--saturate", "--priors",
+            "--policy=greedy", "--no-prune", "--no-persistent-cache",
+        )] + [("submit", "--policy=greedy")],
     )
-    def test_removed_synth_flags_are_rejected(self, flag, capsys):
-        """Search extras and bit-identity knobs are gone from ``synth``."""
+    def test_removed_flags_are_rejected(self, command, flag, capsys):
+        """Search extras, search policies and bit-identity knobs are gone
+        from ``synth`` and ``submit``."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
-                ["synth", "--benchmark", "paulin", "--laxity", "2.2", flag]
+                [command, "--benchmark", "paulin", "--laxity", "2.2", flag]
             )
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["synth", "--help"])
+            build_parser().parse_args([command, "--help"])
         assert flag.split("=")[0] not in capsys.readouterr().out
-
-
-class TestPolicyChoices:
-    """``--policy`` offers the kept policies and nothing else."""
-
-    @pytest.mark.parametrize("command", ["synth", "submit"])
-    @pytest.mark.parametrize("policy", ["share-first", "split-eager",
-                                        "priors"])
-    def test_deleted_policies_are_rejected(self, command, policy, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--benchmark", "lat", "--laxity", "2.2",
-                  "--policy", policy])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["synth", "submit"])
-    def test_kept_policies_parse(self, command):
-        for policy in ("default", "deep", "greedy"):
-            args = build_parser().parse_args(
-                [command, "--benchmark", "lat", "--laxity", "2.2",
-                 "--policy", policy]
-            )
-            assert args.policy == policy
-
-    def test_synth_help_lists_the_kept_policies(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["synth", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "choices: deep, default, greedy)" in help_text
 
 
 class TestInfo:

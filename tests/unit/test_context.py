@@ -1,7 +1,16 @@
 """Unit tests for the synthesis environment and behavior aliasing."""
 
+import pytest
+
 from repro.rtl import DatapathNetlist, Profile, RTLModule
 from repro.synthesis import SynthesisConfig, SynthesisEnv, ensure_behavior
+from repro.synthesis.costs import DEFAULT_COST_CACHE_SIZE
+from repro.synthesis.store import (
+    MODULE_CACHE_SIZE,
+    RUN_CACHE_SIZE,
+    SCHEDULE_CACHE_SIZE,
+)
+from repro.trace.recorder import MAX_EVENTS
 
 
 def make_module(behavior: str) -> RTLModule:
@@ -54,14 +63,45 @@ class TestEnv:
     def test_caches_declared_and_bounded(self, flat_design, library):
         """Regression: the memo caches used to be bootstrapped lazily via
         getattr and could grow without bound."""
-        config = SynthesisConfig(module_cache_size=3)
-        env = SynthesisEnv(flat_design, library, "power", config)
+        env = SynthesisEnv(flat_design, library, "power")
         for cache in (env.module_cache, env._resynth_cache):
-            for i in range(10):
+            for i in range(MODULE_CACHE_SIZE + 10):
                 cache.put(("beh", float(i), 5.0), None)
-            assert len(cache) == 3
+            assert len(cache) == MODULE_CACHE_SIZE
         assert env._resynth_active is False
         assert env._module_counter == 0
+
+    @pytest.mark.parametrize(
+        "ns, bound",
+        [("schedule", SCHEDULE_CACHE_SIZE), ("metrics", 0), ("point", 0)],
+    )
+    def test_store_point_tiers_bounded(self, flat_design, library, ns, bound):
+        """The schedule memo keeps one entry per priced candidate; a
+        corner's metrics and a point's outcome are each looked up once,
+        so their point tiers keep nothing."""
+        store = SynthesisEnv(flat_design, library, "power").store
+        for i in range(bound + 10):
+            store.put(ns, i, (ns, i), i)
+        assert len(store.point_tier(ns)) == bound
+        evicted = store.counters()["evictions"].get(f"point.{ns}", 0)
+        assert evicted == (10 if bound else 0)
+
+    def test_store_run_tier_bounded(self, flat_design, library):
+        store = SynthesisEnv(flat_design, library, "power").store
+        for i in range(RUN_CACHE_SIZE + 10):
+            store.put("resynth", i, ("resynth", i), i)
+        assert store.counters()["evictions"]["run.resynth"] == 10
+
+    def test_cost_caches_bounded(self, flat_design, library, flat_sim):
+        ctx = SynthesisEnv(flat_design, library, "power").context(flat_sim)
+        assert ctx._cost_cache.maxsize == DEFAULT_COST_CACHE_SIZE
+        assert ctx._breakdowns.maxsize == DEFAULT_COST_CACHE_SIZE
+
+    def test_trace_buffer_bounded(self, flat_design, library):
+        config = SynthesisConfig(trace=True, trace_timings=False)
+        recorder = SynthesisEnv(flat_design, library, "power", config).trace
+        assert recorder.max_events == MAX_EVENTS
+        assert recorder.timings is False
 
 
 class TestResetPointCaches:

@@ -3,9 +3,9 @@
 CI runs ``ruff check`` with the ``D1`` rules selected in pyproject.toml;
 this test enforces the same contract with the stdlib ``ast`` module so
 it also holds in environments without ruff.  Scope: the DFG model, the
-synthesis engine, the RTL model, the scheduler, the search-policy
-layer, the trace package and the telemetry module — the subsystems this
-documentation effort covers.
+synthesis engine, the RTL model, the scheduler, the design generator
+and fuzzer, the job service, the trace package and the telemetry
+module — the subsystems this documentation effort covers.
 
 Mirrors ruff's defaults: modules, public classes and public functions /
 methods need docstrings; ``_private`` names, ``__init__``/dunders
@@ -22,9 +22,9 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: The packages whose docstring coverage is under contract.
 SCOPE = [
     SRC / "dfg",
+    SRC / "gen",
     SRC / "rtl",
     SRC / "scheduling",
-    SRC / "search",
     SRC / "service",
     SRC / "synthesis",
     SRC / "trace",

@@ -88,6 +88,31 @@ class TestImprovement:
         assert all(len(r.moves) <= 2 for r in history)
 
 
+    def test_every_priced_set_is_pruned(self, setup, monkeypatch):
+        """Each family's candidates pass through ``prune_candidates``
+        before ``_best`` prices them: every list ``_best`` receives is
+        one the pruner returned."""
+        env, sol, sim = setup
+        pruned, priced = [], []
+        prune, best = improve.prune_candidates, improve._best
+
+        def pruner(env, work, cands):
+            out = prune(env, work, cands)
+            pruned.append(out)
+            return out
+
+        def pricer(ctx, candidates, base=None):
+            priced.append(candidates)
+            return best(ctx, candidates, base=base)
+
+        monkeypatch.setattr(improve, "prune_candidates", pruner)
+        monkeypatch.setattr(improve, "_best", pricer)
+        improve_solution(env, sol, sim)
+        assert priced
+        assert all(any(c is p for p in pruned) for c in priced)
+        assert env.telemetry.as_dict()["moves_pruned"]
+
+
 class TestInfeasibleRescue:
     def test_rescue_via_moves(self, flat_design, library, flat_sim):
         """An initial solution slightly over budget is repaired if a

@@ -6,6 +6,8 @@ the Metrics a from-scratch evaluation produces — same floats, not
 approximately equal floats.
 """
 
+import math
+
 import pytest
 
 from repro.bench_suite import get_benchmark
@@ -19,6 +21,7 @@ from repro.synthesis.improve import _best, improve_solution
 from repro.synthesis.incremental import evaluate_solution
 from repro.synthesis.initial import initial_solution
 from repro.synthesis.moves import (
+    candidate_order_key,
     sharing_candidates,
     splitting_candidates,
     type_a_b_candidates,
@@ -431,22 +434,34 @@ class TestTiebreak:
 
 
 class TestBatchedPricing:
-    """Batched activity pricing is bit-identical to unbatched pricing."""
+    """``_best``'s batch pre-pass is bit-identical to pricing each
+    candidate alone."""
 
     def _price_all(self, flat_sim, sol, candidates, batch, validate=False):
+        """Price *candidates* against *sol*'s breakdown, through
+        ``_best`` (whose pre-pass batch-prices sets of two or more) or,
+        with ``batch=False``, one at a time through ``ctx.evaluate``,
+        which runs no pre-pass, picking the winner by ``_best``'s rule.
+        """
         from repro.power import reset_activity_caches
 
         reset_activity_caches()
         ctx = EvaluationContext(
-            flat_sim,
-            (),
-            "power",
-            batch_pricing=batch,
-            validate_incremental=validate,
+            flat_sim, (), "power", validate_incremental=validate
         )
         ctx.evaluate(sol)
         base = ctx.breakdown_of(sol)
-        best = _best(ctx, candidates, base=base)
+        if batch:
+            scored = _best(ctx, candidates, base=base)
+            best = (scored.candidate.description, scored.cost_after)
+        else:
+            best_key = best = None
+            for cand in candidates:
+                ctx.telemetry.count_move_tried(cand.kind)
+                cost = ctx.cost(cand.solution, base=base)
+                key = (cost,) + candidate_order_key(cand)
+                if not math.isinf(cost) and (best_key is None or key < best_key):
+                    best_key, best = key, (cand.description, cost)
         metrics = [ctx.evaluate(c.solution, base=base) for c in candidates]
         return best, metrics, ctx.telemetry
 
@@ -460,8 +475,7 @@ class TestBatchedPricing:
         on_best, on_metrics, _ = self._price_all(
             flat_sim, sol, candidates, batch=True
         )
-        assert off_best.candidate.description == on_best.candidate.description
-        assert off_best.cost_after == on_best.cost_after
+        assert off_best == on_best
         for off, on in zip(off_metrics, on_metrics):
             assert (off.area, off.power, off.energy_per_sample) == (
                 on.area,
@@ -471,12 +485,41 @@ class TestBatchedPricing:
 
     def test_batch_keeps_accounting_serial(self, setup, flat_sim):
         """evaluate_batch stashes speculative results; the serial pass
-        must still report the exact unbatched telemetry."""
+        must still report the telemetry of one-at-a-time pricing."""
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)
         _, _, tel_off = self._price_all(flat_sim, sol, candidates, batch=False)
         _, _, tel_on = self._price_all(flat_sim, sol, candidates, batch=True)
         assert tel_off.as_dict() == tel_on.as_dict()
+
+    @pytest.mark.parametrize("n", [1, 2, None], ids=["one", "two", "all"])
+    def test_best_batches_sets_of_two_or_more(
+        self, setup, flat_sim, monkeypatch, n
+    ):
+        """``_best`` pre-prices a set of two or more candidates in one
+        ``evaluate_batch`` call carrying every candidate against the
+        base, and prices a lone candidate without one."""
+        env, sol, sim = setup
+        candidates = _all_candidates(env, sol, sim)[:n]
+        ctx = EvaluationContext(flat_sim, (), "power")
+        ctx.evaluate(sol)
+        base = ctx.breakdown_of(sol)
+        calls = []
+        batch = ctx.evaluate_batch
+
+        def spy(work):
+            calls.append(work)
+            batch(work)
+
+        monkeypatch.setattr(ctx, "evaluate_batch", spy)
+        assert _best(ctx, candidates, base=base) is not None
+        if len(candidates) == 1:
+            assert calls == []
+        else:
+            [work] = calls
+            assert len(work) == len(candidates)
+            for (solution, work_base), cand in zip(work, candidates):
+                assert solution is cand.solution and work_base is base
 
     def test_batch_under_validate_mode(self, setup, flat_sim):
         """The validate_incremental cross-check re-prices every batched

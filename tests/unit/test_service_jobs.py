@@ -4,11 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.dfg.canonical import EXECUTION_ONLY
 from repro.errors import ServiceError
 from repro.library import default_library
 from repro.reporting import quick_config
 from repro.service import JobRequest, request_fingerprint, resolve_job_design
 from repro.service.jobs import JobRecord
+from repro.synthesis import SynthesisConfig
 
 DESIGN_TEXT = """
 design tiny
@@ -49,19 +51,11 @@ class TestJobRequestValidation:
     @pytest.mark.parametrize(
         "field,value",
         [("objective", "speed"), ("traces", "pink"), ("effort", "extreme"),
-         ("samples", 0), ("policy", "no-such-policy"),
-         ("policy", "share-first"), ("policy", "split-eager"),
-         ("policy", "priors")],
+         ("samples", 0)],
     )
     def test_rejects_bad_knobs(self, field, value):
         with pytest.raises(ServiceError):
             _request(**{field: value}).validate()
-
-    def test_accepts_registered_policies(self):
-        from repro.search import available_policies
-
-        for policy in available_policies():
-            _request(policy=policy).validate()
 
 
 class TestJobRequestWireFormat:
@@ -82,12 +76,17 @@ class TestJobRequestWireFormat:
         with pytest.raises(ServiceError, match="portfolio"):
             JobRequest.from_dict(payload)
 
-    @pytest.mark.parametrize("value", [True, False])
-    def test_removed_priors_field_rejected(self, value):
-        """Clients still sending ``priors`` get an error naming it."""
+    @pytest.mark.parametrize(
+        "name,value",
+        [("priors", True), ("priors", False),
+         ("policy", None), ("policy", "default"), ("policy", "greedy")],
+    )
+    def test_removed_field_rejected(self, name, value):
+        """Clients still sending ``priors`` or ``policy`` get an error
+        naming it, even with a value that meant the default."""
         payload = _request().to_dict()
-        payload["priors"] = value
-        with pytest.raises(ServiceError, match=r"field\(s\): priors$"):
+        payload[name] = value
+        with pytest.raises(ServiceError, match=rf"field\(s\): {name}$"):
             JobRequest.from_dict(payload)
 
     def test_non_object_body_rejected(self):
@@ -140,12 +139,38 @@ class TestRequestFingerprint:
         [dict(objective="area"), dict(samples=32), dict(seed=1),
          dict(traces="white"), dict(verify=True), dict(trace=True),
          dict(flatten=True), dict(laxity_factor=3.0),
-         dict(laxity_factor=None, sampling_ns=500.0),
-         dict(policy="greedy"), dict(policy="deep"), dict(effort="full")],
+         dict(laxity_factor=None, sampling_ns=500.0), dict(effort="full")],
     )
     def test_result_shaping_knobs_change_identity(self, override):
         assert self._fingerprint(_request(**override)) != \
             self._fingerprint(_request())
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(SynthesisConfig), ids=lambda f: f.name
+    )
+    def test_config_field_identity(self, field):
+        """The server fingerprints with its base config while workers
+        run with their own store and worker knobs: an execution-only
+        field must leave the identity alone, any other field moves it."""
+        base = quick_config()
+        value = getattr(base, field.name)
+        if isinstance(value, bool):
+            value = not value
+        elif isinstance(value, (int, float)):
+            value = value * 2 + 1
+        else:
+            value = {"seed": 1} if field.name == "trace_meta" else "x"
+        request = _request()
+        design = resolve_job_design(request)
+        fingerprints = {
+            request_fingerprint(request, design, default_library(), config)
+            for config in (
+                base, dataclasses.replace(base, **{field.name: value})
+            )
+        }
+        assert (len(fingerprints) == 1) == bool(
+            field.metadata.get(EXECUTION_ONLY)
+        )
 
     def test_source_spelling_does_not_change_identity(self):
         """Inline text and the gen seed that emits it coalesce."""

@@ -143,13 +143,6 @@ class TestPersistentTier:
         assert not store.persistent
         assert store.persistent_stats()["total_entries"] == 0
 
-    def test_persistent_flag_off_disables_db(self, tmp_path):
-        store = SynthesisStore(cache_dir=str(tmp_path), persistent=False)
-        assert not store.persistent
-        store.put("module", "k", ("c",), 1)
-        store.close()
-        assert not any(tmp_path.iterdir())
-
     def test_schema_version_mismatch_drops_entries(self, tmp_path):
         store = SynthesisStore(cache_dir=str(tmp_path))
         store.put("module", "k", ("c",), 1)

@@ -71,6 +71,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "step.eval.delta: 1 differ (allowed)" in out
 
+    def test_allowed_field_covers_its_subfields(self, tmp_path, capsys):
+        old = _write(tmp_path / "old.jsonl", [RUN_START, STEP])
+        new = _write(
+            tmp_path / "new.jsonl",
+            [_with(RUN_START, config__prune=False), STEP],
+        )
+        assert main([str(old), str(new), "--allow", "run_start.config"]) == 0
+        assert "run_start.config.prune: 1 differ (allowed)" in \
+            capsys.readouterr().out
+        # A sibling that merely shares the prefix text is not covered.
+        assert main([str(old), str(new), "--allow", "run_start.conf"]) == 1
+
     def test_field_not_allowed_fails(self, tmp_path, capsys):
         old = _write(tmp_path / "old.jsonl", [STEP])
         new = _write(tmp_path / "new.jsonl", [_with(STEP, cost=2.0)])

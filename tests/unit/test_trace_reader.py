@@ -5,7 +5,13 @@ synthesis trace in three wire formats: ``sample_v3.jsonl`` as recorded,
 ``sample_v2.jsonl`` with the v3-only ``discovered`` step field stripped,
 and ``sample_v1.jsonl`` additionally without the v2-only run_end
 ``store`` field — the exact deltas each schema bump introduced.  Every
-consumer (reader, report, replay) must accept all three.
+consumer (reader, report, replay and the ``repro-trace`` subcommands
+over them) must accept all three.
+
+``legacy_v3.jsonl`` is a v3 trace recorded by an older build under a
+non-default search policy with per-evaluation events on: it carries a
+``run_start.policy`` field and ``eval`` events, which this build no
+longer writes, plus the CLI's provenance, so it also replays.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ from repro.trace import (
     TraceSchemaError,
     iter_events,
     read_events,
+    replay_trace,
+    span_kinds,
 )
+from repro.trace.cli import main as trace_main
 from repro.trace.reader import check_schema, trace_schema
 from repro.trace.report import render_report, run_overview
 
@@ -31,6 +40,10 @@ SAMPLES = {
     2: DATA / "sample_v2.jsonl",
     3: DATA / "sample_v3.jsonl",
 }
+LEGACY = DATA / "legacy_v3.jsonl"
+#: Every checked-in trace → (schema version it records, path).
+READABLE = {version: (version, path) for version, path in SAMPLES.items()}
+READABLE["legacy_v3"] = (3, LEGACY)
 
 
 class TestCheckSchema:
@@ -108,20 +121,34 @@ class TestIterEvents:
 
 
 class TestSchemaCompatibility:
-    @pytest.mark.parametrize("version", sorted(SAMPLES))
-    def test_reader_accepts_all_versions(self, version):
-        events = read_events(SAMPLES[version])
+    @pytest.mark.parametrize("trace", list(READABLE))
+    def test_reader_accepts_all_versions(self, trace):
+        version, path = READABLE[trace]
+        events = read_events(path)
         assert trace_schema(events) == version
         assert events[0]["schema"] == version
 
-    @pytest.mark.parametrize("version", sorted(SAMPLES))
-    def test_report_renders_all_versions(self, version):
-        events = read_events(SAMPLES[version])
+    @pytest.mark.parametrize("trace", list(READABLE))
+    def test_report_renders_all_versions(self, trace):
+        _version, path = READABLE[trace]
+        events = read_events(path)
         text = render_report(events)
         assert "winner" in text
         overview = run_overview(events)
         assert overview["design"] == "paulin"
         assert overview["n_steps"] > 0
+
+    @pytest.mark.parametrize("trace", list(READABLE))
+    @pytest.mark.parametrize("command", ["report", "profile"])
+    def test_trace_cli_reads_all_versions(self, command, trace, capsys):
+        """Every checked-in trace was recorded without timings, so
+        ``profile`` reports that instead of a breakdown."""
+        _version, path = READABLE[trace]
+        assert trace_main([command, str(path)]) == 0
+        out, err = capsys.readouterr()
+        expected = {"report": "winner:", "profile": "no timing spans"}
+        assert expected[command] in out
+        assert not err
 
     def test_versions_are_the_same_run(self):
         # The samples differ only by the optional fields each schema
@@ -142,3 +169,24 @@ class TestSchemaCompatibility:
     def test_trace_schema_requires_header(self):
         with pytest.raises(ValueError, match="run_start"):
             trace_schema([{"k": "step"}])
+
+
+class TestLegacyFixture:
+    def test_carries_what_this_build_no_longer_writes(self):
+        events = read_events(LEGACY)
+        assert events[0]["policy"] == "greedy"
+        assert events[0]["provenance"]["benchmark"] == "paulin"
+        assert any(e["k"] == "eval" for e in events)
+        kinds = span_kinds()
+        assert "eval" not in kinds
+        assert "policy" not in {f.rstrip("?") for f in kinds["run_start"][1]}
+
+    def test_replays_bit_for_bit(self):
+        result = replay_trace(read_events(LEGACY), verify=True)
+        assert result.n_moves > 0
+        assert result.cost == result.recorded_cost
+        assert result.ok
+
+    def test_trace_cli_replays_it(self, capsys):
+        assert trace_main(["replay", str(LEGACY)]) == 0
+        assert "bit-identical; oracle OK" in capsys.readouterr().out

@@ -79,7 +79,7 @@ def test_dumps_trace_is_byte_stable():
 def test_span_kinds_documents_every_kind():
     kinds = span_kinds()
     for expected in ("run_start", "point_start", "pass_start", "step",
-                     "pass_end", "verify", "eval", "point_end", "run_end"):
+                     "pass_end", "verify", "point_end", "run_end"):
         assert expected in kinds
         assert kinds[expected], f"kind {expected} has no documented fields"
     # The registry is a copy: mutating it must not leak.

@@ -12,7 +12,8 @@ whose ``*.jsonl`` files are then compared by name::
         tests/integration/goldens/traces --allow step.eval.delta
 
 A field present on one side only counts as differing.  Lists are
-compared whole.
+compared whole.  An allowed path also allows every path below it:
+``--allow run_start.config`` covers ``run_start.config.prune``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def diff_traces(
     return found
 
 
+def is_allowed(path: str, allowed: set[str]) -> bool:
+    """Whether *path* is, or lies below, one of the *allowed* paths."""
+    return any(path == a or path.startswith(a + ".") for a in allowed)
+
+
 def compare(old_path: Path, new_path: Path, allowed: set[str]) -> bool:
     """Print the differences of one trace pair; True when they pass."""
     old, new = load_events(old_path), load_events(new_path)
@@ -81,9 +87,10 @@ def compare(old_path: Path, new_path: Path, allowed: set[str]) -> bool:
     for kind, paths in sorted(diff_traces(old, new).items()):
         print(f"  {kind} ({kinds[kind]} events):")
         for path, count in sorted(paths.items()):
-            tag = "allowed" if path in allowed else "NOT ALLOWED"
+            passed = is_allowed(path, allowed)
+            tag = "allowed" if passed else "NOT ALLOWED"
             print(f"    {path}: {count} differ ({tag})")
-            ok = ok and path in allowed
+            ok = ok and passed
     return ok
 
 
@@ -94,7 +101,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument(
         "--allow", action="append", default=[], metavar="FIELD",
-        help="a field path allowed to differ (repeatable)",
+        help="a field path allowed to differ, with every path below it "
+             "(repeatable)",
     )
     args = parser.parse_args(argv)
     allowed = set(args.allow)
