@@ -182,9 +182,9 @@ def register_lifetimes(
     """Interval index: register id → sorted half-open signal lifetimes.
 
     The basis of register-sharing discovery: the relational engine
-    loads these rows into its ``life`` table for the interval-overlap
-    anti-join (and the per-pair test reference checks disjointness over
-    the same intervals).  Intervals are half-open
+    tests register pairs for overlap over these intervals (and the
+    per-pair test reference checks disjointness over the same
+    intervals).  Intervals are half-open
     ``[birth, death)`` cycles — two overlap iff
     ``b1 < d2 and b2 < d1``.
     """
@@ -600,9 +600,9 @@ def sharing_candidates(
 
     The FU and register families come from *view* (a :class:`~repro.
     synthesis.relational.RelationalView` of *solution*, built here when
-    the caller passes none) as batched SQL joins emitting lazy
-    candidates; module sharing and chain formation are library-/DFG-
-    bounded and stay on the Python helpers below.
+    the caller passes none) as top-k joins emitting lazy candidates;
+    module sharing and chain formation are library-/DFG-bounded and
+    stay on the Python helpers below.
     """
     view = _view_of(env, solution, locked, view)
     out = view.fu_sharing() + view.register_sharing()

@@ -1,4 +1,4 @@
-"""Set-at-a-time candidate discovery over an in-memory relational view.
+"""Set-at-a-time candidate discovery over one solution's projection.
 
 Discovering candidates with nested per-pair Python loops costs O(n²)
 for FU sharing, with a library rescan per pair, plus an eager
@@ -6,20 +6,25 @@ for FU sharing, with a library rescan per pair, plus an eager
 :func:`~repro.synthesis.moves.prune_candidates` sees it.  This module
 does the *discovery* step with relational algebra instead: each KL
 step projects the current :class:`~repro.synthesis.solution.Solution`
-into in-memory SQL tables (instances, capability masks, register
-lifetimes) and regenerates whole candidate families with one batched
-join each, emitting **lazy** :class:`~repro.synthesis.moves.Candidate`
-descriptors whose clones are built only if the candidate survives
-pruning and reaches pricing.
+into flat per-view lists (unlocked instances with their capability
+masks, registers with their lifetime intervals) and regenerates each
+candidate family with one join or filter over them, emitting **lazy**
+:class:`~repro.synthesis.moves.Candidate` descriptors whose clones are
+built only if the candidate survives pruning and reaches pricing.
 
-Backend choice — SQLite (stdlib ``sqlite3``) over indexed numpy
-structured arrays: the joins here are small but *irregular* (a
-capability anti-join with a correlated min-area subquery, an interval
-anti-join with an existential negation), which SQL expresses directly
-and evaluates with its own index machinery, whereas numpy would need
-hand-rolled broadcasting for each shape.  Connections are ``:memory:``
-and thread-local; a view rebuilds only the tables a query family
-actually touches.
+The joins run in-process, over lists built lazily per view: a round
+that never reaches register sharing never computes lifetimes.  Every
+family is capped, and the two pair families read their pairs in rank
+order, so each stops as soon as its cap is full:
+
+* ``C-share-fu`` is a top-k join.  It walks pairs by saved area
+  descending, one area level at a time, and stops at
+  ``max_share_pairs`` pairs that have a merge target.  The min-area
+  library fallback target is memoized per (required-op mask, chain).
+* ``C-share-reg`` walks register pairs in left-edge order and stops at
+  its cap; no pair past the cut is tested for overlap.
+* ``A-cell`` is a capability join against the library, and the two
+  split families are filters.
 
 Discovery contract
 ------------------
@@ -27,13 +32,14 @@ For every family this module serves (``A-cell``, ``C-share-fu``,
 ``C-share-reg``, ``D-split-fu``, ``D-split-reg``) the emitted candidate
 *multiset* — ``(kind, touched, description)`` triples and therefore
 solution fingerprints — is fixed by the documented sort and cap of
-each family: each ``ORDER BY`` states the ranking (with stable-sort
-tie-breaks via original positions) and each ``LIMIT`` the cap.  Both
-pruning and :func:`~repro.synthesis.improve._best` are
-order-independent given the deterministic
-:func:`~repro.synthesis.moves.candidate_order_key` tie-break, so equal
-multisets imply byte-identical search trajectories.  The test suite
-holds the engine to a per-pair reference implementation
+each family: each method states its ranking (with binding or library
+positions as the stable tie-break) and its cap.  Both pruning and
+:func:`~repro.synthesis.improve._best` are order-independent given the
+deterministic :func:`~repro.synthesis.moves.candidate_order_key`
+tie-break, so equal multisets imply byte-identical search
+trajectories; candidates are still emitted in rank order, which keeps
+the cost cache's insertion order, and so its evictions, fixed.  The
+test suite holds the engine to a per-pair reference implementation
 (``tests/reference_discovery.py``) family by family and end to end
 against the golden traces.  The remaining families (module
 replacement/sharing/embedding, move B, chain formation/dissolution)
@@ -48,9 +54,9 @@ equal materialized ones for every family.
 
 from __future__ import annotations
 
-import sqlite3
-import threading
-from typing import Callable, Iterable
+from bisect import bisect_right
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from ..dfg.ops import Operation
 from ..errors import SynthesisError
@@ -64,8 +70,8 @@ __all__ = ["RelationalView", "OP_BIT", "op_mask"]
 
 #: Stable bit assignment for operation capability masks: a cell (or an
 #: instance's required-op set) becomes one integer, and "cell supports
-#: every required op" becomes ``(required & ~capable) = 0`` — a single
-#: arithmetic predicate SQLite evaluates inside the join.
+#: every required op" becomes ``required & ~capable == 0`` — one
+#: integer test per (instance, cell) pair in the joins.
 OP_BIT: dict[Operation, int] = {op: 1 << i for i, op in enumerate(Operation)}
 
 
@@ -77,61 +83,11 @@ def op_mask(ops: Iterable[Operation]) -> int:
     return mask
 
 
-_LOCAL = threading.local()
-
-
-#: The fixed schema, created once per connection.  Tables are cleared
-#: with ``DELETE FROM`` between views, never dropped: a ``DROP TABLE``
-#: is a schema change that invalidates every statement in the
-#: connection's prepared-statement cache, forcing a re-parse and
-#: re-plan of each join on each KL step — measurable fixed cost on
-#: small designs where discovery is otherwise microseconds.
-_SCHEMA = (
-    "CREATE TABLE IF NOT EXISTS cells (pos INTEGER PRIMARY KEY, "
-    "name TEXT, area REAL, opmask INTEGER, chain INTEGER)",
-    "CREATE TABLE IF NOT EXISTS inst (pos INTEGER PRIMARY KEY, id TEXT, "
-    "cellpos INTEGER, cellname TEXT, area REAL, cellmask INTEGER, "
-    "cellchain INTEGER, opmask INTEGER, chain INTEGER)",
-    "CREATE TABLE IF NOT EXISTS reg (pos INTEGER PRIMARY KEY, id TEXT, "
-    "ok INTEGER)",
-    "CREATE TABLE IF NOT EXISTS life (reg INTEGER, birth INTEGER, "
-    "death INTEGER)",
-    # Materialized cross-overlap pairs: the register-sharing anti-join
-    # probes this primary key instead of re-evaluating a correlated
-    # interval join per register pair.
-    "CREATE TABLE IF NOT EXISTS ovl (ra INTEGER, rb INTEGER, "
-    "PRIMARY KEY (ra, rb)) WITHOUT ROWID",
-    "CREATE TABLE IF NOT EXISTS tgt (pos INTEGER PRIMARY KEY, id TEXT, "
-    "cellname TEXT, opmask INTEGER, chain INTEGER)",
-    "CREATE TABLE IF NOT EXISTS allinst (pos INTEGER PRIMARY KEY, "
-    "id TEXT, n_execs INTEGER)",
-    "CREATE TABLE IF NOT EXISTS allreg (pos INTEGER PRIMARY KEY, "
-    "id TEXT, n_signals INTEGER)",
-)
-
-
-def _connection() -> sqlite3.Connection:
-    """The thread's reusable ``:memory:`` connection.
-
-    One connection per thread amortizes connection setup and statement
-    compilation across the many short-lived views of a KL search; table
-    contents are keyed by view identity (see :meth:`RelationalView.
-    _state`) so a nested view — move-B resynthesis runs a whole nested
-    KL search mid-step — safely clobbers and later rebuilds the outer
-    view's tables.
-    """
-    conn = getattr(_LOCAL, "conn", None)
-    if conn is None:
-        conn = sqlite3.connect(":memory:")
-        # The view tables are tiny (tens of rows); a transient automatic
-        # index costs more to build per query than the nested-loop scan
-        # it replaces, and steering the planner to PK order lets the
-        # pair queries satisfy ``ORDER BY pos`` without a sort pass.
-        conn.execute("PRAGMA automatic_index = OFF")
-        for statement in _SCHEMA:
-            conn.execute(statement)
-        _LOCAL.conn = conn
-    return conn
+def _self_disjoint(intervals: list[tuple[int, int]]) -> bool:
+    """True if a register's own sorted half-open intervals are disjoint."""
+    return all(
+        b2 >= d1 for (_b1, d1), (b2, _d2) in zip(intervals, intervals[1:])
+    )
 
 
 class RelationalView:
@@ -139,8 +95,7 @@ class RelationalView:
 
     Built once per KL step (the solution must not mutate while the view
     is alive — guarded by the solution's mutation epoch) and queried
-    once per candidate family.  Tables are populated lazily: a round
-    that never reaches register sharing never pays for lifetimes.
+    once per candidate family.
     """
 
     def __init__(
@@ -150,7 +105,6 @@ class RelationalView:
         self._solution = solution
         self._locked = locked
         self._epoch = solution.epoch
-        self._conn = _connection()
         self._on_materialize = env.telemetry.count_move_materialized
         base_fp = solution.fingerprint()
         self._fp_head = base_fp[:5]
@@ -158,44 +112,17 @@ class RelationalView:
         self._reg_entries: tuple = base_fp[6]
         self._inst_pos = {e[0]: i for i, e in enumerate(self._inst_entries)}
         self._reg_pos = {e[0]: i for i, e in enumerate(self._reg_entries)}
-        #: Everything the table contents are a pure function of: the
-        #: solution fingerprint (DFG identity, clocks, bindings,
-        #: executions, register contents), the locked set, and the
-        #: library's cell objects.  Two views with equal keys project
-        #: identical tables, so they share them (see :meth:`_state`).
-        self._key = (
-            self._fp_head,
-            self._inst_entries,
-            self._reg_entries,
-            locked,
-            tuple(map(id, env.library.cells())),
-        )
-        #: Merge-target decode list; filled by :meth:`_ensure_simple`.
-        self._cell_lookup: list[LibraryCell] = []
-        #: Row count of the ``inst`` table; filled by
-        #: :meth:`_ensure_simple`, compared against target-list sizes.
-        self._n_simple = -1
+        cells = env.library.cells()
+        #: ``(cell, opmask, chain)`` per library cell, in library order.
+        self._caps = [(c, op_mask(c.ops), c.chain_length) for c in cells]
+        #: Merge targets by name: the library's cells, plus each bound
+        #: cell the library does not list (see :meth:`_unit`).
+        self._by_name = {c.name: c for c in cells}
+        self._unit_rows: list[tuple] | None = None
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _state(self) -> dict:
-        """The connection's table cache, scoped to this view's identity.
-
-        Keyed by :attr:`_key` rather than the view object: consecutive
-        views over an unchanged solution — KL steps whose best move was
-        rejected, or repeated discovery in benchmarks — find every
-        table (and the Python-side decode state stashed alongside)
-        already populated and skip the rebuild entirely.  A view with a
-        different key resets the cache, which also covers the nested
-        move-B resynthesis view clobbering the outer step's tables.
-        """
-        state = getattr(_LOCAL, "view_state", None)
-        if state is None or state["key"] != self._key:
-            state = {"key": self._key, "built": set()}
-            _LOCAL.view_state = state
-        return state
-
     def _check_epoch(self) -> None:
         if self._solution.epoch != self._epoch:
             raise SynthesisError(
@@ -215,31 +142,6 @@ class RelationalView:
             )
         )
 
-    def _ensure_cells(self) -> list[LibraryCell]:
-        """``cells(pos, name, area, opmask, chain)`` in library order.
-
-        The library is immutable for the lifetime of a synthesis run,
-        so the table survives across views on the same connection
-        independently of the per-solution cache: it reloads only when a
-        view binds a *different* library (nested resynthesis shares the
-        env, so in practice once per thread).
-        """
-        cells = self._env.library.cells()
-        key = tuple(map(id, cells))
-        if getattr(_LOCAL, "cells_from", None) == key:
-            return cells
-        cur = self._conn
-        cur.execute("DELETE FROM cells")
-        cur.executemany(
-            "INSERT INTO cells VALUES (?, ?, ?, ?, ?)",
-            [
-                (pos, c.name, c.area, op_mask(c.ops), c.chain_length)
-                for pos, c in enumerate(cells)
-            ],
-        )
-        _LOCAL.cells_from = key
-        return cells
-
     def _instance_requirements(self, inst_id: str) -> tuple[int, int]:
         """(required-op mask, required chain length) of an instance."""
         solution = self._solution
@@ -254,111 +156,40 @@ class RelationalView:
                     mask |= OP_BIT[op]
         return mask, chain
 
-    def _ensure_simple(self) -> None:
-        """``inst``: unlocked simple instances with executions.
+    def _units(self) -> list[tuple]:
+        """Unlocked simple instances with executions, in binding order.
 
-        ``pos`` is the instance's rank in binding insertion order;
-        capability data
-        of both the requirement side (``opmask``/``chain``) and the
-        currently bound cell (``cellmask``/``cellchain``) is
-        denormalized in so the pair join never leaves the table.
+        One row per instance: ``(id, cell, area, cellmask, cellchain,
+        opmask, chain)``.  ``area``, ``cellmask`` and ``cellchain``
+        describe the bound cell, ``opmask`` and ``chain`` what the
+        instance's executions require.  ``cell`` is the bound cell as a
+        merge target: the library's cell of that name, or the bound
+        cell itself when the library lists none.
         """
-        state = self._state()
-        if "inst" in state["built"]:
-            self._cell_lookup = state["cell_lookup"]
-            self._n_simple = state["n_simple"]
-            return
-        # Decode table for merge targets: library cells by position,
-        # extended with any bound cell the library does not list (a
-        # merge may keep such a cell; positions past the library never
-        # enter the SQL ``cells`` table, so the min-area fallback
-        # subquery still scans exactly the library).
-        lookup = list(self._ensure_cells())
-        cell_pos = {c.name: i for i, c in enumerate(lookup)}
-        solution = self._solution
-        rows = []
-        pos = 0
-        for inst_id, inst in solution.instances.items():
-            if (
-                inst.is_module
-                or inst_id in self._locked
-                or not solution.executions[inst_id]
-            ):
-                continue
-            assert inst.cell is not None
-            cellpos = cell_pos.get(inst.cell.name)
-            if cellpos is None:
-                cellpos = len(lookup)
-                cell_pos[inst.cell.name] = cellpos
-                lookup.append(inst.cell)
-            mask, chain = self._instance_requirements(inst_id)
-            rows.append(
-                (
-                    pos,
-                    inst_id,
-                    cellpos,
-                    inst.cell.name,
-                    inst.cell.area,
-                    op_mask(inst.cell.ops),
-                    inst.cell.chain_length,
-                    mask,
-                    chain,
-                )
-            )
-            pos += 1
-        self._cell_lookup = state["cell_lookup"] = lookup
-        self._n_simple = state["n_simple"] = len(rows)
-        cur = self._conn
-        cur.execute("DELETE FROM inst")
-        cur.executemany(
-            "INSERT INTO inst VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", rows
-        )
-        state["built"].add("inst")
+        if self._unit_rows is None:
+            solution = self._solution
+            self._unit_rows = [
+                self._unit(inst_id)
+                for inst_id, inst in solution.instances.items()
+                if not inst.is_module
+                and inst_id not in self._locked
+                and solution.executions[inst_id]
+            ]
+        return self._unit_rows
 
-    def _ensure_registers(self) -> None:
-        """``reg``/``life``: unlocked registers and lifetime intervals.
-
-        ``reg.pos`` ranks registers in left-edge order (earliest end
-        of life first); ``reg.ok`` precomputes whether the register's
-        *own* intervals are already pairwise disjoint (a merged-interval
-        disjointness check degenerates to cross-register overlap
-        exactly when both sides are self-consistent).  ``life`` holds one row
-        per (register, interval); ``ovl`` materializes the overlapping
-        register pairs once — half-open semantics, ``[b1, d1)`` and
-        ``[b2, d2)`` overlap iff ``b1 < d2 and b2 < d1`` — so the
-        sharing query probes a primary key per pair instead of
-        re-running a correlated interval join.
-        """
-        state = self._state()
-        if "reg" in state["built"]:
-            return
-        solution = self._solution
-        regs = [r for r in solution.reg_signals if r not in self._locked]
-        lifetimes = register_lifetimes(solution, regs)
-        regs.sort(key=lambda r: lifetimes[r][-1][1])
-        reg_rows = []
-        life_rows = []
-        for pos, reg_id in enumerate(regs):
-            intervals = lifetimes[reg_id]
-            ok = all(
-                b2 >= d1
-                for (_b1, d1), (b2, _d2) in zip(intervals, intervals[1:])
-            )
-            reg_rows.append((pos, reg_id, 1 if ok else 0))
-            for birth, death in intervals:
-                life_rows.append((pos, birth, death))
-        cur = self._conn
-        cur.execute("DELETE FROM reg")
-        cur.execute("DELETE FROM life")
-        cur.execute("DELETE FROM ovl")
-        cur.executemany("INSERT INTO reg VALUES (?, ?, ?)", reg_rows)
-        cur.executemany("INSERT INTO life VALUES (?, ?, ?)", life_rows)
-        cur.execute(
-            "INSERT OR IGNORE INTO ovl SELECT la.reg, lb.reg "
-            "FROM life la JOIN life lb ON lb.reg > la.reg "
-            "AND la.birth < lb.death AND lb.birth < la.death"
+    def _unit(self, inst_id: str) -> tuple:
+        cell = self._solution.instances[inst_id].cell
+        assert cell is not None
+        mask, chain = self._instance_requirements(inst_id)
+        return (
+            inst_id,
+            self._by_name.setdefault(cell.name, cell),
+            cell.area,
+            op_mask(cell.ops),
+            cell.chain_length,
+            mask,
+            chain,
         )
-        state["built"].add("reg")
 
     # ------------------------------------------------------------------
     # Move A: cell replacement
@@ -366,63 +197,42 @@ class RelationalView:
     def cell_replacements(self, targets: list[str]) -> list[Candidate]:
         """``A-cell`` swaps for all *targets* via one capability join.
 
-        Instead of a ``library.cells()`` rescan per target, a single
-        join against ``cells`` yields every (target, fitting cell) pair
-        at once.  When *targets* covers every unlocked
-        simple instance — the common case, ``max_ab_targets`` rarely
-        bites — the join runs straight off the ``inst`` table; a capped
-        subset stages into ``tgt`` first.  Emission order differs
-        between the two shapes, which is immaterial: pruning and
-        ``_best`` are order-independent, only the multiset counts.
+        Instead of a ``library.cells()`` rescan per target, one pass
+        pairs each target with every other library cell that supports
+        its required ops at its chain length, in (target, library
+        position) order.  When *targets* covers every unlocked simple
+        instance — the common case, ``max_ab_targets`` rarely bites —
+        the targets are read in binding order, else in the given order.
         """
-        self._ensure_simple()
-        cells = self._env.library.cells()
-        solution = self._solution
-        cur = self._conn
-        if len(targets) == self._n_simple:
-            pairs = cur.execute(
-                "SELECT t.id, t.cellname, c.pos FROM inst t JOIN cells c "
-                "ON c.name <> t.cellname "
-                "AND (t.opmask & ~c.opmask) = 0 "
-                "AND c.chain >= t.chain "
-                "ORDER BY t.pos, c.pos"
-            ).fetchall()
-        else:
-            cur.execute("DELETE FROM tgt")
-            rows = []
-            for pos, inst_id in enumerate(targets):
-                inst = solution.instances[inst_id]
-                assert inst.cell is not None
-                mask, chain = self._instance_requirements(inst_id)
-                rows.append((pos, inst_id, inst.cell.name, mask, chain))
-            cur.executemany("INSERT INTO tgt VALUES (?, ?, ?, ?, ?)", rows)
-            pairs = cur.execute(
-                "SELECT t.id, t.cellname, c.pos FROM tgt t JOIN cells c "
-                "ON c.name <> t.cellname "
-                "AND (t.opmask & ~c.opmask) = 0 "
-                "AND c.chain >= t.chain "
-                "ORDER BY t.pos, c.pos"
-            ).fetchall()
+        rows = self._units()
+        if len(targets) != len(rows):
+            rows = [self._unit(inst_id) for inst_id in targets]
 
-        base = solution
+        base = self._solution
         out: list[Candidate] = []
-        for inst_id, old_name, cell_idx in pairs:
-            cell = cells[cell_idx]
-            entries = list(self._inst_entries)
-            idx = self._inst_pos[inst_id]
-            e = entries[idx]
-            entries[idx] = (e[0], cell.name, False, e[3])
-            out.append(
-                Candidate(
-                    kind="A-cell",
-                    description=f"{inst_id}: {old_name} -> {cell.name}",
-                    touched=frozenset({inst_id}),
-                    build=self._build_cell_swap(base, inst_id, cell),
-                    fingerprint=self._fingerprint(insts=tuple(entries)),
-                    replacement_cell=cell,
-                    on_materialize=self._on_materialize,
+        for inst_id, old, _area, _cmask, _cchain, mask, chain in rows:
+            for cell, cell_mask, cell_chain in self._caps:
+                if (
+                    cell.name == old.name
+                    or mask & ~cell_mask
+                    or cell_chain < chain
+                ):
+                    continue
+                entries = list(self._inst_entries)
+                idx = self._inst_pos[inst_id]
+                e = entries[idx]
+                entries[idx] = (e[0], cell.name, False, e[3])
+                out.append(
+                    Candidate(
+                        kind="A-cell",
+                        description=f"{inst_id}: {old.name} -> {cell.name}",
+                        touched=frozenset({inst_id}),
+                        build=self._build_cell_swap(base, inst_id, cell),
+                        fingerprint=self._fingerprint(insts=tuple(entries)),
+                        replacement_cell=cell,
+                        on_materialize=self._on_materialize,
+                    )
                 )
-            )
         return out
 
     def _build_cell_swap(
@@ -440,42 +250,17 @@ class RelationalView:
     # Move C: sharing
     # ------------------------------------------------------------------
     def fu_sharing(self) -> list[Candidate]:
-        """``C-share-fu``: all mergeable FU pairs via one self-join.
+        """``C-share-fu``: the ``max_share_pairs`` best mergeable FU pairs.
 
-        The pair join resolves the merge target inline — keep a's cell
-        if it fits the union of requirements, else b's, else the
-        min-area fitting library cell (first by library position on
-        area ties, matching ``min()``) — and ranks pairs by saved area
-        descending with enumeration order as the stable tie-break.
+        Pairs rank by saved area (the smaller bound cell's area)
+        descending, then by binding positions ``(a, b)``; only the first
+        ``max_share_pairs`` pairs with a merge target are read (see
+        :meth:`_mergeable_pairs`).
         """
-        self._ensure_simple()
-        cells = self._cell_lookup
-        cap = self._env.config.max_share_pairs
-        pairs = self._conn.execute(
-            "SELECT ida, idb, target FROM ("
-            " SELECT a.pos AS pa, b.pos AS pb, a.id AS ida, b.id AS idb,"
-            "  MIN(a.area, b.area) AS saved,"
-            "  CASE"
-            "   WHEN ((a.opmask | b.opmask) & ~a.cellmask) = 0"
-            "    AND a.cellchain >= MAX(a.chain, b.chain) THEN a.cellpos"
-            "   WHEN ((a.opmask | b.opmask) & ~b.cellmask) = 0"
-            "    AND b.cellchain >= MAX(a.chain, b.chain) THEN b.cellpos"
-            "   ELSE ("
-            "    SELECT c.pos FROM cells c"
-            "    WHERE ((a.opmask | b.opmask) & ~c.opmask) = 0"
-            "     AND c.chain >= MAX(a.chain, b.chain)"
-            "    ORDER BY c.area, c.pos LIMIT 1)"
-            "  END AS target"
-            " FROM inst a JOIN inst b ON b.pos > a.pos"
-            ") WHERE target IS NOT NULL "
-            "ORDER BY saved DESC, pa, pb LIMIT ?",
-            (cap,),
-        ).fetchall()
-
+        cap = max(self._env.config.max_share_pairs, 0)
         base = self._solution
         out: list[Candidate] = []
-        for a, b, cell_idx in pairs:
-            target = cells[cell_idx]
+        for a, b, target in islice(self._mergeable_pairs(), cap):
             entries = list(self._inst_entries)
             ia, ib = self._inst_pos[a], self._inst_pos[b]
             ea, eb = entries[ia], entries[ib]
@@ -493,6 +278,55 @@ class RelationalView:
             )
         return out
 
+    def _mergeable_pairs(self) -> Iterator[tuple[str, str, LibraryCell]]:
+        """Mergeable unit pairs ``(a, b, target)`` in rank order.
+
+        A pair saves area ``L`` when both bound cells have area ``L`` or
+        more and one has exactly ``L``.  So the walk takes the area
+        levels highest first, and at each level pairs the units at or
+        above it in binding order, where a unit above the level pairs
+        only with units at it.  The target keeps a's cell if it fits the
+        union of requirements, else b's, else it is the min-area fitting
+        library cell, first by library position on area ties (as
+        ``min()`` picks), memoized per (required-op mask, chain).  A
+        pair that no cell fits is skipped.
+        """
+        units = self._units()
+        by_area: dict[float, list[int]] = {}
+        for i, unit in enumerate(units):
+            by_area.setdefault(unit[2], []).append(i)
+        fallback: dict[tuple[int, int], LibraryCell | None] = {}
+        wide: list[int] = []
+        for level in sorted(by_area, reverse=True):
+            exact = by_area[level]
+            wide = sorted(wide + exact)
+            for i in wide:
+                a, a_cell, a_area, a_cmask, a_cchain, a_mask, a_chain = units[i]
+                partners = wide if a_area == level else exact
+                for j in partners[bisect_right(partners, i) :]:
+                    b, b_cell, _b_area, b_cmask, b_cchain, b_mask, b_chain = units[j]
+                    need = a_mask | b_mask
+                    chain = max(a_chain, b_chain)
+                    if not need & ~a_cmask and a_cchain >= chain:
+                        yield a, b, a_cell
+                    elif not need & ~b_cmask and b_cchain >= chain:
+                        yield a, b, b_cell
+                    else:
+                        key = (need, chain)
+                        if key not in fallback:
+                            fallback[key] = min(
+                                (
+                                    cell
+                                    for cell, mask, cell_chain in self._caps
+                                    if not need & ~mask and cell_chain >= chain
+                                ),
+                                key=lambda cell: cell.area,
+                                default=None,
+                            )
+                        target = fallback[key]
+                        if target is not None:
+                            yield a, b, target
+
     def _build_fu_share(
         self, base: Solution, a: str, b: str, target: LibraryCell
     ) -> Callable[[], Solution]:
@@ -509,27 +343,20 @@ class RelationalView:
         return build
 
     def register_sharing(self) -> list[Candidate]:
-        """``C-share-reg``: disjoint register pairs via an anti-join.
+        """``C-share-reg``: disjoint register pairs in left-edge order.
 
-        All pairs, not a 4-wide window: the overlap test is an
-        anti-join against the materialized ``ovl`` pair table (built
-        once per solution in :meth:`_ensure_registers`), with the
-        first-``cap``-pairs-in-rank-order truncation expressed as
-        ``LIMIT``.
+        All pairs, not a 4-wide window: registers rank by their last
+        death (left-edge order), and pairs are read in ``(a, b)`` rank
+        order up to the ``max_share_pairs // 2`` cap.  A pair is
+        disjoint when each register's own intervals already are and no
+        interval of one overlaps one of the other: half-open
+        ``[b1, d1)`` and ``[b2, d2)`` overlap iff ``b1 < d2 and
+        b2 < d1``.
         """
-        self._ensure_registers()
-        cap = self._env.config.max_share_pairs // 2
-        pairs = self._conn.execute(
-            "SELECT a.id, b.id FROM reg a JOIN reg b ON b.pos > a.pos "
-            "WHERE a.ok = 1 AND b.ok = 1 AND NOT EXISTS ("
-            " SELECT 1 FROM ovl o WHERE o.ra = a.pos AND o.rb = b.pos) "
-            "ORDER BY a.pos, b.pos LIMIT ?",
-            (cap,),
-        ).fetchall()
-
+        cap = max(self._env.config.max_share_pairs // 2, 0)
         base = self._solution
         out: list[Candidate] = []
-        for a, b in pairs:
+        for a, b in islice(self._disjoint_register_pairs(), cap):
             regs = list(self._reg_entries)
             ra, rb = self._reg_pos[a], self._reg_pos[b]
             regs[ra] = (a, regs[ra][1] + regs[rb][1])
@@ -545,6 +372,21 @@ class RelationalView:
                 )
             )
         return out
+
+    def _disjoint_register_pairs(self) -> Iterator[tuple[str, str]]:
+        solution = self._solution
+        regs = [r for r in solution.reg_signals if r not in self._locked]
+        lifetimes = register_lifetimes(solution, regs)
+        regs.sort(key=lambda r: lifetimes[r][-1][1])
+        ranked = [(r, lifetimes[r]) for r in regs if _self_disjoint(lifetimes[r])]
+        for i, (a, life_a) in enumerate(ranked):
+            for b, life_b in ranked[i + 1 :]:
+                if not any(
+                    b1 < d2 and b2 < d1
+                    for b1, d1 in life_a
+                    for b2, d2 in life_b
+                ):
+                    yield a, b
 
     def _build_reg_share(
         self, base: Solution, a: str, b: str
@@ -566,23 +408,25 @@ class RelationalView:
     def fu_splits(self) -> list[Candidate]:
         """``D-split-fu``: busiest shared instances, halved.
 
-        One ordered scan (executions descending, binding order as the
-        stable tie-break) takes the first ``cap`` instances; the twin's
-        id is precomputed with :meth:`Solution.peek_fresh_id` so the
-        descriptor fingerprint matches the clone that would be built.
+        Unlocked instances, modules included, with two or more
+        executions, ranked by executions descending with binding order
+        as the stable tie-break; the first ``max_split_candidates`` are
+        split.  The twin's id is precomputed with
+        :meth:`Solution.peek_fresh_id` so the descriptor fingerprint
+        matches the clone that would be built.
         """
-        self._ensure_allinst()
-        cap = self._env.config.max_split_candidates
-        rows = self._conn.execute(
-            "SELECT id FROM allinst WHERE n_execs >= 2 "
-            "ORDER BY n_execs DESC, pos LIMIT ?",
-            (cap,),
-        ).fetchall()
-
+        cap = max(self._env.config.max_split_candidates, 0)
         base = self._solution
+        shared = [
+            inst_id
+            for inst_id in base.instances
+            if inst_id not in self._locked and len(base.executions[inst_id]) >= 2
+        ]
+        shared.sort(key=lambda inst_id: -len(base.executions[inst_id]))
+
         twin = base.peek_fresh_id("u")
         out: list[Candidate] = []
-        for (inst_id,) in rows:
+        for inst_id in shared[:cap]:
             execs = base.executions[inst_id]
             half = max(1, len(execs) // 2)
             kept, moved = tuple(execs[:half]), tuple(execs[half:])
@@ -618,18 +462,17 @@ class RelationalView:
 
     def register_splits(self) -> list[Candidate]:
         """``D-split-reg``: shared registers, halved (binding order)."""
-        self._ensure_allinst()
-        cap = self._env.config.max_split_candidates // 2
-        rows = self._conn.execute(
-            "SELECT id FROM allreg WHERE n_signals >= 2 "
-            "ORDER BY pos LIMIT ?",
-            (cap,),
-        ).fetchall()
-
+        cap = max(self._env.config.max_split_candidates // 2, 0)
         base = self._solution
+        shared = [
+            reg_id
+            for reg_id, signals in base.reg_signals.items()
+            if reg_id not in self._locked and len(signals) >= 2
+        ]
+
         twin = base.peek_fresh_id("r")
         out: list[Candidate] = []
-        for (reg_id,) in rows:
+        for reg_id in shared[:cap]:
             signals = base.reg_signals[reg_id]
             half = len(signals) // 2
             kept, moved = tuple(signals[:half]), tuple(signals[half:])
@@ -659,31 +502,3 @@ class RelationalView:
             return clone
 
         return build
-
-    def _ensure_allinst(self) -> None:
-        """``allinst``/``allreg``: every unlocked sharable resource.
-
-        Unlike ``inst``, module instances are included — the split
-        family un-shares merged modules too.  ``pos`` preserves binding
-        insertion order for the stable sorts.
-        """
-        state = self._state()
-        if "allinst" in state["built"]:
-            return
-        solution = self._solution
-        inst_rows = [
-            (pos, inst_id, len(solution.executions[inst_id]))
-            for pos, inst_id in enumerate(solution.instances)
-            if inst_id not in self._locked
-        ]
-        reg_rows = [
-            (pos, reg_id, len(signals))
-            for pos, (reg_id, signals) in enumerate(solution.reg_signals.items())
-            if reg_id not in self._locked
-        ]
-        cur = self._conn
-        cur.execute("DELETE FROM allinst")
-        cur.execute("DELETE FROM allreg")
-        cur.executemany("INSERT INTO allinst VALUES (?, ?, ?)", inst_rows)
-        cur.executemany("INSERT INTO allreg VALUES (?, ?, ?)", reg_rows)
-        state["built"].add("allinst")

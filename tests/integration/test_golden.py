@@ -15,6 +15,8 @@ and commit the refreshed JSON files under ``tests/integration/goldens/``.
 """
 
 import json
+import sqlite3
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,11 @@ def test_golden_costs(name, update_goldens):
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n")
         pytest.skip(f"golden updated: {path}")
+    _assert_matches_golden(name, observed)
+
+
+def _assert_matches_golden(name: str, observed: dict) -> None:
+    path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), (
         f"missing golden {path}; generate it with pytest --update-goldens"
     )
@@ -92,3 +99,20 @@ def test_golden_costs(name, update_goldens):
             assert got == pytest.approx(want, rel=REL_TOL), (
                 f"{name}/{objective}/{key}: golden {want}, observed {got}"
             )
+
+
+def test_synthesis_without_cache_dir_opens_no_database(monkeypatch):
+    """Discovery and the in-memory store need no SQLite: with no
+    ``cache_dir`` a run reaches its golden while ``sqlite3.connect``
+    raises."""
+
+    def refuse(*args, **kwargs):
+        raise sqlite3.OperationalError("synthesis opened a database")
+
+    monkeypatch.setattr(sqlite3, "connect", refuse)
+    assert quick_config().cache_dir is None
+    # A fresh thread, so that no connection an earlier test left open
+    # on this one (a per-thread cache, say) can stand in for a connect.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        observed = pool.submit(_snapshot, "paulin").result()
+    _assert_matches_golden("paulin", observed)

@@ -7,7 +7,7 @@ trace JSONL.  The goldens pin that (timings disabled, so the traces are
 deterministic).
 
 Each case keeps one golden, ``<name>.jsonl``, and runs twice: as
-shipped (``relational``, the SQLite discovery engine) and with the
+shipped (``relational``, the in-process discovery engine) and with the
 per-pair reference loops of ``tests/reference_discovery.py`` patched
 over the improvement loop's view (``legacy``).  Both must emit the
 same bytes.

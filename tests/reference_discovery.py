@@ -1,7 +1,7 @@
 """Per-pair discovery loops: the test reference for the relational engine.
 
 These are the move generators' solution-bounded families as they were
-before :mod:`repro.synthesis.relational` discovered them with SQL
+before :mod:`repro.synthesis.relational` discovered them with batched
 joins: plain Python loops over instances and registers that clone every
 candidate eagerly.  :class:`ReferenceView` wraps them behind
 :class:`~repro.synthesis.relational.RelationalView`'s five query

@@ -20,6 +20,7 @@ from repro.synthesis.initial import initial_solution
 from repro.synthesis.moves import (
     Candidate,
     candidate_order_key,
+    register_lifetimes,
     sharing_candidates,
     splitting_candidates,
     type_a_b_candidates,
@@ -249,16 +250,22 @@ class TestRegisterSharingWindow:
     """Full-pair discovery, not the old fixed 4-successor window."""
 
     def test_pairs_beyond_window(self):
-        env, solution, sim = _env_for("paulin")
-        view = RelationalView(env, solution, NONE_LOCKED)
-        view._ensure_registers()
-        rows = view._conn.execute(
-            "SELECT a.pos, b.pos FROM reg a JOIN reg b ON b.pos > a.pos "
-            "WHERE a.ok = 1 AND b.ok = 1 AND NOT EXISTS ("
-            " SELECT 1 FROM ovl o WHERE o.ra = a.pos AND o.rb = b.pos)"
-        ).fetchall()
-        assert rows, "paulin should offer disjoint register pairs"
-        assert any(pb - pa > 4 for pa, pb in rows), (
+        config = SynthesisConfig(max_share_pairs=10_000)
+        env, solution, sim = _env_for("paulin", config)
+        got = RelationalView(env, solution, NONE_LOCKED).register_sharing()
+        want = ReferenceView(env, solution, NONE_LOCKED).register_sharing()
+        assert got, "paulin should offer disjoint register pairs"
+        assert sorted(candidate_order_key(c) for c in got) == sorted(
+            candidate_order_key(c) for c in want
+        )
+        regs = list(solution.reg_signals)
+        lifetimes = register_lifetimes(solution, regs)
+        regs.sort(key=lambda r: lifetimes[r][-1][1])
+        rank = {r: i for i, r in enumerate(regs)}
+        spans = [
+            abs(rank[a] - rank[b]) for a, b in (tuple(c.touched) for c in got)
+        ]
+        assert any(span > 4 for span in spans), (
             "expected at least one shareable pair farther than the old "
             "4-successor window in left-edge order"
         )
@@ -306,40 +313,3 @@ class TestFamilyApportionment:
         assert sorted(candidate_order_key(c) for c in rel) == sorted(
             candidate_order_key(c) for c in leg
         )
-
-
-class TestTableCache:
-    """Connection-level table reuse across views of one solution."""
-
-    def test_same_solution_shares_tables(self):
-        env, solution, sim = _env_for("paulin")
-        v1 = RelationalView(env, solution, NONE_LOCKED)
-        v1._ensure_simple()
-        v2 = RelationalView(env, solution, NONE_LOCKED)
-        state = v2._state()
-        assert "inst" in state["built"]
-
-    def test_changed_solution_invalidates(self):
-        env, solution, sim = _env_for("paulin")
-        v1 = RelationalView(env, solution, NONE_LOCKED)
-        v1._ensure_simple()
-        clone = solution.clone()
-        inst_id = next(iter(clone.instances))
-        cell = next(
-            c
-            for c in env.library.cells()
-            if c.name != clone.instances[inst_id].cell.name
-            and clone.instances[inst_id].cell.ops <= c.ops
-            and c.chain_length >= clone.instances[inst_id].cell.chain_length
-        )
-        clone.set_cell(inst_id, cell)
-        v2 = RelationalView(env, clone, NONE_LOCKED)
-        assert "inst" not in v2._state()["built"]
-
-    def test_locked_set_is_part_of_identity(self):
-        env, solution, sim = _env_for("paulin")
-        v1 = RelationalView(env, solution, NONE_LOCKED)
-        v1._ensure_simple()
-        locked = frozenset([next(iter(solution.instances))])
-        v2 = RelationalView(env, solution, locked)
-        assert "inst" not in v2._state()["built"]
